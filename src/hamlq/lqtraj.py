@@ -11,8 +11,11 @@ mode propagated by ``A_K'`` from the far end:
     p_k = P A_K^k a + (P W - I)(A_K')^{k_f-k} b
     u_k = K A_K^k a + (K W A_K' + Rw^{-1} B')(A_K')^{k_f-1-k} b
 
-so a solve reduces to one 2n-by-2n boundary system in ``(a, b)`` plus two
-cached power sequences. Two independent oracles are provided for
+so a solve reduces to one 2n-by-2n boundary system in ``(a, b)``. The two
+mode sequences ``A_K^k a`` and ``(A_K')^j b`` are then filled by doubling:
+each round multiplies the rows already known by the next power ``A_K^{2^i}``,
+so propagation costs about ``log2 k_f`` stacked products and ``O(k_f n)``
+memory, the size of the output. Two independent oracles are provided for
 cross-checking: the classical backward Riccati recursion (free endpoint)
 and a dense equality-constrained least-squares solve over the stacked
 input sequence (fixed endpoint).
@@ -26,7 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryInconsistent, Infeasible
-from .matcore import DEFAULT_TOL, ToleranceConfig, solve_linear
+from .matcore import DEFAULT_TOL, ToleranceConfig
+from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 from .reachdecomp import SystemQuadruple
 from .riccati import RiccatiSolution
 from .stablyap import GramianSolution
@@ -111,6 +115,30 @@ def _power_list(M: np.ndarray, top: int) -> list[np.ndarray]:
     return pows
 
 
+def _propagate(A_K: np.ndarray, phi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, k_f: int):
+    """Rows ``fwd[k] = A_K^k alpha`` and ``bwd[k] = (A_K')^k beta``, k = 0..k_f.
+
+    Rows below ``k_f`` are filled by doubling: with rows ``[0, j)`` known,
+    rows ``[j, j + t)`` are rows ``[0, t)`` advanced by ``A_K^j``, which is
+    then squared. Row ``k_f`` is taken from ``phi = A_K^{k_f}``, the power
+    in the boundary matrix, so the end states and costates meet the boundary
+    equations as closely as the solve did even where large modes cancel.
+    """
+    fwd = np.empty((k_f + 1, alpha.shape[0]))
+    bwd = np.empty_like(fwd)
+    fwd[0], bwd[0] = alpha, beta
+    fwd[k_f], bwd[k_f] = phi @ alpha, phi.T @ beta
+    step, j = A_K, 1
+    while j < k_f:
+        t = min(j, k_f - j)
+        np.matmul(fwd[:t], step.T, out=fwd[j : j + t])
+        np.matmul(bwd[:t], step, out=bwd[j : j + t])
+        j += t
+        if j < k_f:
+            step = step @ step
+    return fwd, bwd
+
+
 def solve_nonrecursive(
     prob: TrajectoryProblem,
     ric: RiccatiSolution,
@@ -125,6 +153,12 @@ def solve_nonrecursive(
     squares because the matrix can be singular when optimal controls are
     nonunique; an explicit residual check guards consistency.
 
+    ``phi = A_K^{k_f}`` in the boundary matrix is the left-to-right product
+    ``I A_K ... A_K``, not a product of squares: near-singular boundary
+    matrices sit close to the residual cutoff, and the few ulps by which
+    squaring changes ``phi`` move some of them across it. Only the
+    propagation after the solve uses squaring.
+
     Raises
     ------
     BoundaryInconsistent
@@ -133,10 +167,11 @@ def solve_nonrecursive(
     """
     sysq, k_f = prob.sys, prob.k_f
     n = sysq.n
-    P, K, Rw, A_K, W = ric.P, ric.K, ric.Rw, ric.A_K, gram.W
+    P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
 
-    pows = _power_list(A_K, k_f)  # pows[j] = A_K^j; transpose for (A_K')^j
-    phi = pows[k_f]
+    phi = np.eye(n)
+    for _ in range(k_f):
+        phi = phi @ A_K
 
     top = np.hstack([np.eye(n), W @ phi.T])
     if prob.free_terminal:
@@ -157,19 +192,14 @@ def solve_nonrecursive(
         )
     alpha, beta = z[:n], z[n:]
 
-    u_gain = K @ W @ A_K.T + solve_linear(Rw, sysq.B.T, cfg)
-    PW_I = P @ W - np.eye(n)
-
-    x = np.empty((k_f + 1, n))
-    p = np.empty((k_f + 1, n))
-    u = np.empty((k_f, sysq.m))
-    for k in range(k_f + 1):
-        fwd = pows[k] @ alpha
-        bwd = pows[k_f - k].T @ beta
-        x[k] = fwd + W @ bwd
-        p[k] = P @ fwd + PW_I @ bwd
-        if k < k_f:
-            u[k] = K @ fwd + u_gain @ (pows[k_f - 1 - k].T @ beta)
+    # The anticausal mode at step k is bwd[k_f - k]: products are taken on
+    # bwd in storage order and reversed after, as matmul on a reversed view
+    # would skip BLAS.
+    fwd, bwd = _propagate(A_K, phi, alpha, beta, k_f)
+    u_gain = K @ W @ A_K.T + ric.Rw_inv_Bt
+    x = fwd + (bwd @ W.T)[::-1]
+    p = fwd @ P.T + (bwd @ (P @ W - np.eye(n)).T)[::-1]
+    u = fwd[:-1] @ K.T + (bwd[:-1] @ u_gain.T)[::-1]
 
     traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
     traj.J = cost(traj, sysq)

@@ -40,7 +40,8 @@ class RiccatiSolution:
 
     ``P`` is symmetric positive semidefinite, ``Rw = D'D + B'PB`` is strictly
     positive definite, and ``A_K = A + B K`` is discrete-stable (certified by
-    Smith convergence).
+    Smith convergence). ``Rw_inv_Bt = Rw^{-1} B'`` is solved once here for
+    the Gramian forcing, the ``V2`` input row and the trajectory input gain.
     """
 
     P: np.ndarray
@@ -48,6 +49,7 @@ class RiccatiSolution:
     Rw: np.ndarray
     A_K: np.ndarray
     iterations: int
+    Rw_inv_Bt: np.ndarray
 
 
 @dataclass
@@ -190,7 +192,9 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         Iteration budget exhausted or residual above tolerance.
     """
     P, K, Rw, A_K, iters = _dare_kernel(sys.A, sys.B, sys.C, sys.D, cfg)
-    return RiccatiSolution(P=P, K=K, Rw=Rw, A_K=A_K, iterations=iters)
+    return RiccatiSolution(
+        P=P, K=K, Rw=Rw, A_K=A_K, iterations=iters, Rw_inv_Bt=solve_linear(Rw, sys.B.T, cfg)
+    )
 
 
 def solve_dare_restricted(

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotStable
-from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, solve_linear
+from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix
+from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 
 __all__ = [
     "GramianSolution",
@@ -114,8 +115,7 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> Gramian
     ``ric``. In the reachability basis the solution has the block form
     ``diag(W_c, 0)`` with a positive definite reachable block.
     """
-    B = sys.B
-    forcing = B @ solve_linear(ric.Rw, B.T, cfg)
+    forcing = sys.B @ ric.Rw_inv_Bt
     forcing = 0.5 * (forcing + forcing.T)
     return solve_dlyap_stable(ric.A_K, forcing, cfg)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from conftest import full_column_rank_D, random_stabilizable, stable_matrix
 from hamlq.errors import BoundaryInconsistent, Infeasible
 from hamlq.lqtraj import (
     TrajectoryProblem,
+    _power_list,
     cost,
     kkt_oracle,
     riccati_recursion_oracle,
     solve_nonrecursive,
     stage_costs,
 )
+from hamlq.matcore import solve_linear
 from hamlq.reachdecomp import SystemQuadruple
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
@@ -208,10 +212,8 @@ def test_fixed_endpoint_random_regular_systems():
         for _ in range(k_f):
             x = sys.A @ x + sys.B @ rng.standard_normal(sys.m)
         prob = TrajectoryProblem(sys, x0, k_f, xf=x)
-        try:
-            ours = solve_nonrecursive(prob, ric, gram)
-        except BoundaryInconsistent:
-            continue
+        # feasible by construction: a raise here fails the test
+        ours = solve_nonrecursive(prob, ric, gram)
         ref = kkt_oracle(prob)
         checked += 1
         assert abs(ours.J - ref.J) <= 1e-8 * (1 + abs(ref.J))
@@ -264,3 +266,110 @@ def test_cost_recompute_matches_reported(golden_sys):
         prob = TrajectoryProblem(golden_sys, rng.standard_normal(4), int(rng.integers(1, 15)))
         traj = solve_nonrecursive(prob, ric, gram)
         assert abs(cost(traj, golden_sys) - traj.J) <= 1e-12 * (1 + abs(traj.J))
+
+
+def power_list_solve(prob, ric, gram):
+    """The propagation by a stored list of A_K powers that doubling replaced.
+
+    Returns alpha, beta and, for each of x, p, u, the sequence together with
+    the size of the two mode terms summed into it.
+    """
+    sys, k_f, n = prob.sys, prob.k_f, prob.sys.n
+    P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
+    pows = _power_list(A_K, k_f)
+    phi = pows[k_f]
+    top = np.hstack([np.eye(n), W @ phi.T])
+    if prob.free_terminal:
+        bottom = np.hstack([P @ phi, P @ W - np.eye(n)])
+        rhs = np.concatenate([prob.x0, np.zeros(n)])
+    else:
+        bottom = np.hstack([phi, W])
+        rhs = np.concatenate([prob.x0, prob.xf])
+    M = np.vstack([top, bottom])
+    z, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    residual = float(np.linalg.norm(M @ z - rhs))
+    scale = 1.0 + float(np.linalg.norm(rhs)) + float(np.linalg.norm(M, "fro") * np.linalg.norm(z))
+    if residual > 1e-10 * scale:
+        raise BoundaryInconsistent("boundary system residual exceeds tolerance")
+    alpha, beta = z[:n], z[n:]
+    u_gain = K @ W @ A_K.T + solve_linear(ric.Rw, sys.B.T)
+    PW_I = P @ W - np.eye(n)
+    x = np.empty((k_f + 1, n))
+    p = np.empty((k_f + 1, n))
+    u = np.empty((k_f, sys.m))
+    F = np.empty((k_f + 1, n))
+    G = np.empty((k_f + 1, n))
+    for k in range(k_f + 1):
+        fwd = pows[k] @ alpha
+        bwd = pows[k_f - k].T @ beta
+        x[k] = fwd + W @ bwd
+        p[k] = P @ fwd + PW_I @ bwd
+        if k < k_f:
+            u[k] = K @ fwd + u_gain @ (pows[k_f - 1 - k].T @ beta)
+        F[k], G[k] = fwd, bwd
+
+    def size(fwd_map, bwd_map, rows=slice(None), shift=0):
+        # largest |fwd_map| |F| + |bwd_map| |G| entry, the rounding scale of the sum
+        terms = np.abs(F[rows]) @ np.abs(fwd_map).T
+        terms += np.abs(G[shift:][: len(terms)]) @ np.abs(bwd_map).T
+        return np.max(terms)
+
+    return alpha, beta, {
+        "x": (x, size(np.eye(n), W)),
+        "p": (p, size(P, PW_I)),
+        "u": (u, size(K, u_gain, slice(-1), 1)),
+    }
+
+
+@pytest.mark.parametrize("n", [None, 1, 4, 12])
+def test_doubling_matches_power_list_propagation(golden_sys, n):
+    # n=None is the golden system; the others have a zero column in D.
+    # Tolerances are relative to |map| |mode| summed into each output, the
+    # scale of its rounding: golden free-end solutions near k_f = 64 carry an
+    # anticausal mode of size 1e6 that P W - I nearly annihilates, leaving
+    # costates of size 1e-10 that differ in their leading digits.
+    rng = np.random.default_rng(47 + (n or 0))
+    if n is None:
+        sys = golden_sys
+    else:
+        sys = random_stabilizable(rng, n, 2, 3, singular_D=True)
+    ric, gram = solve_all(sys)
+    solved = 0
+    for k_f in (1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 200):
+        x0 = rng.standard_normal(sys.n)
+        x = x0.copy()
+        for _ in range(k_f):
+            x = sys.A @ x + sys.B @ rng.standard_normal(sys.m)
+        for xf in (None, x):
+            prob = TrajectoryProblem(sys, x0, k_f, xf=xf)
+            try:
+                alpha, beta, ref = power_list_solve(prob, ric, gram)
+            except BoundaryInconsistent:
+                # the boundary solve is shared, so it must fail the same way
+                with pytest.raises(BoundaryInconsistent):
+                    solve_nonrecursive(prob, ric, gram)
+                continue
+            solved += 1
+            ours = solve_nonrecursive(prob, ric, gram)
+            assert np.array_equal(ours.alpha, alpha)
+            assert np.array_equal(ours.beta, beta)
+            for name, (want, terms) in ref.items():
+                got = getattr(ours, name)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * terms, (name, k_f, xf is None)
+    assert solved >= 20
+
+
+def test_propagation_memory_is_linear_in_horizon():
+    # a stored list of A_K powers would need (k_f + 1) n^2 doubles = 80 MB
+    rng = np.random.default_rng(48)
+    sys = random_stabilizable(rng, 50, 3, 4)
+    ric, gram = solve_all(sys)
+    prob = TrajectoryProblem(sys, rng.standard_normal(50), 4000)
+    tracemalloc.start()
+    try:
+        solve_nonrecursive(prob, ric, gram)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
