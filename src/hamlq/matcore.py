@@ -26,7 +26,6 @@ __all__ = [
     "solve_linear",
     "singular_values",
     "rank",
-    "mat_pow",
     "is_psd",
 ]
 
@@ -149,17 +148,6 @@ def rank(M, cfg: ToleranceConfig = DEFAULT_TOL, *, tol_factor: float | None = No
         return 0
     factor = cfg.rank_tol_factor if tol_factor is None else tol_factor
     return int(np.count_nonzero(s > s[0] * max(M.shape) * factor))
-
-
-def mat_pow(M, j: int) -> np.ndarray:
-    """``M`` raised to a nonnegative integer power by repeated squaring."""
-    M = as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be square, got {M.shape}")
-    j = int(j)
-    if j < 0:
-        raise ValueError("exponent must be nonnegative")
-    return np.linalg.matrix_power(M, j)
 
 
 def is_psd(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -8,10 +8,24 @@ The LQ data enters through the output pair: with stage cost
 and the stabilizing feedback uses the sign convention ``A_K = A + B K``
 with ``K = -(D'D + B'PB)^{-1} (B'PA + D'C)``.
 
-The solver bootstraps a stabilizing gain by value iteration (pseudoinverse
-weights, so a singular ``D'D`` is fine) and then refines with Newton steps,
-each of which is a single Smith-doubling Lyapunov solve. Stability is always
-certified operationally through the Smith iteration, never spectrally.
+The solver first needs any stabilizing gain. ``K = 0`` serves when ``A`` is
+already stable. Otherwise the gain comes from the auxiliary equation with
+the same ``(A, B)`` and unit weights ``Q = I``, ``R = I``, ``S = 0``: it is
+detectable with ``R > 0`` by construction, so the structure-preserving
+doubling algorithm (Chu, Fan & Lin 2005) reaches its stabilizing solution
+quadratically whenever ``(A, B)`` is stabilizable, and the real cost
+(a singular ``D'D`` included) plays no part. The gain is certified once.
+Value iteration on the real equation from ``P = 0`` is not used: with a
+square invertible ``D`` the reduced state weight ``C'(I - D(D'D)^{-1}D')C``
+vanishes, ``P = 0`` is itself a (non-stabilizing) solution, and the
+iteration sits on it until rounding, amplified by the unstable modes,
+pushes it off.
+
+Newton steps (Hewer 1971) then refine the gain on the real equation; each
+is a single Smith-doubling Lyapunov solve and converges from any
+stabilizing gain. ``RiccatiSolution.iterations`` counts the doubling steps
+plus the Newton steps. Stability is always certified operationally through
+the Smith iteration, never spectrally.
 """
 
 from __future__ import annotations
@@ -66,6 +80,75 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _settled(change: float, prev_change: float, scale: float) -> bool:
+    """Whether an iterate's change has reached its relative floor.
+
+    True once the change is a few roundoffs of ``scale``, or once it stops
+    decreasing while already below ``sqrt(EPS) * scale`` (rounding floor).
+    """
+    if change <= 64.0 * EPS * scale:
+        return True
+    return change >= prev_change and change <= np.sqrt(EPS) * scale
+
+
+def _doubling_gain(A, B, cfg: ToleranceConfig):
+    """Gain of the auxiliary DARE ``(A, B, Q = I, R = I, S = 0)``; returns (K, steps).
+
+    Structure-preserving doubling: with ``G_0 = B B'``, ``H_0 = I`` and
+    ``W = I + G_k H_k``,
+
+        A_{k+1} = A_k W^{-1} A_k
+        G_{k+1} = G_k + A_k W^{-1} G_k A_k'
+        H_{k+1} = H_k + A_k' H_k W^{-1} A_k
+
+    and ``H_k`` reaches the ``2^k``-th value-iteration iterate, converging
+    quadratically to the stabilizing solution when ``(A, B)`` is
+    stabilizable. ``W`` is nonsingular for positive semidefinite ``G`` and
+    ``H``; one LU of it is applied to ``[A_k, G_k]``. An unreachable mode on
+    or outside the unit circle makes ``H_k`` grow without bound, which ends
+    in a non-finite iterate or an exhausted ``cfg.max_iter``.
+    """
+    n, m = B.shape
+    Ak = A
+    G = B @ B.T
+    H = np.eye(n)
+    prev_dh = np.inf
+    for it in range(1, cfg.max_iter + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                X = np.linalg.solve(np.eye(n) + G @ H, np.hstack([Ak, G]))
+            except np.linalg.LinAlgError as exc:
+                raise NotStabilizable(
+                    f"structured doubling broke down at step {it}: I + G H is singular"
+                ) from exc
+            A_next = Ak @ X[:, :n]
+            G_next = _sym(G + Ak @ X[:, n:] @ Ak.T)
+            H_next = _sym(H + Ak.T @ H @ X[:, :n])
+            dh = float(np.linalg.norm(H_next - H, "fro"))
+            h_scale = 1.0 + float(np.linalg.norm(H_next, "fro"))
+        # Norms can overflow before any entry does, so check both.
+        if not (
+            np.all(np.isfinite(A_next))
+            and np.all(np.isfinite(G_next))
+            and np.all(np.isfinite(H_next))
+            and np.isfinite(dh)
+            and np.isfinite(h_scale)
+        ):
+            raise NotStabilizable(
+                f"structured doubling diverged after {it} steps; "
+                "no stabilizing feedback exists for this system"
+            )
+        Ak, G, H = A_next, G_next, H_next
+        if _settled(dh, prev_dh, h_scale):
+            K = -np.linalg.solve(np.eye(m) + B.T @ H @ B, B.T @ H @ A)
+            return K, it
+        prev_dh = dh
+    raise NotStabilizable(
+        f"structured doubling did not settle within {cfg.max_iter} steps; "
+        "no stabilizing feedback was found"
+    )
+
+
 def _dare_kernel(A, B, C, D, cfg: ToleranceConfig):
     """Shared solver core; returns (P, K, Rw, A_K, iterations)."""
     n = A.shape[0]
@@ -75,36 +158,19 @@ def _dare_kernel(A, B, C, D, cfg: ToleranceConfig):
 
     # Phase 1: find any certified stabilizing gain. K = 0 works whenever A
     # is already stable (and keeps the Newton weights maximal, since policy
-    # costs only decrease from there). Otherwise bootstrap by value
-    # iteration from P = 0; pseudoinverse weights tolerate a singular stage
-    # weight before P has built up.
+    # costs only decrease from there). Otherwise take the gain of the
+    # auxiliary unit-weight equation, found by structured doubling.
     P = np.zeros((n, n))
-    K = None
     boot_iters = 0
-    found = False
     if stability_certificate(A, cfg):
         K = np.zeros((B.shape[1], n))
-        found = True
     else:
-        for it in range(cfg.max_iter):
-            Rw = _sym(R + B.T @ P @ B)
-            L = B.T @ P @ A + S.T
-            Rw_pinv = np.linalg.pinv(Rw, hermitian=True)
-            K = -(Rw_pinv @ L)
-            if stability_certificate(A + B @ K, cfg):
-                boot_iters = it
-                found = True
-                break
-            P = _sym(A.T @ P @ A + Q - L.T @ (Rw_pinv @ L))
-            if not np.all(np.isfinite(P)):
-                raise NotStabilizable(
-                    f"value iteration diverged after {it + 1} steps; "
-                    "no stabilizing feedback exists for this system"
-                )
-    if not found:
-        raise NotStabilizable(
-            f"no stabilizing gain certified within {cfg.max_iter} value-iteration steps"
-        )
+        K, boot_iters = _doubling_gain(A, B, cfg)
+        if not stability_certificate(A + B @ K, cfg):
+            raise NotStabilizable(
+                f"doubling gain failed the Smith stability certificate after "
+                f"{boot_iters} steps; no stabilizing feedback was found"
+            )
 
     # Phase 2: Newton (policy iteration) refinement. Each step solves the
     # closed-loop cost equation P = A_K' P A_K + (C + D K)'(C + D K), which
@@ -133,11 +199,8 @@ def _dare_kernel(A, B, C, D, cfg: ToleranceConfig):
             ) from exc
         dp = float(np.linalg.norm(P_new - P, "fro"))
         P = P_new
-        p_scale = 1.0 + float(np.linalg.norm(P, "fro"))
-        if dp <= 64.0 * EPS * p_scale:
-            break
-        if dp >= prev_dp and dp <= np.sqrt(EPS) * p_scale:
-            break  # rounding floor reached; the residual check below decides
+        if _settled(dp, prev_dp, 1.0 + float(np.linalg.norm(P, "fro"))):
+            break  # the residual check below decides
         prev_dp = dp
     else:
         raise ConvergenceFailure(
@@ -154,13 +217,11 @@ def _dare_kernel(A, B, C, D, cfg: ToleranceConfig):
         raise SingularWeight(
             "innovation weight D'D + B'PB has a pivot at or below the zero tolerance"
         )
-    K = -solve_linear(Rw, B.T @ P @ A + S.T, cfg)
+    L = B.T @ P @ A + S.T
+    K = -solve_linear(Rw, L, cfg)
     A_K = A + B @ K
 
-    residual = np.linalg.norm(
-        A.T @ P @ A + Q - (B.T @ P @ A + S.T).T @ solve_linear(Rw, B.T @ P @ A + S.T, cfg) - P,
-        "fro",
-    )
+    residual = np.linalg.norm(A.T @ P @ A + Q + L.T @ K - P, "fro")
     if residual > cfg.residual_tol * (1.0 + float(np.linalg.norm(P, "fro"))):
         raise ConvergenceFailure(
             f"Riccati residual {residual:.3e} exceeds tolerance after convergence"

@@ -60,6 +60,28 @@ def random_stabilizable(rng, n=None, m=None, p=None, singular_D=False):
     return SystemQuadruple(A=A, B=B, C=C, D=D)
 
 
+def unstable_modes(rng, n, k=None, m=3):
+    """Generic system whose A has ``k`` real modes with |lambda| in 1.05..1.5.
+
+    ``k`` defaults to a draw from 1..3. B is generic, so every mode is
+    reachable and (A, B) is stabilizable; D is square and generic, so D'D is
+    invertible and ``C'(I - D (D'D)^{-1} D')C = 0``: P = 0 solves the DARE
+    without stabilizing it.
+    """
+    k = k if k is not None else int(rng.integers(1, 4))
+    lam = rng.uniform(1.05, 1.5, k) * rng.choice([-1.0, 1.0], k)
+    A0 = np.zeros((n, n))
+    A0[: n - k, : n - k] = stable_matrix(rng, n - k, radius=0.8)
+    A0[n - k :, n - k :] = np.diag(lam)
+    T = random_orthogonal(rng, n)
+    return SystemQuadruple(
+        A=T @ A0 @ T.T,
+        B=rng.standard_normal((n, m)),
+        C=rng.standard_normal((m, n)),
+        D=rng.standard_normal((m, m)),
+    )
+
+
 def staircase_embedded(rng, n_c, n_u, m=2, p=2, rotate=False, zero_row=None):
     """System built block upper triangular with a stable unreachable part.
 

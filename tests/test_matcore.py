@@ -9,7 +9,6 @@ from hamlq.matcore import (
     ToleranceConfig,
     as_matrix,
     is_psd,
-    mat_pow,
     rank,
     singular_values,
     solve_linear,
@@ -119,22 +118,6 @@ def test_singular_values_properties():
         assert abs(np.sum(s**2) - np.linalg.norm(M, "fro") ** 2) <= 1e-10 * (
             1 + np.linalg.norm(M, "fro") ** 2
         )
-
-
-def test_mat_pow():
-    M = np.array([[0.5, 1.0], [0.0, 2.0]])
-    np.testing.assert_allclose(mat_pow(M, 0), np.eye(2))
-    np.testing.assert_allclose(mat_pow(np.diag([0.5, 2.0]), 3), np.diag([0.125, 8.0]))
-    np.testing.assert_allclose(mat_pow(np.array([[0.0, 1.0], [0.0, 0.0]]), 2), np.zeros((2, 2)))
-
-
-def test_mat_pow_additivity():
-    rng = np.random.default_rng(4)
-    M = rng.standard_normal((3, 3)) * 0.5
-    for a, b in [(1, 2), (3, 5), (7, 9), (0, 16)]:
-        lhs = mat_pow(M, a + b)
-        rhs = mat_pow(M, a) @ mat_pow(M, b)
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(lhs))
 
 
 def test_is_psd():

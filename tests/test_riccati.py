@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import random_stabilizable, staircase_embedded
+from conftest import random_stabilizable, staircase_embedded, unstable_modes
+from hamlq import riccati
 from hamlq.errors import NotStabilizable, SingularWeight
 from hamlq.matcore import is_psd
 from hamlq.reachdecomp import SystemQuadruple, staircase
@@ -95,6 +99,45 @@ def test_not_stabilizable_raises():
     )
     with pytest.raises(NotStabilizable):
         solve_dare(sys)
+
+
+@pytest.mark.parametrize("n", [4, 10, 20, 50])
+def test_unstable_a_bootstraps_with_one_certificate(n, monkeypatch):
+    # A has 1-3 unstable modes, so K = 0 is rejected and the doubling gain
+    # is certified: with the final closed loop, three certificates at most
+    certificates = []
+
+    def counting_certificate(M, cfg=riccati.DEFAULT_TOL):
+        certificates.append(M.shape)
+        return stability_certificate(M, cfg)
+
+    monkeypatch.setattr(riccati, "stability_certificate", counting_certificate)
+    rng = np.random.default_rng(300 + n)
+    for _ in range(3):
+        sys = unstable_modes(rng, n)
+        certificates.clear()
+        sol = solve_dare(sys)
+        assert len(certificates) <= 3
+        P_ref = scipy.linalg.solve_discrete_are(
+            sys.A, sys.B, sys.C.T @ sys.C, sys.D.T @ sys.D, s=sys.C.T @ sys.D
+        )
+        assert np.linalg.norm(sol.P - P_ref) <= 1e-9 * np.linalg.norm(P_ref)
+        assert stability_certificate(sol.A_K)
+
+
+@pytest.mark.parametrize("a", [2.0, 1.0, -1.0, 1.0 + 1e-7])
+def test_unstabilizable_raises_without_warnings(a):
+    # the mode a is unreachable and not strictly stable, so no gain exists
+    sys = SystemQuadruple(
+        A=np.diag([a, 0.5]),
+        B=np.array([[0.0], [1.0]]),
+        C=np.eye(2),
+        D=np.ones((2, 1)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotStabilizable):
+            solve_dare(sys)
 
 
 def test_singular_weight_raises():
