@@ -7,8 +7,8 @@ The package computes, for a plant (A, B) with stage cost |C x + D u|^2:
 * closed-form bases V1, V2, Vbar2 for the forward and backward solution
   families of the coupled state/costate/input relations, with rank
   diagnostics explaining when V2 loses rank,
-* finite-horizon trajectories in closed form, checked against two
-  independent oracles.
+* finite-horizon trajectories in closed form, checked against an
+  independent stacked least-squares oracle.
 """
 
 from .errors import (
@@ -40,7 +40,6 @@ from .lqtraj import (
     TrajectoryProblem,
     cost,
     kkt_oracle,
-    riccati_recursion_oracle,
     solve_nonrecursive,
     stage_costs,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "TrajectoryProblem",
     "Trajectory",
     "solve_nonrecursive",
-    "riccati_recursion_oracle",
     "kkt_oracle",
     "cost",
     "stage_costs",

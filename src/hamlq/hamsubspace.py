@@ -89,12 +89,7 @@ def assemble_vbar2(ric: RiccatiSolution, gram: GramianSolution) -> np.ndarray:
     return np.vstack([gram.W, ric.P @ gram.W - np.eye(n)])
 
 
-def assemble_v2(
-    sys: SystemQuadruple,
-    ric: RiccatiSolution,
-    gram: GramianSolution,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> np.ndarray:
+def assemble_v2(ric: RiccatiSolution, gram: GramianSolution) -> np.ndarray:
     """Backward-family basis with input row, shape (2n + m, n).
 
     The state and costate rows are exactly ``assemble_vbar2(ric, gram) @
@@ -105,9 +100,7 @@ def assemble_v2(
     return np.vstack([top, input_row])
 
 
-def residuals_v1(
-    sys: SystemQuadruple, ric: RiccatiSolution, cfg: ToleranceConfig = DEFAULT_TOL
-) -> ResidualNorms:
+def residuals_v1(sys: SystemQuadruple, ric: RiccatiSolution) -> ResidualNorms:
     """Check that ``V1`` satisfies the stacked relations with advance ``A_K``.
 
     Plugging ``x = I``, ``p = P``, ``u = K`` and next-step values
@@ -134,10 +127,7 @@ def residuals_v1(
 
 
 def residuals_v2(
-    sys: SystemQuadruple,
-    ric: RiccatiSolution,
-    gram: GramianSolution,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    sys: SystemQuadruple, ric: RiccatiSolution, gram: GramianSolution
 ) -> ResidualNorms:
     """Check that ``V2`` steps backward onto ``Vbar2``.
 
@@ -227,7 +217,7 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     gram = closed_loop_gramian(sys, ric, cfg)
 
     V1 = assemble_v1(ric)
-    V2 = assemble_v2(sys, ric, gram, cfg)
+    V2 = assemble_v2(ric, gram)
     Vbar2 = assemble_vbar2(ric, gram)
     bases = InvariantBases(
         V1=V1,
@@ -238,8 +228,8 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
         rank_vbar2=rank(Vbar2, cfg),
     )
 
-    res1 = residuals_v1(sys, ric, cfg)
-    res2 = residuals_v2(sys, ric, gram, cfg)
+    res1 = residuals_v1(sys, ric)
+    res2 = residuals_v2(sys, ric, gram)
 
     report = DimensionReport(
         n=sys.n,

@@ -15,10 +15,9 @@ so a solve reduces to one 2n-by-2n boundary system in ``(a, b)``. The two
 mode sequences ``A_K^k a`` and ``(A_K')^j b`` are then filled by doubling:
 each round multiplies the rows already known by the next power ``A_K^{2^i}``,
 so propagation costs about ``log2 k_f`` stacked products and ``O(k_f n)``
-memory, the size of the output. Two independent oracles are provided for
-cross-checking: the classical backward Riccati recursion (free endpoint)
-and a dense equality-constrained least-squares solve over the stacked
-input sequence (fixed endpoint).
+memory, the size of the output. One independent oracle cross-checks it
+for both endpoint kinds: a dense least-squares solve over the stacked input
+sequence, equality-constrained when the endpoint is fixed.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "TrajectoryProblem",
     "Trajectory",
     "solve_nonrecursive",
-    "riccati_recursion_oracle",
     "kkt_oracle",
     "cost",
     "stage_costs",
@@ -108,11 +106,13 @@ def cost(traj: Trajectory, sys: SystemQuadruple) -> float:
     return float(np.sum(stage_costs(traj, sys)))
 
 
-def _power_list(M: np.ndarray, top: int) -> list[np.ndarray]:
-    pows = [np.eye(M.shape[0])]
-    for _ in range(top):
-        pows.append(pows[-1] @ M)
-    return pows
+def _lstsq(M: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``M z = rhs``.
+
+    Singular values at or below ``cfg.rank_tol_factor * max(M.shape)`` times
+    the largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
+    """
+    return np.linalg.lstsq(M, rhs, rcond=cfg.rank_tol_factor * max(M.shape))[0]
 
 
 def _propagate(A_K: np.ndarray, phi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, k_f: int):
@@ -182,7 +182,7 @@ def solve_nonrecursive(
         rhs = np.concatenate([prob.x0, prob.xf])
     M = np.vstack([top, bottom])
 
-    z, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    z = _lstsq(M, rhs, cfg)
     residual = float(np.linalg.norm(M @ z - rhs))
     scale = 1.0 + float(np.linalg.norm(rhs)) + float(np.linalg.norm(M, "fro") * np.linalg.norm(z))
     if residual > cfg.residual_tol * scale:
@@ -206,130 +206,80 @@ def solve_nonrecursive(
     return traj
 
 
-def riccati_recursion_oracle(prob: TrajectoryProblem) -> Trajectory:
-    """Classical backward recursion oracle for the free-endpoint problem.
-
-    Runs the finite-horizon Riccati difference recursion from ``P_{k_f} = 0``
-    with pseudoinverse stage weights (so a singular ``D'D`` is handled),
-    takes the minimum-norm stage minimizer, then simulates forward. Costates
-    are ``p_k = P_k x_k``.
-    """
-    if not prob.free_terminal:
-        raise ValueError("the recursion oracle only covers the free-endpoint problem")
-    sysq, k_f = prob.sys, prob.k_f
-    A, B, C, D = sysq.A, sysq.B, sysq.C, sysq.D
-    Q, S, R = C.T @ C, C.T @ D, D.T @ D
-
-    P_seq = [None] * (k_f + 1)
-    G_seq = [None] * k_f  # feedback at step k, u_k = G_k x_k
-    P_seq[k_f] = np.zeros((sysq.n, sysq.n))
-    for k in range(k_f - 1, -1, -1):
-        Pn = P_seq[k + 1]
-        Rw_k = R + B.T @ Pn @ B
-        L_k = B.T @ Pn @ A + S.T
-        G_k = -np.linalg.pinv(Rw_k, hermitian=True) @ L_k
-        P_k = A.T @ Pn @ A + Q + L_k.T @ G_k
-        P_seq[k] = 0.5 * (P_k + P_k.T)
-        G_seq[k] = G_k
-
-    x = np.empty((k_f + 1, sysq.n))
-    p = np.empty((k_f + 1, sysq.n))
-    u = np.empty((k_f, sysq.m))
-    x[0] = prob.x0
-    for k in range(k_f):
-        u[k] = G_seq[k] @ x[k]
-        p[k] = P_seq[k] @ x[k]
-        x[k + 1] = A @ x[k] + B @ u[k]
-    p[k_f] = P_seq[k_f] @ x[k_f]
-
-    traj = Trajectory(x=x, p=p, u=u, J=0.0)
-    traj.J = cost(traj, sysq)
-    return traj
-
-
 def kkt_oracle(prob: TrajectoryProblem, cfg: ToleranceConfig = DEFAULT_TOL) -> Trajectory:
-    """Dense constrained least-squares oracle for the fixed-endpoint problem.
+    """Dense least-squares oracle over the stacked input sequence, either endpoint.
 
-    Minimizes the objective over the stacked input sequence subject to the
-    linear endpoint constraint, picking the minimum-norm input among the
-    minimizers. Costates are recovered afterwards by fitting the terminal
-    costate to the stationarity conditions in a least-squares sense and
-    running the adjoint recursion backward.
+    The stacked outputs are ``y = M_u u + y0`` with ``M_u`` block Toeplitz
+    in the Markov blocks ``H_0 = D``, ``H_i = C A^{i-1} B``. A fixed endpoint
+    restricts ``u`` to ``u_part + N z``, with ``u_part`` the minimum-norm
+    solution of the endpoint constraint ``G u = xf - A^{k_f} x0`` and ``N``
+    an orthonormal basis of the null space of ``G``; a free endpoint takes
+    ``u_part = 0`` and ``N = I``. The minimum-norm ``z`` minimizing
+    ``|M_u (u_part + N z) + y0|`` then gives the minimum-norm optimal input.
+    Costates run the adjoint recursion ``p_k = C' y_k + A' p_{k+1}`` from
+    ``p_{k_f} = 0`` (free endpoint) or from the terminal costate that best
+    fits the stationarity rows ``D' y_k + B' p_{k+1} = 0`` (fixed endpoint).
+    Every rank cutoff is ``cfg.rank_tol_factor * max(shape)`` relative to
+    the largest singular value.
 
     Raises
     ------
     Infeasible
         ``xf`` is not reachable from ``x0`` in ``k_f`` steps.
     """
-    if prob.free_terminal:
-        raise ValueError("the constrained oracle needs a fixed endpoint")
     sysq, k_f = prob.sys, prob.k_f
     A, B, C, D = sysq.A, sysq.B, sysq.C, sysq.D
     n, m, p_dim = sysq.n, sysq.m, sysq.p
 
-    apows = _power_list(A, k_f)
+    # One recurrence fills A^i [B  x0] for i = 0..k_f.
+    AX = np.empty((k_f + 1, n, m + 1))
+    AX[0] = np.column_stack([B, prob.x0])
+    for i in range(k_f):
+        AX[i + 1] = A @ AX[i]
+    AiB, Aix = AX[:, :, :m], AX[:, :, m]
 
-    # Endpoint constraint G u_stacked = xf - A^{k_f} x0.
-    G = np.hstack([apows[k_f - 1 - j] @ B for j in range(k_f)])
-    r = prob.xf - apows[k_f] @ prob.x0
-    u_part = np.linalg.pinv(G) @ r
-    gap = float(np.linalg.norm(G @ u_part - r))
-    if gap > cfg.residual_tol * (1.0 + float(np.linalg.norm(r))):
-        raise Infeasible(
-            f"terminal state misses by {gap:.3e}: endpoint not attainable "
-            "from x0 in k_f steps"
-        )
+    # Block (k, j) of M_u is H_{k-j}; blocks above the diagonal index the
+    # trailing zero block.
+    H = np.concatenate([D[None], C @ AiB[: k_f - 1], np.zeros((1, p_dim, m))])
+    lag = np.subtract.outer(np.arange(k_f), np.arange(k_f))
+    M_u = H[np.where(lag >= 0, lag, k_f)].transpose(0, 2, 1, 3).reshape(k_f * p_dim, k_f * m)
+    y0 = (Aix[:k_f] @ C.T).ravel()
 
-    # Stacked output map y = M_u u_stacked + y0.
-    M_u = np.zeros((k_f * p_dim, k_f * m))
-    for k in range(k_f):
-        rows = slice(k * p_dim, (k + 1) * p_dim)
-        M_u[rows, k * m : (k + 1) * m] = D
-        for j in range(k):
-            M_u[rows, j * m : (j + 1) * m] = C @ apows[k - 1 - j] @ B
-    y0 = np.concatenate([C @ (apows[k] @ prob.x0) for k in range(k_f)])
-
-    N = scipy.linalg.null_space(G)
-    if N.shape[1] > 0:
-        E = M_u @ N
-        f = M_u @ u_part + y0
-        z, *_ = np.linalg.lstsq(E, -f, rcond=None)
-        u_opt = u_part + N @ z
-        # Minimum-norm input among the cost minimizers.
-        Nn = scipy.linalg.null_space(E)
-        if Nn.shape[1] > 0:
-            free_dirs = N @ Nn
-            u_opt = u_opt - free_dirs @ (free_dirs.T @ u_opt)
+    if prob.free_terminal:
+        u_part, N = np.zeros(k_f * m), np.eye(k_f * m)
     else:
-        u_opt = u_part
+        # Block j of G is A^{k_f-1-j} B.
+        G = AiB[k_f - 1 :: -1].transpose(1, 0, 2).reshape(n, k_f * m)
+        r = prob.xf - Aix[k_f]
+        u_part = _lstsq(G, r, cfg)
+        gap = float(np.linalg.norm(G @ u_part - r))
+        if gap > cfg.residual_tol * (1.0 + float(np.linalg.norm(r))):
+            raise Infeasible(
+                f"terminal state misses by {gap:.3e}: endpoint not attainable "
+                "from x0 in k_f steps"
+            )
+        N = scipy.linalg.null_space(G, rcond=cfg.rank_tol_factor * max(G.shape))
+    z = _lstsq(M_u @ N, -(M_u @ u_part + y0), cfg)
+    u = (u_part + N @ z).reshape(k_f, m)
 
-    u = u_opt.reshape(k_f, m)
     x = np.empty((k_f + 1, n))
     x[0] = prob.x0
     for k in range(k_f):
         x[k + 1] = A @ x[k] + B @ u[k]
+    y = x[:-1] @ C.T + u @ D.T
 
-    # Costate recovery: every p_k is affine in p_{k_f} through the adjoint
-    # recursion p_k = C'C x_k + A' p_{k+1} + C'D u_k; choose p_{k_f} so the
-    # stationarity rows D'C x_k + B' p_{k+1} + D'D u_k vanish as nearly as
-    # possible, then run the recursion with that choice.
-    coef = np.eye(n)
-    const = np.zeros(n)
-    rows_coef, rows_rhs = [], []
-    for k in range(k_f - 1, -1, -1):
-        rows_coef.append(B.T @ coef)
-        rows_rhs.append(-(D.T @ C @ x[k] + D.T @ D @ u[k] + B.T @ const))
-        coef_k = A.T @ coef
-        const_k = C.T @ C @ x[k] + A.T @ const + C.T @ D @ u[k]
-        coef, const = coef_k, const_k
-    lhs = np.vstack(rows_coef)
-    rhs_vec = np.concatenate(rows_rhs)
-    p_end, *_ = np.linalg.lstsq(lhs, rhs_vec, rcond=None)
+    def adjoint(p_end):
+        p = np.empty((k_f + 1, n))
+        p[k_f] = p_end
+        for k in range(k_f - 1, -1, -1):
+            p[k] = C.T @ y[k] + A.T @ p[k + 1]
+        return p
 
-    p = np.empty((k_f + 1, n))
-    p[k_f] = p_end
-    for k in range(k_f - 1, -1, -1):
-        p[k] = C.T @ C @ x[k] + A.T @ p[k + 1] + C.T @ D @ u[k]
+    p = adjoint(np.zeros(n))
+    if not prob.free_terminal:
+        # p_{k+1} moves by (A')^{k_f-1-k} p_end, so the stationarity rows in
+        # p_end have coefficient matrix G'.
+        p = adjoint(_lstsq(G.T, -(y @ D + p[1:] @ B).ravel(), cfg))
 
     traj = Trajectory(x=x, p=p, u=u, J=0.0)
     traj.J = cost(traj, sysq)

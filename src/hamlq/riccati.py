@@ -191,8 +191,9 @@ def _dare_kernel(A, B, C, D, cfg: ToleranceConfig):
             ) from exc
         P_new = gram.W
         Rw = _sym(R + B.T @ P_new @ B)
+        L = B.T @ P_new @ A + S.T
         try:
-            K = -solve_linear(Rw, B.T @ P_new @ A + S.T, cfg)
+            K = -solve_linear(Rw, L, cfg)
         except SingularMatrix as exc:
             raise SingularWeight(
                 "innovation weight D'D + B'PB is singular to working tolerance"
@@ -207,8 +208,8 @@ def _dare_kernel(A, B, C, D, cfg: ToleranceConfig):
             f"Newton refinement did not settle within {cfg.max_iter} iterations"
         )
 
-    P = _sym(P)
-    Rw = _sym(R + B.T @ P @ B)
+    # P, Rw, L and K are the last iterate's; P needs no symmetrizing, as the
+    # Smith solution is exactly symmetric.
     try:
         chol = np.linalg.cholesky(Rw)
     except np.linalg.LinAlgError as exc:
@@ -217,8 +218,6 @@ def _dare_kernel(A, B, C, D, cfg: ToleranceConfig):
         raise SingularWeight(
             "innovation weight D'D + B'PB has a pivot at or below the zero tolerance"
         )
-    L = B.T @ P @ A + S.T
-    K = -solve_linear(Rw, L, cfg)
     A_K = A + B @ K
 
     residual = np.linalg.norm(A.T @ P @ A + Q + L.T @ K - P, "fro")

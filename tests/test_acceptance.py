@@ -13,7 +13,7 @@ from conftest import full_column_rank_D, random_stabilizable, stable_matrix, sta
 from hamlq.errors import HamlqError
 from hamlq.golden import golden_check, golden_system
 from hamlq.hamsubspace import analyze, assemble_v2, assemble_vbar2, residuals_v1, residuals_v2
-from hamlq.lqtraj import TrajectoryProblem, kkt_oracle, riccati_recursion_oracle, solve_nonrecursive
+from hamlq.lqtraj import TrajectoryProblem, kkt_oracle, solve_nonrecursive
 from hamlq.matcore import rank, singular_values, solve_linear
 from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
 from hamlq.riccati import solve_dare, solve_dare_restricted
@@ -76,7 +76,7 @@ def test_criterion_3_block_structure_theorem():
     st = staircase(sys)
     ric = solve_dare(sys)
     gram = closed_loop_gramian(sys, ric)
-    V2 = assemble_v2(sys, ric, gram)
+    V2 = assemble_v2(ric, gram)
 
     n, m, n_c = sys.n, sys.m, st.n_c
     Tb = np.zeros((2 * n + m, 2 * n + m))
@@ -164,7 +164,7 @@ def test_criterion_5_zero_row_rank_drop():
         if singular_values(loop_c)[-1] <= 1e-6:
             continue
         done += 1
-        V2 = assemble_v2(sys, ric, gram)
+        V2 = assemble_v2(ric, gram)
         assert rank(V2) < sys.n
 
 
@@ -196,7 +196,7 @@ def test_criterion_6_algebraic_identity_suites(random_suite):
 def test_criterion_7_trajectory_oracle_equivalence():
     rng = np.random.default_rng(20240820)
 
-    # free endpoint, regular weights: x, p, u all match the recursion oracle.
+    # free endpoint, regular weights: x, p, u all match the oracle.
     # D is strictly tall: with square D the output can be zeroed exactly and
     # the optimal state may grow along inverse-plant dynamics, which makes a
     # trajectory comparison arbitrarily ill conditioned.
@@ -219,7 +219,7 @@ def test_criterion_7_trajectory_oracle_equivalence():
         done += 1
         prob = TrajectoryProblem(sys, rng.standard_normal(n), int(rng.integers(1, 21)))
         ours = solve_nonrecursive(prob, ric, gram)
-        ref = riccati_recursion_oracle(prob)
+        ref = kkt_oracle(prob)
         assert np.max(np.abs(ours.x - ref.x)) <= 1e-8
         assert np.max(np.abs(ours.p - ref.p)) <= 1e-8
         assert np.max(np.abs(ours.u - ref.u)) <= 1e-8
@@ -238,7 +238,7 @@ def test_criterion_7_trajectory_oracle_equivalence():
         gram = closed_loop_gramian(sys, ric)
         prob = TrajectoryProblem(sys, rng.standard_normal(sys.n), int(rng.integers(1, 16)))
         ours = solve_nonrecursive(prob, ric, gram)
-        ref = riccati_recursion_oracle(prob)
+        ref = kkt_oracle(prob)
         assert abs(ours.J - ref.J) <= 1e-8 * (1 + abs(ref.J))
 
     # fixed endpoint on feasible instances: costs match the KKT oracle

@@ -6,7 +6,7 @@ import pytest
 import hamlq.cli as cli
 from hamlq.errors import ConvergenceFailure
 from hamlq.golden import golden_system
-from hamlq.lqtraj import TrajectoryProblem, riccati_recursion_oracle
+from hamlq.lqtraj import TrajectoryProblem, kkt_oracle
 from hamlq.reachdecomp import SystemQuadruple
 
 
@@ -114,7 +114,7 @@ def test_trajectory_csv(golden_file, capsys):
     J = float(total[-1])
 
     sys = golden_system()
-    ref = riccati_recursion_oracle(TrajectoryProblem(sys, np.array([1.0, 0, 0, 0]), 3))
+    ref = kkt_oracle(TrajectoryProblem(sys, np.array([1.0, 0, 0, 0]), 3))
     assert abs(J - ref.J) <= 1e-8 * (1 + abs(ref.J))
 
 
@@ -130,7 +130,7 @@ def test_trajectory_json_to_file(golden_file, tmp_path):
     assert len(doc["u"]) == 5
     assert len(doc["stage_costs"]) == 5
     sys = golden_system()
-    ref = riccati_recursion_oracle(TrajectoryProblem(sys, np.array([1.0, 0, 0, 0]), 5))
+    ref = kkt_oracle(TrajectoryProblem(sys, np.array([1.0, 0, 0, 0]), 5))
     assert abs(doc["J"] - ref.J) <= 1e-8 * (1 + abs(ref.J))
 
 

@@ -61,14 +61,14 @@ def test_vbar2_and_v2_trivial():
     # P = 0, K = 0, A_K = 0, W = I
     Vbar2 = assemble_vbar2(ric, gram)
     np.testing.assert_allclose(Vbar2, np.vstack([np.eye(2), -np.eye(2)]), atol=1e-12)
-    V2 = assemble_v2(sys, ric, gram)
+    V2 = assemble_v2(ric, gram)
     np.testing.assert_allclose(V2, np.vstack([np.zeros((4, 2)), np.eye(2)]), atol=1e-12)
 
 
 def test_v2_state_costate_rows_are_exact_shift(golden_sys):
     ric, gram = solve_all(golden_sys)
     Vbar2 = assemble_vbar2(ric, gram)
-    V2 = assemble_v2(golden_sys, ric, gram)
+    V2 = assemble_v2(ric, gram)
     n = golden_sys.n
     assert np.array_equal(V2[: 2 * n], Vbar2 @ ric.A_K.T)
 
@@ -85,7 +85,7 @@ def test_degenerate_no_reachable_modes():
     Vbar2 = assemble_vbar2(ric, gram)
     np.testing.assert_allclose(Vbar2[:2], np.zeros((2, 2)), atol=1e-12)
     np.testing.assert_allclose(Vbar2[2:], -np.eye(2), atol=1e-12)
-    V2 = assemble_v2(sys, ric, gram)
+    V2 = assemble_v2(ric, gram)
     np.testing.assert_allclose(V2[:2], np.zeros((2, 2)), atol=1e-12)
     np.testing.assert_allclose(V2[2:4], -sys.A.T, atol=1e-10)
 
@@ -122,7 +122,7 @@ def test_block_structure_in_staircase_basis():
     s = staircase_embedded(rng, 2, 2, rotate=True, zero_row=1)
     st = staircase(s)
     ric, gram = solve_all(s)
-    V2 = assemble_v2(s, ric, gram)
+    V2 = assemble_v2(ric, gram)
     n, n_c = s.n, st.n_c
     Tb = np.zeros((2 * n + s.m, 2 * n + s.m))
     Tb[:n, :n] = st.T.T
@@ -153,7 +153,7 @@ def test_full_rank_v2_when_reachable_and_invertible_loop():
         if np.min(np.abs(np.linalg.eigvals(ric.A_K))) < 1e-3:
             continue
         found += 1
-        V2 = assemble_v2(sys, ric, gram)
+        V2 = assemble_v2(ric, gram)
         assert rank(V2) == sys.n
 
 
