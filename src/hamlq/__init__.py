@@ -31,7 +31,6 @@ from .hamsubspace import (
     assemble_v1,
     assemble_v2,
     assemble_vbar2,
-    dimension_report,
     residuals_v1,
     residuals_v2,
 )
@@ -51,13 +50,7 @@ from .reachdecomp import (
     staircase,
     zero_row_indices,
 )
-from .riccati import (
-    RestrictedSolution,
-    RiccatiSolution,
-    gain_partition,
-    solve_dare,
-    solve_dare_restricted,
-)
+from .riccati import RiccatiSolution, solve_dare
 from .stablyap import (
     GramianSolution,
     closed_loop_gramian,
@@ -89,10 +82,7 @@ __all__ = [
     "closed_loop_gramian",
     "stability_certificate",
     "RiccatiSolution",
-    "RestrictedSolution",
     "solve_dare",
-    "solve_dare_restricted",
-    "gain_partition",
     "ResidualNorms",
     "InvariantBases",
     "DimensionReport",
@@ -103,7 +93,6 @@ __all__ = [
     "residuals_v1",
     "residuals_v2",
     "analyze",
-    "dimension_report",
     "TrajectoryProblem",
     "Trajectory",
     "solve_nonrecursive",

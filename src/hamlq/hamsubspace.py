@@ -19,7 +19,7 @@ closed-loop Gramian ``W``:
   ``n`` exactly when the unreachable part of ``A`` has zero rows.
 
 ``analyze`` bundles the decomposition, Riccati solution, Gramian, bases,
-residual checks and a dimension report in one pass.
+the residual checks of those same bases and a dimension report in one pass.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "residuals_v1",
     "residuals_v2",
     "analyze",
-    "dimension_report",
 ]
 
 
@@ -100,64 +99,40 @@ def assemble_v2(ric: RiccatiSolution, gram: GramianSolution) -> np.ndarray:
     return np.vstack([top, input_row])
 
 
-def residuals_v1(sys: SystemQuadruple, ric: RiccatiSolution) -> ResidualNorms:
-    """Check that ``V1`` satisfies the stacked relations with advance ``A_K``.
+def _relation_residuals(sys: SystemQuadruple, V: np.ndarray, V_next: np.ndarray) -> ResidualNorms:
+    """Residuals of the three stacked relations for ``V = [X; L; U]``.
 
-    Plugging ``x = I``, ``p = P``, ``u = K`` and next-step values
-    ``x_+ = A_K``, ``p_+ = P A_K`` into the three relations gives:
+    ``V_next = [X_+; L_+]`` holds the next-step state and costate blocks:
 
-        A + B K             = A_K
-        C'C + A'P A_K + C'D K = P
-        D'C + B'P A_K + D'D K = 0
+        A X + B U              = X_+
+        C'C X + A'L_+ + C'D U  = L
+        D'C X + B'L_+ + D'D U  = 0
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    P, K, A_K = ric.P, ric.K, ric.A_K
+    n = sys.n
+    X, Lam, U = V[:n], V[n : 2 * n], V[2 * n :]
+    X_next, Lam_next = V_next[:n], V_next[n:]
 
-    r_dyn = A + B @ K - A_K
-    t_dyn = (A, B @ K, A_K)
-    r_cos = C.T @ C + A.T @ P @ A_K + C.T @ D @ K - P
-    t_cos = (C.T @ C, A.T @ P @ A_K, C.T @ D @ K, P)
-    r_sta = D.T @ C + B.T @ P @ A_K + D.T @ D @ K
-    t_sta = (D.T @ C, B.T @ P @ A_K, D.T @ D @ K)
-
-    d, dr = _norms(r_dyn, t_dyn)
-    c, cr = _norms(r_cos, t_cos)
-    s, sr = _norms(r_sta, t_sta)
-    return ResidualNorms(d, c, s, dr, cr, sr)
-
-
-def residuals_v2(
-    sys: SystemQuadruple, ric: RiccatiSolution, gram: GramianSolution
-) -> ResidualNorms:
-    """Check that ``V2`` steps backward onto ``Vbar2``.
-
-    With ``X = W A_K'``, ``U = K W A_K' + Rw^{-1} B'`` and next-step blocks
-    ``x_+ = W``, ``p_+ = P W - I`` the relations read:
-
-        A X + B U                     = W
-        C'C X + A'(P W - I) + C'D U   = (P W - I) A_K'
-        D'C X + B'(P W - I) + D'D U   = 0
-    """
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    P, K, A_K = ric.P, ric.K, ric.A_K
-    W = gram.W
-
-    X = W @ A_K.T
-    Lam = (P @ W - np.eye(A.shape[0])) @ A_K.T
-    Lam_next = P @ W - np.eye(A.shape[0])
-    U = K @ W @ A_K.T + ric.Rw_inv_Bt
-
-    r_dyn = A @ X + B @ U - W
-    t_dyn = (A @ X, B @ U, W)
-    r_cos = C.T @ C @ X + A.T @ Lam_next + C.T @ D @ U - Lam
+    t_dyn = (A @ X, B @ U, X_next)
     t_cos = (C.T @ C @ X, A.T @ Lam_next, C.T @ D @ U, Lam)
-    r_sta = D.T @ C @ X + B.T @ Lam_next + D.T @ D @ U
     t_sta = (D.T @ C @ X, B.T @ Lam_next, D.T @ D @ U)
-
-    d, dr = _norms(r_dyn, t_dyn)
-    c, cr = _norms(r_cos, t_cos)
-    s, sr = _norms(r_sta, t_sta)
+    d, dr = _norms(t_dyn[0] + t_dyn[1] - X_next, t_dyn)
+    c, cr = _norms(t_cos[0] + t_cos[1] + t_cos[2] - Lam, t_cos)
+    s, sr = _norms(t_sta[0] + t_sta[1] + t_sta[2], t_sta)
     return ResidualNorms(d, c, s, dr, cr, sr)
+
+
+def residuals_v1(sys: SystemQuadruple, V1: np.ndarray, A_K: np.ndarray) -> ResidualNorms:
+    """Check that ``V1 = [I; P; K]`` satisfies the relations with advance ``A_K``.
+
+    The next-step blocks are ``V1[:2n] @ A_K = [A_K; P A_K]``.
+    """
+    return _relation_residuals(sys, V1, V1[: 2 * sys.n] @ A_K)
+
+
+def residuals_v2(sys: SystemQuadruple, V2: np.ndarray, Vbar2: np.ndarray) -> ResidualNorms:
+    """Check that ``V2`` steps backward onto ``Vbar2 = [W; P W - I]``."""
+    return _relation_residuals(sys, V2, Vbar2)
 
 
 @dataclass
@@ -165,9 +140,6 @@ class InvariantBases:
     V1: np.ndarray
     V2: np.ndarray
     Vbar2: np.ndarray
-    rank_v1: int
-    rank_v2: int
-    rank_vbar2: int
 
 
 @dataclass
@@ -219,17 +191,10 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     V1 = assemble_v1(ric)
     V2 = assemble_v2(ric, gram)
     Vbar2 = assemble_vbar2(ric, gram)
-    bases = InvariantBases(
-        V1=V1,
-        V2=V2,
-        Vbar2=Vbar2,
-        rank_v1=rank(V1, cfg),
-        rank_v2=rank(V2, cfg),
-        rank_vbar2=rank(Vbar2, cfg),
-    )
+    res1 = residuals_v1(sys, V1, ric.A_K)
+    res2 = residuals_v2(sys, V2, Vbar2)
 
-    res1 = residuals_v1(sys, ric)
-    res2 = residuals_v2(sys, ric, gram)
+    rank_v2 = rank(V2, cfg)
 
     report = DimensionReport(
         n=sys.n,
@@ -237,11 +202,11 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
         p=sys.p,
         n_c=st.n_c,
         n_u=st.n_u,
-        rank_v1=bases.rank_v1,
-        rank_v2=bases.rank_v2,
-        rank_vbar2=bases.rank_vbar2,
+        rank_v1=rank(V1, cfg),
+        rank_v2=rank_v2,
+        rank_vbar2=rank(Vbar2, cfg),
         zero_rows_Au=zero_row_indices(st.A_u, cfg),
-        rank_deficiency_v2=sys.n - bases.rank_v2,
+        rank_deficiency_v2=sys.n - rank_v2,
         tolerances=cfg,
     )
     return AnalysisBundle(
@@ -249,13 +214,9 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
         staircase=st,
         riccati=ric,
         gramian=gram,
-        bases=bases,
+        bases=InvariantBases(V1=V1, V2=V2, Vbar2=Vbar2),
         residuals_v1=res1,
         residuals_v2=res2,
         report=report,
     )
 
-
-def dimension_report(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> DimensionReport:
-    """Shortcut for ``analyze(sys, cfg).report``."""
-    return analyze(sys, cfg).report

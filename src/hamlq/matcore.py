@@ -8,6 +8,7 @@ concurrent use.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -67,6 +68,8 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
         if self.staircase_tol_factor is not None and not self.staircase_tol_factor >= 0.0:
             raise ValueError("staircase_tol_factor must be nonnegative")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 

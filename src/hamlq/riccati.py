@@ -36,16 +36,10 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NotStabilizable, NotStable, SingularMatrix, SingularWeight
 from .matcore import DEFAULT_TOL, EPS, ToleranceConfig, solve_linear
-from .reachdecomp import StaircaseForm, SystemQuadruple
+from .reachdecomp import SystemQuadruple
 from .stablyap import solve_dlyap_stable, stability_certificate
 
-__all__ = [
-    "RiccatiSolution",
-    "RestrictedSolution",
-    "solve_dare",
-    "solve_dare_restricted",
-    "gain_partition",
-]
+__all__ = ["RiccatiSolution", "solve_dare"]
 
 
 @dataclass
@@ -64,16 +58,6 @@ class RiccatiSolution:
     A_K: np.ndarray
     iterations: int
     Rw_inv_Bt: np.ndarray
-
-
-@dataclass
-class RestrictedSolution:
-    """Riccati data for the reachable part ``(A_c, B_c, C_c, D)``."""
-
-    P_c: np.ndarray
-    K_c: np.ndarray
-    Rw_c: np.ndarray
-    iterations: int
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -149,8 +133,31 @@ def _doubling_gain(A, B, cfg: ToleranceConfig):
     )
 
 
-def _dare_kernel(A, B, C, D, cfg: ToleranceConfig):
-    """Shared solver core; returns (P, K, Rw, A_K, iterations)."""
+def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> RiccatiSolution:
+    """Stabilizing Riccati solution of one system.
+
+    The reachable part's solution is this one on ``SystemQuadruple(st.A_c,
+    st.B_c, st.C_c, D)``; it equals the leading ``n_c`` block of ``T' P T``.
+
+    Parameters
+    ----------
+    sys : SystemQuadruple
+        Plant data; ``(A, B)`` must be stabilizable and the stabilizing
+        solution must exist with a strictly positive definite innovation
+        weight.
+    cfg : ToleranceConfig
+        Tolerances and iteration budget.
+
+    Raises
+    ------
+    NotStabilizable
+        No stabilizing feedback could be certified.
+    SingularWeight
+        ``D'D + B'PB`` is singular at the solution.
+    ConvergenceFailure
+        Iteration budget exhausted or residual above tolerance.
+    """
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = A.shape[0]
     Q = C.T @ C
     S = C.T @ D
@@ -227,52 +234,11 @@ def _dare_kernel(A, B, C, D, cfg: ToleranceConfig):
         )
     if not stability_certificate(A_K, cfg):
         raise NotStabilizable("final closed loop failed the Smith stability certificate")
-    return P, K, Rw, A_K, boot_iters + newton_iters
-
-
-def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> RiccatiSolution:
-    """Stabilizing Riccati solution for the full system.
-
-    Parameters
-    ----------
-    sys : SystemQuadruple
-        Plant data; ``(A, B)`` must be stabilizable and the stabilizing
-        solution must exist with a strictly positive definite innovation
-        weight.
-    cfg : ToleranceConfig
-        Tolerances and iteration budget.
-
-    Raises
-    ------
-    NotStabilizable
-        No stabilizing feedback could be certified.
-    SingularWeight
-        ``D'D + B'PB`` is singular at the solution.
-    ConvergenceFailure
-        Iteration budget exhausted or residual above tolerance.
-    """
-    P, K, Rw, A_K, iters = _dare_kernel(sys.A, sys.B, sys.C, sys.D, cfg)
     return RiccatiSolution(
-        P=P, K=K, Rw=Rw, A_K=A_K, iterations=iters, Rw_inv_Bt=solve_linear(Rw, sys.B.T, cfg)
+        P=P,
+        K=K,
+        Rw=Rw,
+        A_K=A_K,
+        iterations=boot_iters + newton_iters,
+        Rw_inv_Bt=solve_linear(Rw, B.T, cfg),
     )
-
-
-def solve_dare_restricted(
-    st: StaircaseForm, D, cfg: ToleranceConfig = DEFAULT_TOL
-) -> RestrictedSolution:
-    """Riccati solution restricted to the reachable part ``(A_c, B_c, C_c, D)``.
-
-    Requires ``n_c >= 1``. Consistency with the full solution: ``P_c`` equals
-    the leading ``n_c`` block of ``T' P T``.
-    """
-    if st.n_c < 1:
-        raise ValueError("restricted Riccati equation needs a nonempty reachable part")
-    D = np.asarray(D, dtype=np.float64)
-    P_c, K_c, Rw_c, _, iters = _dare_kernel(st.A_c, st.B_c, st.C_c, D, cfg)
-    return RestrictedSolution(P_c=P_c, K_c=K_c, Rw_c=Rw_c, iterations=iters)
-
-
-def gain_partition(sol: RiccatiSolution, st: StaircaseForm):
-    """Split the gain in the staircase basis: ``K T = [K_c  K_u]``."""
-    KT = sol.K @ st.T
-    return KT[:, : st.n_c], KT[:, st.n_c :]

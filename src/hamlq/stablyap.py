@@ -29,7 +29,6 @@ class GramianSolution:
 
     W: np.ndarray
     iterations: int
-    residual: float
 
 
 def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSolution:
@@ -55,8 +54,7 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
     Returns
     -------
     GramianSolution
-        Symmetrized solution, number of doublings, and the directly
-        recomputed Frobenius residual.
+        Symmetrized solution and number of doublings.
 
     Raises
     ------
@@ -98,10 +96,7 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
                     trace=trace,
                 )
             if update_norm <= cfg.residual_tol * w_norm:
-                residual = float(
-                    np.linalg.norm(A @ W @ A.T + 0.5 * (Qm + Qm.T) - W, "fro")
-                )
-                return GramianSolution(W=W, iterations=it, residual=residual)
+                return GramianSolution(W=W, iterations=it)
     raise NotStable(
         f"Smith update norms did not decay within {cfg.max_iter} doublings",
         trace=trace,

@@ -12,12 +12,19 @@ import pytest
 from conftest import full_column_rank_D, random_stabilizable, stable_matrix, staircase_embedded
 from hamlq.errors import HamlqError
 from hamlq.golden import golden_check, golden_system
-from hamlq.hamsubspace import analyze, assemble_v2, assemble_vbar2, residuals_v1, residuals_v2
+from hamlq.hamsubspace import (
+    analyze,
+    assemble_v1,
+    assemble_v2,
+    assemble_vbar2,
+    residuals_v1,
+    residuals_v2,
+)
 from hamlq.lqtraj import TrajectoryProblem, kkt_oracle, solve_nonrecursive
-from hamlq.matcore import rank, singular_values, solve_linear
+from hamlq.matcore import rank, singular_values
 from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
-from hamlq.riccati import solve_dare, solve_dare_restricted
-from hamlq.stablyap import closed_loop_gramian, solve_dlyap_stable
+from hamlq.riccati import solve_dare
+from hamlq.stablyap import closed_loop_gramian
 
 ROOT = (1.0 + np.sqrt(65.0)) / 8.0
 
@@ -28,11 +35,9 @@ def restricted_quantities(sys, st):
     This route never touches the full-size solution, so comparisons against
     projections of the full solution are genuinely two-sided.
     """
-    rest = solve_dare_restricted(st, sys.D)
-    loop_c = st.A_c + st.B_c @ rest.K_c
-    forcing = st.B_c @ solve_linear(rest.Rw_c, st.B_c.T)
-    W_c = solve_dlyap_stable(loop_c, 0.5 * (forcing + forcing.T)).W
-    return rest, loop_c, W_c
+    sub = SystemQuadruple(st.A_c, st.B_c, st.C_c, sys.D)
+    ric_c = solve_dare(sub)
+    return ric_c, closed_loop_gramian(sub, ric_c).W
 
 
 def test_criterion_1_golden_reproduction():
@@ -85,12 +90,12 @@ def test_criterion_3_block_structure_theorem():
     Tb[2 * n :, 2 * n :] = np.eye(m)
     V2t = Tb @ V2 @ st.T
 
-    rest, loop_c, W_c = restricted_quantities(sys, st)
+    ric_c, W_c = restricted_quantities(sys, st)
 
     # costate-unreachable block equals -A_u'
     np.testing.assert_allclose(V2t[n + n_c : 2 * n, n_c:], -st.A_u.T, atol=1e-8)
     # top-left block equals W_c (A_c + B_c K_c)'
-    np.testing.assert_allclose(V2t[:n_c, :n_c], W_c @ loop_c.T, atol=1e-8)
+    np.testing.assert_allclose(V2t[:n_c, :n_c], W_c @ ric_c.A_K.T, atol=1e-8)
     # every structural zero block vanishes
     assert np.max(np.abs(V2t[:n_c, n_c:])) <= 1e-8
     assert np.max(np.abs(V2t[n_c:n, :])) <= 1e-8
@@ -110,11 +115,11 @@ def test_criterion_4_restricted_full_consistency():
         assert st.n_u >= 1
         ric = solve_dare(sys)
         gram = closed_loop_gramian(sys, ric)
-        rest, _, W_c = restricted_quantities(sys, st)
+        ric_c, W_c = restricted_quantities(sys, st)
         n_c = st.n_c
         Pt = st.T.T @ ric.P @ st.T
         Wt = st.T.T @ gram.W @ st.T
-        assert np.linalg.norm(Pt[:n_c, :n_c] - rest.P_c, "fro") <= 1e-8 * (
+        assert np.linalg.norm(Pt[:n_c, :n_c] - ric_c.P, "fro") <= 1e-8 * (
             1 + np.linalg.norm(ric.P, "fro")
         )
         assert np.linalg.norm(Wt[:n_c, :n_c] - W_c, "fro") <= 1e-8 * (
@@ -157,11 +162,11 @@ def test_criterion_5_zero_row_rank_drop():
             ric = solve_dare(sys)
             gram = closed_loop_gramian(sys, ric)
             st = staircase(sys)
-            rest, loop_c, _ = restricted_quantities(sys, st)
+            ric_c, _ = restricted_quantities(sys, st)
         except HamlqError:
             continue
         # only systems whose restricted closed loop is nonsingular count
-        if singular_values(loop_c)[-1] <= 1e-6:
+        if singular_values(ric_c.A_K)[-1] <= 1e-6:
             continue
         done += 1
         V2 = assemble_v2(ric, gram)
@@ -171,8 +176,8 @@ def test_criterion_5_zero_row_rank_drop():
 def test_criterion_6_algebraic_identity_suites(random_suite):
     assert len(random_suite) >= 100
     for sysq, ric, gram in random_suite:
-        r1 = residuals_v1(sysq, ric)
-        r2 = residuals_v2(sysq, ric, gram)
+        r1 = residuals_v1(sysq, assemble_v1(ric), ric.A_K)
+        r2 = residuals_v2(sysq, assemble_v2(ric, gram), assemble_vbar2(ric, gram))
         assert r1.max_rel <= 1e-10
         assert r2.max_rel <= 1e-10
 

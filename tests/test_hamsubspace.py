@@ -7,7 +7,6 @@ from hamlq.hamsubspace import (
     assemble_v1,
     assemble_v2,
     assemble_vbar2,
-    dimension_report,
     residuals_v1,
     residuals_v2,
 )
@@ -90,10 +89,14 @@ def test_degenerate_no_reachable_modes():
     np.testing.assert_allclose(V2[2:4], -sys.A.T, atol=1e-10)
 
 
+def both_residuals(sys, ric, gram):
+    V2, Vbar2 = assemble_v2(ric, gram), assemble_vbar2(ric, gram)
+    return residuals_v1(sys, assemble_v1(ric), ric.A_K), residuals_v2(sys, V2, Vbar2)
+
+
 def test_residual_identities(golden_sys):
     ric, gram = solve_all(golden_sys)
-    r1 = residuals_v1(golden_sys, ric)
-    r2 = residuals_v2(golden_sys, ric, gram)
+    r1, r2 = both_residuals(golden_sys, ric, gram)
     for r in (r1, r2):
         assert r.dynamics_rel <= 1e-12
         assert r.costate_rel <= 1e-12
@@ -114,7 +117,46 @@ def test_analyze_golden_report(golden_sys):
     assert rep.rank_vbar2 == 4
     assert rep.zero_rows_Au == [2]
     assert rep.rank_deficiency_v2 == 1
-    assert dimension_report(golden_sys) == rep
+
+
+def test_analyze_residuals_check_reported_bases(golden_sys):
+    bundle = analyze(golden_sys)
+    b = bundle.bases
+    assert bundle.residuals_v1 == residuals_v1(golden_sys, b.V1, bundle.riccati.A_K)
+    assert bundle.residuals_v2 == residuals_v2(golden_sys, b.V2, b.Vbar2)
+
+
+@pytest.mark.parametrize("which", ["golden", "singular_dd"])
+def test_residuals_detect_perturbed_blocks(which, golden_sys):
+    if which == "golden":
+        sys = golden_sys
+    else:
+        sys = random_stabilizable(np.random.default_rng(34), 5, 2, 2, singular_D=True)
+        assert np.linalg.matrix_rank(sys.D.T @ sys.D) < sys.m
+    ric, gram = solve_all(sys)
+    n = sys.n
+    V1, V2, Vbar2 = assemble_v1(ric), assemble_v2(ric, gram), assemble_vbar2(ric, gram)
+    rng = np.random.default_rng(35)
+
+    def bumped(M, rows):
+        out = M.copy()
+        block = out[rows]
+        out[rows] += 1e-3 * (1.0 + np.max(np.abs(block))) * rng.standard_normal(block.shape)
+        return out
+
+    # V1 advances by A_K, which sets both of its next-step blocks; V2 steps
+    # onto the state and costate blocks of Vbar2
+    state, costate, inputs = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
+    cases = [
+        (residuals_v1, V1, ric.A_K, [slice(None)]),
+        (residuals_v2, V2, Vbar2, [state, costate]),
+    ]
+    for fn, V, nxt, next_blocks in cases:
+        assert fn(sys, V, nxt).max_rel <= 1e-10
+        for rows in (state, costate, inputs):
+            assert fn(sys, bumped(V, rows), nxt).max_rel > 1e-6
+        for rows in next_blocks:
+            assert fn(sys, V, bumped(nxt, rows)).max_rel > 1e-6
 
 
 def test_block_structure_in_staircase_basis():
@@ -167,5 +209,6 @@ def test_residuals_hold_on_random_systems():
         except Exception:
             continue
         checked += 1
-        assert residuals_v1(sys, ric).max_rel <= 1e-10
-        assert residuals_v2(sys, ric, gram).max_rel <= 1e-10
+        r1, r2 = both_residuals(sys, ric, gram)
+        assert r1.max_rel <= 1e-10
+        assert r2.max_rel <= 1e-10

@@ -34,6 +34,16 @@ def test_tolerance_validation():
         ToleranceConfig(residual_tol=-1e-3)
 
 
+@pytest.mark.parametrize("max_iter", [50.0, 2.5, True, "50", None])
+def test_tolerance_rejects_non_integer_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        ToleranceConfig(max_iter=max_iter)
+
+
+def test_tolerance_accepts_numpy_integer_max_iter():
+    assert ToleranceConfig(max_iter=np.int64(7)).max_iter == 7
+
+
 def test_as_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         as_matrix([1.0, 2.0], "v")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_stabilizable, staircase_embedded, unstable_modes
+from conftest import random_stabilizable, unstable_modes
 from hamlq import riccati
 from hamlq.errors import NotStabilizable, SingularWeight
 from hamlq.matcore import is_psd
 from hamlq.reachdecomp import SystemQuadruple, staircase
-from hamlq.riccati import gain_partition, solve_dare, solve_dare_restricted
+from hamlq.riccati import solve_dare
 from hamlq.stablyap import stability_certificate
 
 ROOT = (1.0 + np.sqrt(65.0)) / 8.0
@@ -158,21 +158,22 @@ def test_restricted_matches_full_when_fully_reachable():
     st = staircase(sys)
     assert st.n_c == 3
     full = solve_dare(sys)
-    rest = solve_dare_restricted(st, sys.D)
+    rest = solve_dare(SystemQuadruple(st.A_c, st.B_c, st.C_c, sys.D))
     Pt = st.T.T @ full.P @ st.T
-    assert np.max(np.abs(Pt - rest.P_c)) <= 1e-8 * (1 + np.linalg.norm(full.P, "fro"))
+    assert np.max(np.abs(Pt - rest.P)) <= 1e-8 * (1 + np.linalg.norm(full.P, "fro"))
 
 
 def test_restricted_matches_projected_golden(golden_sys):
     st = staircase(golden_sys)
     full = solve_dare(golden_sys)
-    rest = solve_dare_restricted(st, golden_sys.D)
+    rest = solve_dare(SystemQuadruple(st.A_c, st.B_c, st.C_c, golden_sys.D))
     Pt = st.T.T @ full.P @ st.T
     n_c = st.n_c
     scale = 1e-8 * (1 + np.linalg.norm(full.P, "fro"))
-    assert np.max(np.abs(Pt[:n_c, :n_c] - rest.P_c)) <= scale
-    K_c, _ = gain_partition(full, st)
-    assert np.max(np.abs(K_c - rest.K_c)) <= scale
+    assert np.max(np.abs(Pt[:n_c, :n_c] - rest.P)) <= scale
+    # the gain in the staircase basis splits as K T = [K_c  K_u]
+    K_c = (full.K @ st.T)[:, :n_c]
+    assert np.max(np.abs(K_c - rest.K)) <= scale
 
 
 def test_restricted_scalar_padded():
@@ -185,8 +186,8 @@ def test_restricted_scalar_padded():
     )
     st = staircase(sys)
     assert st.n_c == 1
-    rest = solve_dare_restricted(st, sys.D)
-    assert abs(rest.P_c[0, 0] - ROOT) <= 1e-12
+    rest = solve_dare(SystemQuadruple(st.A_c, st.B_c, st.C_c, sys.D))
+    assert abs(rest.P[0, 0] - ROOT) <= 1e-12
 
 
 def test_restricted_requires_reachable_modes():
@@ -199,15 +200,4 @@ def test_restricted_requires_reachable_modes():
     st = staircase(sys)
     assert st.n_c == 0
     with pytest.raises(ValueError):
-        solve_dare_restricted(st, sys.D)
-
-
-def test_gain_partition_shapes():
-    rng = np.random.default_rng(23)
-    s = staircase_embedded(rng, 2, 2, m=3, p=3, rotate=True)
-    st = staircase(s)
-    sol = solve_dare(s)
-    K_c, K_u = gain_partition(sol, st)
-    assert K_c.shape == (3, 2)
-    assert K_u.shape == (3, 2)
-    np.testing.assert_allclose(np.hstack([K_c, K_u]), sol.K @ st.T)
+        SystemQuadruple(st.A_c, st.B_c, st.C_c, sys.D)
