@@ -9,11 +9,10 @@ concurrent use.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import ConvergenceFailure, SingularMatrix
 
@@ -27,7 +26,6 @@ __all__ = [
     "solve_linear",
     "singular_values",
     "rank",
-    "is_psd",
 ]
 
 
@@ -102,7 +100,8 @@ def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     ``rhs`` may be a vector or a matrix with matching row count. Raises
     ``SingularMatrix`` when any pivot magnitude falls below
-    ``abs_zero_tol * max|M|``.
+    ``abs_zero_tol * max|M|``. Calls LAPACK ``dgetrf`` and ``dgetrs``, the
+    routines ``scipy.linalg.lu_factor`` and ``lu_solve`` wrap, directly.
     """
     M = as_matrix(M, "M")
     n, nc = M.shape
@@ -117,23 +116,28 @@ def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if r.size and not np.all(np.isfinite(r)):
         raise ValueError("rhs contains non-finite entries")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    pivots = np.abs(np.diag(lu))
     scale = _max_abs(M)
-    if scale == 0.0 or float(pivots.min()) < cfg.abs_zero_tol * scale:
+    min_pivot = 0.0
+    # dgetrf rejects n = 0; an exactly zero pivot, which its info flags,
+    # fails the pivot test below.
+    if scale > 0.0:
+        lu, piv, _ = dgetrf(M)
+        min_pivot = float(np.abs(np.diag(lu)).min())
+    if scale == 0.0 or min_pivot < cfg.abs_zero_tol * scale:
         raise SingularMatrix(
             f"matrix is singular to working tolerance (min pivot "
-            f"{pivots.min() if pivots.size else 0.0:.3e}, scale {scale:.3e})"
+            f"{min_pivot:.3e}, scale {scale:.3e})"
         )
-    x = scipy.linalg.lu_solve((lu, piv), r, check_finite=False)
+    x, _ = dgetrs(lu, piv, r)
     return x[:, 0] if vector else x
 
 
 def singular_values(M) -> np.ndarray:
     """Singular values of ``M`` in nonincreasing order."""
-    M = as_matrix(M, "M")
+    return _svdvals(as_matrix(M, "M"))
+
+
+def _svdvals(M: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -146,34 +150,8 @@ def rank(M, cfg: ToleranceConfig = DEFAULT_TOL, *, tol_factor: float | None = No
     The factor defaults to ``cfg.rank_tol_factor``; the zero matrix has rank 0.
     """
     M = as_matrix(M, "M")
-    s = singular_values(M)
+    s = _svdvals(M)
     if s.size == 0 or s[0] == 0.0:
         return 0
     factor = cfg.rank_tol_factor if tol_factor is None else tol_factor
     return int(np.count_nonzero(s > s[0] * max(M.shape) * factor))
-
-
-def is_psd(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether ``M`` is symmetric positive semidefinite within tolerance.
-
-    Symmetry is required up to ``abs_zero_tol * max|M|``; semidefiniteness is
-    probed by a Cholesky factorization of the symmetrized matrix shifted by
-    ``abs_zero_tol * (1 + max|M|)`` on the diagonal, so the zero matrix counts
-    as positive semidefinite.
-    """
-    M = as_matrix(M, "M")
-    n, nc = M.shape
-    if n != nc:
-        raise ValueError(f"M must be square, got {M.shape}")
-    if n == 0:
-        return True
-    scale = _max_abs(M)
-    if _max_abs(M - M.T) > cfg.abs_zero_tol * scale:
-        return False
-    sym = 0.5 * (M + M.T)
-    shift = cfg.abs_zero_tol * (1.0 + scale)
-    try:
-        np.linalg.cholesky(sym + shift * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return True

@@ -32,6 +32,23 @@ def stable_matrix(rng, k, radius=0.8):
     return M * (radius / rho)
 
 
+def is_psd(M, tol=1e-12):
+    """Whether ``M`` is symmetric positive semidefinite up to ``tol * max|M|``.
+
+    Semidefiniteness is probed by a Cholesky factorization of the symmetrized
+    matrix shifted by ``tol * (1 + max|M|)``, so the zero matrix passes.
+    """
+    M = np.asarray(M, dtype=float)
+    scale = float(np.max(np.abs(M), initial=0.0))
+    if np.max(np.abs(M - M.T), initial=0.0) > tol * scale:
+        return False
+    try:
+        np.linalg.cholesky(0.5 * (M + M.T) + tol * (1.0 + scale) * np.eye(M.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def random_orthogonal(rng, n):
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     return Q * np.sign(np.diag(R))

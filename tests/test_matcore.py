@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hamlq.errors import SingularMatrix
 from hamlq.golden import REFERENCE_V2
@@ -8,7 +9,6 @@ from hamlq.matcore import (
     EPS,
     ToleranceConfig,
     as_matrix,
-    is_psd,
     rank,
     singular_values,
     solve_linear,
@@ -85,6 +85,38 @@ def test_solve_linear_backward_error():
         assert np.linalg.norm(M @ x - b) <= 1e-9 * np.linalg.norm(M) * (1 + np.linalg.norm(b))
 
 
+def test_solve_linear_bitwise_equals_scipy_lu():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5, 20, 50):
+        M = rng.standard_normal((n, n))
+        lu_piv = scipy.linalg.lu_factor(M)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            assert np.array_equal(solve_linear(M, rhs), scipy.linalg.lu_solve(lu_piv, rhs))
+        # a Fortran-ordered M and a strided rhs give the same bits
+        rhs = rng.standard_normal((2 * n, 4))[::2]
+        expected = scipy.linalg.lu_solve(lu_piv, rhs)
+        assert np.array_equal(solve_linear(np.asfortranarray(M), rhs), expected)
+
+
+@pytest.mark.parametrize(
+    "M, rhs, error",
+    [
+        (np.zeros((0, 0)), np.zeros(0), SingularMatrix),
+        (np.ones((3, 3)), np.ones(3), SingularMatrix),
+        (np.diag([1.0, 1e-13]), np.ones(2), SingularMatrix),
+        (np.ones((2, 3)), np.ones(2), ValueError),
+        (np.eye(2), np.ones(3), ValueError),
+        (np.eye(2), np.ones((2, 2, 1)), ValueError),
+        (np.eye(2), np.array([1.0, np.inf]), ValueError),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), ValueError),
+        (np.ones(2), np.ones(2), ValueError),
+    ],
+)
+def test_solve_linear_rejects(M, rhs, error):
+    with pytest.raises(error):
+        solve_linear(M, rhs)
+
+
 def test_rank_basic():
     assert rank(np.eye(3)) == 3
     assert rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
@@ -128,16 +160,6 @@ def test_singular_values_properties():
         assert abs(np.sum(s**2) - np.linalg.norm(M, "fro") ** 2) <= 1e-10 * (
             1 + np.linalg.norm(M, "fro") ** 2
         )
-
-
-def test_is_psd():
-    assert is_psd(np.eye(2))
-    assert not is_psd(np.array([[-1.0]]))
-    assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert not is_psd(np.array([[1.0, 5.0], [0.0, 1.0]]))  # not symmetric
-    assert is_psd(np.zeros((3, 3)))
-    v = np.array([[1.0], [2.0], [-1.0]])
-    assert is_psd(v @ v.T)  # rank deficient but PSD
 
 
 def test_default_tol_is_shared_instance():

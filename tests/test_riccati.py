@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_stabilizable, unstable_modes
+from conftest import is_psd, random_stabilizable, unstable_modes
 from hamlq import riccati
 from hamlq.errors import NotStabilizable, SingularWeight
-from hamlq.matcore import is_psd
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import stability_certificate

@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import stable_matrix, staircase_embedded
+from conftest import is_psd, stable_matrix, staircase_embedded
 from hamlq.errors import NotStable
-from hamlq.matcore import is_psd, singular_values
+from hamlq.matcore import singular_values
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
+from hamlq import stablyap
 from hamlq.stablyap import closed_loop_gramian, solve_dlyap_stable, stability_certificate
 
 
@@ -42,6 +47,71 @@ def test_stability_certificate():
     assert stability_certificate(np.array([[0.5, 0.0], [0.0, 0.0]]))
     assert not stability_certificate(np.array([[2.0]]))
     assert not stability_certificate(np.array([[1.0]]))
+
+
+@st.composite
+def scaled_matrices(draw):
+    """(kind, M, rho) with n <= 8 and M scaled to spectral radius rho.
+
+    ``symmetric`` is normal; ``gaussian`` is generically non-normal;
+    ``triangular`` is upper triangular with off-diagonal entries four times
+    the diagonal's, far from normal, and its spectrum is its diagonal exactly.
+    """
+    kind = draw(st.sampled_from(["symmetric", "gaussian", "triangular"]))
+    n = draw(st.integers(1, 8))
+    rho = draw(st.floats(0.2, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, n))
+    if kind == "symmetric":
+        G = G + G.T
+    elif kind == "triangular":
+        G = np.triu(4.0 * G, 1) + np.diag(np.diag(G))
+    return kind, G * (rho / np.max(np.abs(np.linalg.eigvals(G)))), rho
+
+
+# On a failure, hypothesis's pytest plugin imports libcst, which warns on
+# import; ignoring that one warning keeps the failure reported instead of
+# aborting the session.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scaled_matrices())
+def test_certificate_property(case):
+    kind, M, rho = case
+    # Near the unit circle eigvals itself is off by rounding times the
+    # eigenvalue condition number, so it decides nothing there; a triangular
+    # matrix's eigenvalues are its diagonal entries, exactly.
+    assume(kind == "triangular" or abs(rho - 1.0) > 1e-6)
+    certified = stability_certificate(M)
+    if certified:
+        assert np.max(np.abs(np.linalg.eigvals(M))) < 1.0
+    if rho <= 0.999:
+        assert certified
+
+
+def jordan(lam, k):
+    return lam * np.eye(k) + np.eye(k, k=1)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [jordan(1.0, 2), jordan(-1.0, 2), jordan(1.0, 8), jordan(-1.0, 3), np.diag([1.0, 0.5])],
+    ids=["jordan+1", "jordan-1", "jordan+1-n8", "jordan-1-n3", "diag(1,0.5)"],
+)
+def test_certificate_rejects_unit_modulus_without_warnings(M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not stability_certificate(M)
+
+
+def test_certificate_runs_no_smith_solve(monkeypatch):
+    def no_smith(*args, **kwargs):
+        raise AssertionError("stability_certificate ran a Smith solve")
+
+    monkeypatch.setattr(stablyap, "solve_dlyap_stable", no_smith)
+    rng = np.random.default_rng(12)
+    for radius in (0.5, 0.99, 1.01, 2.0):
+        M = stable_matrix(rng, 6, radius=radius)
+        assert stability_certificate(M) == (radius < 1.0)
 
 
 def test_certificate_validates_shape():
