@@ -86,34 +86,14 @@ def cmd_analyze(args) -> int:
     cfg = _tolerances(args)
     sysq = load_system(args.input)
     bundle = analyze(sysq, cfg)
-    rep = bundle.report
-
-    doc = {
-        "n": rep.n,
-        "m": rep.m,
-        "p": rep.p,
-        "n_c": rep.n_c,
-        "n_u": rep.n_u,
-        "rank_v1": rep.rank_v1,
-        "rank_v2": rep.rank_v2,
-        "rank_vbar2": rep.rank_vbar2,
-        "zero_rows_Au": rep.zero_rows_Au,
-        "rank_deficiency_v2": rep.rank_deficiency_v2,
-        "residuals": {
-            "v1": _residual_dict(bundle.residuals_v1),
-            "v2": _residual_dict(bundle.residuals_v2),
-        },
-        "tolerances": {
-            "rank_tol_factor": cfg.rank_tol_factor,
-            "abs_zero_tol": cfg.abs_zero_tol,
-            "residual_tol": cfg.residual_tol,
-            "max_iter": cfg.max_iter,
-            "staircase_tol_factor": cfg.staircase_tol_factor,
-        },
-        "iterations": {
-            "riccati": bundle.riccati.iterations,
-            "gramian": bundle.gramian.iterations,
-        },
+    doc = dataclasses.asdict(bundle.report)
+    doc["residuals"] = {
+        "v1": _residual_dict(bundle.residuals_v1),
+        "v2": _residual_dict(bundle.residuals_v2),
+    }
+    doc["iterations"] = {
+        "riccati": bundle.riccati.iterations,
+        "gramian": bundle.gramian.iterations,
     }
     if args.full:
         doc["system"] = {

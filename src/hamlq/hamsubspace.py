@@ -15,8 +15,9 @@ closed-loop Gramian ``W``:
 * ``Vbar2 = [W; P W - I]`` spans the backward family in state/costate
   coordinates and always has full column rank ``n``.
 * ``V2 = [W A_K'; (P W - I) A_K'; K W A_K' + Rw^{-1} B']`` is the backward
-  family one step in with its input row attached; its rank can drop below
-  ``n`` exactly when the unreachable part of ``A`` has zero rows.
+  family one step in with its input row attached; its rank is that of the
+  plant data ``[A B]``, so it drops below ``n`` exactly when ``[A B]`` has a
+  left null space.
 
 ``analyze`` bundles the decomposition, Riccati solution, Gramian, bases,
 the residual checks of those same bases and a dimension report in one pass.
@@ -146,10 +147,19 @@ class InvariantBases:
 class DimensionReport:
     """Counts and ranks a caller needs to judge solvability and degeneracy.
 
+    The three ranks have closed forms, valid for any ``P``, ``W`` and ``K``
+    with ``A_K = A + B K`` and ``Rw`` invertible:
+
+    * ``rank_v1 = n``: ``V1'V1 = I + P'P + K'K`` is at least ``I``.
+    * ``rank_vbar2 = n``: ``[W; P W - I] x = 0`` gives ``W x = 0`` and then
+      ``x = 0``.
+    * ``rank_v2 = rank [A B] = n_c + rank A_u``: the state and costate rows
+      of ``V2 x = 0`` give ``A_K' x = 0``, the input row then gives
+      ``B' x = 0``, so ``ker V2 = ker [A B]'``.
+
     ``zero_rows_Au`` lists the 1-based rows of the unreachable diagonal
-    block that vanish; each such row forces one zero column in ``V2`` in the
-    staircase basis, so ``rank_deficiency_v2 = n - rank_v2`` matches their
-    count for generic data.
+    block that vanish. ``rank_deficiency_v2 = n - rank_v2`` equals their
+    count when the other rows of ``A_u`` are independent.
     """
 
     n: int
@@ -194,7 +204,10 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     res1 = residuals_v1(sys, V1, ric.A_K)
     res2 = residuals_v2(sys, V2, Vbar2)
 
-    rank_v2 = rank(V2, cfg)
+    # V1 and Vbar2 have rank n by construction, and ker V2 = ker [A B]' (see
+    # DimensionReport), so the only rank decision is on plant data and does
+    # not depend on the scale of the cost.
+    rank_v2 = rank(np.hstack([sys.A, sys.B]), cfg)
 
     report = DimensionReport(
         n=sys.n,
@@ -202,9 +215,9 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
         p=sys.p,
         n_c=st.n_c,
         n_u=st.n_u,
-        rank_v1=rank(V1, cfg),
+        rank_v1=sys.n,
         rank_v2=rank_v2,
-        rank_vbar2=rank(Vbar2, cfg),
+        rank_vbar2=sys.n,
         zero_rows_Au=zero_row_indices(st.A_u, cfg),
         rank_deficiency_v2=sys.n - rank_v2,
         tolerances=cfg,

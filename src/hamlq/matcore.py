@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "solve_linear",
-    "singular_values",
     "rank",
 ]
 
@@ -47,35 +46,22 @@ class ToleranceConfig:
         boundary systems), relative to ``1 + norm(solution)``.
     max_iter : int
         Iteration budget for the doubling and Newton loops.
-    staircase_tol_factor : float, optional
-        Separate rank-tolerance factor for the reachability decomposition;
-        structural decisions can be tuned independently of generic rank
-        queries. ``None`` falls back to ``rank_tol_factor``.
     """
 
     rank_tol_factor: float = EPS
     abs_zero_tol: float = 1e-12
     residual_tol: float = 1e-10
     max_iter: int = 100
-    staircase_tol_factor: float | None = None
 
     def __post_init__(self):
         for name in ("rank_tol_factor", "abs_zero_tol", "residual_tol"):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
-        if self.staircase_tol_factor is not None and not self.staircase_tol_factor >= 0.0:
-            raise ValueError("staircase_tol_factor must be nonnegative")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-
-    @property
-    def staircase_factor(self) -> float:
-        if self.staircase_tol_factor is None:
-            return self.rank_tol_factor
-        return self.staircase_tol_factor
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -132,26 +118,16 @@ def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return x[:, 0] if vector else x
 
 
-def singular_values(M) -> np.ndarray:
-    """Singular values of ``M`` in nonincreasing order."""
-    return _svdvals(as_matrix(M, "M"))
+def rank(M, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Numerical rank: singular values above ``sigma_max * max(dims) * rank_tol_factor``.
 
-
-def _svdvals(M: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"singular value iteration did not converge: {exc}") from exc
-
-
-def rank(M, cfg: ToleranceConfig = DEFAULT_TOL, *, tol_factor: float | None = None) -> int:
-    """Numerical rank: singular values above ``sigma_max * max(dims) * factor``.
-
-    The factor defaults to ``cfg.rank_tol_factor``; the zero matrix has rank 0.
+    The zero matrix has rank 0.
     """
     M = as_matrix(M, "M")
-    s = _svdvals(M)
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"singular value iteration did not converge: {exc}") from exc
     if s.size == 0 or s[0] == 0.0:
         return 0
-    factor = cfg.rank_tol_factor if tol_factor is None else tol_factor
-    return int(np.count_nonzero(s > s[0] * max(M.shape) * factor))
+    return int(np.count_nonzero(s > s[0] * max(M.shape) * cfg.rank_tol_factor))

@@ -106,7 +106,7 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     """Orthogonal similarity transformation exposing the reachable part.
 
     The reachable dimension ``n_c`` is the numerical rank of the Krylov
-    matrix under the staircase tolerance factor. The basis is chosen
+    matrix. The basis is chosen
     deterministically:
 
     * if the reachable subspace is already spanned by the leading ``n_c``
@@ -122,7 +122,7 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     A, B, C = sys.A, sys.B, sys.C
     n = sys.n
     kry = reachability_matrix(A, B)
-    n_c = rank(kry, cfg, tol_factor=cfg.staircase_factor)
+    n_c = rank(kry, cfg)
 
     row_tol = cfg.abs_zero_tol * (1.0 + (float(np.max(np.abs(kry))) if kry.size else 0.0))
     bottom = kry[n_c:, :]

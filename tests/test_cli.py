@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 import hamlq.cli as cli
 from hamlq.errors import ConvergenceFailure
 from hamlq.golden import golden_system
+from hamlq.hamsubspace import DimensionReport
 from hamlq.lqtraj import TrajectoryProblem, kkt_oracle
+from hamlq.matcore import DEFAULT_TOL
 from hamlq.reachdecomp import SystemQuadruple
 
 
@@ -40,6 +43,24 @@ def test_analyze_golden(golden_file, capsys):
     assert doc["residuals"]["v2"]["stationarity"] >= 0.0
     assert doc["iterations"]["riccati"] >= 1
     assert "matrices" not in doc
+
+
+@pytest.mark.parametrize(
+    "extra, cfg",
+    [
+        ([], DEFAULT_TOL),
+        (["--tol", "1e-10"], dataclasses.replace(DEFAULT_TOL, rank_tol_factor=1e-10)),
+        (["--full"], DEFAULT_TOL),
+    ],
+)
+def test_analyze_json_is_the_report(golden_file, capsys, extra, cfg):
+    assert cli.main(["analyze", golden_file, *extra]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    keys = [f.name for f in dataclasses.fields(DimensionReport)] + ["residuals", "iterations"]
+    if "--full" in extra:
+        keys += ["system", "matrices"]
+    assert list(doc) == keys
+    assert doc["tolerances"] == dataclasses.asdict(cfg)
 
 
 def test_analyze_full_round_trip(golden_file, capsys):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_stabilizable, staircase_embedded
+from conftest import random_orthogonal, random_stabilizable, stable_matrix, staircase_embedded
+from hamlq import hamsubspace
 from hamlq.hamsubspace import (
     analyze,
     assemble_v1,
@@ -117,6 +120,83 @@ def test_analyze_golden_report(golden_sys):
     assert rep.rank_vbar2 == 4
     assert rep.zero_rows_Au == [2]
     assert rep.rank_deficiency_v2 == 1
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e7, 1e8])
+def test_analyze_ranks_do_not_depend_on_cost_scale(golden_sys, scale):
+    g = golden_sys
+    rep = analyze(SystemQuadruple(A=g.A, B=g.B, C=scale * g.C, D=scale * g.D)).report
+    assert (rep.rank_v1, rep.rank_v2, rep.rank_vbar2) == (4, 3, 4)
+
+
+def test_analyze_makes_one_rank_decision(golden_sys, monkeypatch):
+    calls = []
+
+    def counting_rank(M, cfg):
+        calls.append(np.shape(M))
+        return rank(M, cfg)
+
+    monkeypatch.setattr(hamsubspace, "rank", counting_rank)
+    analyze(golden_sys)
+    assert calls == [(4, 6)]
+
+
+def hidden_left_null_space(rng, n, d, singular_D, cost_scale):
+    """Rotated staircase system whose ``[A B]`` has a d-dimensional left null space.
+
+    The first d rows of the stable unreachable block ``A_u`` are zero and the
+    rest of ``[A B]`` has full row rank. ``D'D`` is singular on request, and
+    ``(C, D)`` is multiplied by ``cost_scale``.
+    """
+    m = int(rng.integers(1, 4))
+    p = int(rng.integers(m, 5))
+    n_u = int(rng.integers(d, n))
+    n_c = n - n_u
+    A_u = np.zeros((n_u, n_u))
+    A_u[d:, :d] = rng.standard_normal((n_u - d, d))
+    A_u[d:, d:] = stable_matrix(rng, n_u - d, radius=0.6)
+    A = np.block([
+        [stable_matrix(rng, n_c, radius=0.8), rng.standard_normal((n_c, n_u))],
+        [np.zeros((n_u, n_c)), A_u],
+    ])
+    B = np.vstack([rng.standard_normal((n_c, m)), np.zeros((n_u, m))])
+    C = rng.standard_normal((p, n))
+    D = rng.standard_normal((p, m))
+    if singular_D:
+        D[:, -1] = 0.0
+    T = random_orthogonal(rng, n)
+    return SystemQuadruple(A=T @ A @ T.T, B=T @ B, C=cost_scale * C @ T.T, D=cost_scale * D)
+
+
+@st.composite
+def hidden_null_cases(draw):
+    n = draw(st.integers(2, 8))
+    d = draw(st.integers(0, min(2, n - 1)))
+    singular_D = draw(st.booleans())
+    cost_scale = draw(st.sampled_from([1.0, 10.0]))
+    return n, d, singular_D, cost_scale, draw(st.integers(0, 2**32 - 1))
+
+
+# On a failure, hypothesis's pytest plugin imports libcst, which warns on
+# import; ignoring that one warning keeps the failure reported instead of
+# aborting the session.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hidden_null_cases())
+def test_dimensions_match_hidden_null_space(case):
+    n, d, singular_D, cost_scale, seed = case
+    sys = hidden_left_null_space(np.random.default_rng(seed), n, d, singular_D, cost_scale)
+    bundle = analyze(sys)
+    rep = bundle.report
+    assert (rep.rank_v1, rep.rank_v2, rep.rank_vbar2) == (n, n - d, n)
+    # The SVD cross-check of V2 cuts off relative to the largest term V2 is
+    # assembled from: rounding in that assembly, not sigma_max(V2), sets the
+    # size of its zero singular values (measured up to 2e3 eps times it,
+    # against nonzero ones of at least 1e9 eps times it).
+    ric, W = bundle.riccati, bundle.gramian.W
+    terms = (W @ ric.A_K.T, ric.P @ W @ ric.A_K.T, ric.K @ W @ ric.A_K.T, ric.Rw_inv_Bt)
+    cutoff = 1e-10 * max(np.linalg.norm(t, 2) for t in terms)
+    assert np.count_nonzero(np.linalg.svd(bundle.bases.V2, compute_uv=False) > cutoff) == n - d
 
 
 def test_analyze_residuals_check_reported_bases(golden_sys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +12,6 @@ from hamlq.matcore import (
     ToleranceConfig,
     as_matrix,
     rank,
-    singular_values,
     solve_linear,
 )
 
@@ -21,8 +22,12 @@ def test_tolerance_defaults():
     assert cfg.abs_zero_tol == 1e-12
     assert cfg.residual_tol == 1e-10
     assert cfg.max_iter == 100
-    assert cfg.staircase_tol_factor is None
-    assert cfg.staircase_factor == cfg.rank_tol_factor
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "rank_tol_factor",
+        "abs_zero_tol",
+        "residual_tol",
+        "max_iter",
+    ]
 
 
 def test_tolerance_validation():
@@ -137,29 +142,7 @@ def test_rank_transpose_invariant():
 def test_rank_tolerance_override():
     M = np.diag([1.0, 1e-9])
     assert rank(M) == 2
-    assert rank(M, tol_factor=1e-6) == 1
-
-
-def test_singular_values():
-    np.testing.assert_allclose(singular_values(np.diag([3.0, 1.0])), [3.0, 1.0])
-    np.testing.assert_allclose(
-        singular_values(np.array([[0.0, 1.0], [0.0, 0.0]])), [1.0, 0.0], atol=1e-15
-    )
-    np.testing.assert_allclose(
-        singular_values(np.array([[1.0, 2.0], [2.0, 4.0]])), [5.0, 0.0], atol=1e-14
-    )
-
-
-def test_singular_values_properties():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        M = rng.standard_normal((int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-        s = singular_values(M)
-        assert np.all(np.diff(s) <= 0)
-        assert np.all(s >= 0)
-        assert abs(np.sum(s**2) - np.linalg.norm(M, "fro") ** 2) <= 1e-10 * (
-            1 + np.linalg.norm(M, "fro") ** 2
-        )
+    assert rank(M, ToleranceConfig(rank_tol_factor=1e-6)) == 1
 
 
 def test_default_tol_is_shared_instance():
