@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, rank
+from .matcore import DEFAULT_TOL, ToleranceConfig, rank, residual_norms
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 from .reachdecomp import StaircaseForm, SystemQuadruple, staircase, zero_row_indices
 from .riccati import RiccatiSolution, solve_dare
@@ -69,12 +69,6 @@ class ResidualNorms:
     @property
     def max_rel(self) -> float:
         return max(self.dynamics_rel, self.costate_rel, self.stationarity_rel)
-
-
-def _norms(residual: np.ndarray, terms) -> tuple[float, float]:
-    raw = float(np.linalg.norm(residual, "fro"))
-    scale = 1.0 + max(float(np.linalg.norm(t, "fro")) for t in terms)
-    return raw, raw / scale
 
 
 def assemble_v1(ric: RiccatiSolution) -> np.ndarray:
@@ -117,9 +111,9 @@ def _relation_residuals(sys: SystemQuadruple, V: np.ndarray, V_next: np.ndarray)
     t_dyn = (A @ X, B @ U, X_next)
     t_cos = (C.T @ C @ X, A.T @ Lam_next, C.T @ D @ U, Lam)
     t_sta = (D.T @ C @ X, B.T @ Lam_next, D.T @ D @ U)
-    d, dr = _norms(t_dyn[0] + t_dyn[1] - X_next, t_dyn)
-    c, cr = _norms(t_cos[0] + t_cos[1] + t_cos[2] - Lam, t_cos)
-    s, sr = _norms(t_sta[0] + t_sta[1] + t_sta[2], t_sta)
+    d, dr = residual_norms(t_dyn[0] + t_dyn[1] - X_next, t_dyn)
+    c, cr = residual_norms(t_cos[0] + t_cos[1] + t_cos[2] - Lam, t_cos)
+    s, sr = residual_norms(t_sta[0] + t_sta[1] + t_sta[2], t_sta)
     return ResidualNorms(d, c, s, dr, cr, sr)
 
 

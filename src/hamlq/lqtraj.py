@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryInconsistent, Infeasible
-from .matcore import DEFAULT_TOL, ToleranceConfig
+from .matcore import DEFAULT_TOL, ToleranceConfig, fro_norm
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 from .reachdecomp import SystemQuadruple
 from .riccati import RiccatiSolution
@@ -98,12 +98,12 @@ class Trajectory:
 def stage_costs(traj: Trajectory, sys: SystemQuadruple) -> np.ndarray:
     """Per-step costs ``|C x_k + D u_k|^2`` for k = 0..k_f-1."""
     y = traj.x[:-1] @ sys.C.T + traj.u @ sys.D.T
-    return np.sum(y * y, axis=1)
+    return np.multiply(y, y, out=y).sum(axis=1)
 
 
 def cost(traj: Trajectory, sys: SystemQuadruple) -> float:
     """Recompute the objective from scratch."""
-    return float(np.sum(stage_costs(traj, sys)))
+    return float(stage_costs(traj, sys).sum())
 
 
 def _lstsq(M: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
@@ -113,6 +113,20 @@ def _lstsq(M: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     the largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
     """
     return np.linalg.lstsq(M, rhs, rcond=cfg.rank_tol_factor * max(M.shape))[0]
+
+
+def _chain_power(A_K: np.ndarray, k_f: int) -> np.ndarray:
+    """``A_K^{k_f}`` as the left-to-right product ``I A_K ... A_K``.
+
+    ``I A_K = A_K`` exactly, so the product starts from ``A_K``; each further
+    factor is one product into whichever of two buffers does not hold the
+    current power.
+    """
+    phi, spare = A_K.copy(), np.empty(A_K.shape)
+    for _ in range(k_f - 1):
+        phi.dot(A_K, out=spare)
+        phi, spare = spare, phi
+    return phi
 
 
 def _propagate(A_K: np.ndarray, phi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, k_f: int):
@@ -131,11 +145,11 @@ def _propagate(A_K: np.ndarray, phi: np.ndarray, alpha: np.ndarray, beta: np.nda
     step, j = A_K, 1
     while j < k_f:
         t = min(j, k_f - j)
-        np.matmul(fwd[:t], step.T, out=fwd[j : j + t])
-        np.matmul(bwd[:t], step, out=bwd[j : j + t])
+        fwd[:t].dot(step.T, out=fwd[j : j + t])
+        bwd[:t].dot(step, out=bwd[j : j + t])
         j += t
         if j < k_f:
-            step = step @ step
+            step = step.dot(step)
     return fwd, bwd
 
 
@@ -154,10 +168,15 @@ def solve_nonrecursive(
     nonunique; an explicit residual check guards consistency.
 
     ``phi = A_K^{k_f}`` in the boundary matrix is the left-to-right product
-    ``I A_K ... A_K``, not a product of squares: near-singular boundary
-    matrices sit close to the residual cutoff, and the few ulps by which
-    squaring changes ``phi`` move some of them across it. Only the
-    propagation after the solve uses squaring.
+    ``I A_K ... A_K``, one product per step into two reused buffers, not a
+    product of squares: near-singular boundary matrices sit close to the
+    residual cutoff, and the few ulps by which squaring changes ``phi`` move
+    some of them across it. With ``np.linalg.matrix_power`` in its place,
+    the benchmark's ``traj-many`` failure count changed on 3 of seeds 1-30
+    (seed 2: 8 to 9, seed 18: 7 to 6, seed 19: 8 to 7). Only the
+    propagation after the solve uses squaring. For the same reason every
+    product and sum here is the one the plain expressions would compute,
+    bit for bit; only calls and allocations were removed.
 
     Raises
     ------
@@ -169,37 +188,44 @@ def solve_nonrecursive(
     n = sysq.n
     P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
 
-    phi = np.eye(n)
-    for _ in range(k_f):
-        phi = phi @ A_K
-
-    top = np.hstack([np.eye(n), W @ phi.T])
+    phi = _chain_power(A_K, k_f)
+    eye = np.eye(n)
+    PW_I = P @ W - eye
+    M = np.empty((2 * n, 2 * n))
+    M[:n, :n] = eye
+    M[:n, n:] = W @ phi.T
+    rhs = np.empty(2 * n)
+    rhs[:n] = prob.x0
     if prob.free_terminal:
-        bottom = np.hstack([P @ phi, P @ W - np.eye(n)])
-        rhs = np.concatenate([prob.x0, np.zeros(n)])
+        M[n:, :n] = P @ phi
+        M[n:, n:] = PW_I
+        rhs[n:] = 0.0
     else:
-        bottom = np.hstack([phi, W])
-        rhs = np.concatenate([prob.x0, prob.xf])
-    M = np.vstack([top, bottom])
+        M[n:, :n] = phi
+        M[n:, n:] = W
+        rhs[n:] = prob.xf
 
     z = _lstsq(M, rhs, cfg)
-    residual = float(np.linalg.norm(M @ z - rhs))
-    scale = 1.0 + float(np.linalg.norm(rhs)) + float(np.linalg.norm(M, "fro") * np.linalg.norm(z))
+    residual = fro_norm(M @ z - rhs)
+    scale = 1.0 + fro_norm(rhs) + fro_norm(M) * fro_norm(z)
     if residual > cfg.residual_tol * scale:
         raise BoundaryInconsistent(
             f"boundary system residual {residual:.3e} exceeds tolerance: "
             "endpoint not attainable from x0 in k_f steps, or the problem is degenerate"
         )
+    del M  # not needed past the check; the output arrays below set the peak
     alpha, beta = z[:n], z[n:]
 
     # The anticausal mode at step k is bwd[k_f - k]: products are taken on
     # bwd in storage order and reversed after, as matmul on a reversed view
-    # would skip BLAS.
+    # would skip BLAS. The sums for p and u are formed in their first term.
     fwd, bwd = _propagate(A_K, phi, alpha, beta, k_f)
     u_gain = K @ W @ A_K.T + ric.Rw_inv_Bt
     x = fwd + (bwd @ W.T)[::-1]
-    p = fwd @ P.T + (bwd @ (P @ W - np.eye(n)).T)[::-1]
-    u = fwd[:-1] @ K.T + (bwd[:-1] @ u_gain.T)[::-1]
+    p = fwd @ P.T
+    p += (bwd @ PW_I.T)[::-1]
+    u = fwd[:-1] @ K.T
+    u += (bwd[:-1] @ u_gain.T)[::-1]
 
     traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
     traj.J = cost(traj, sysq)

@@ -32,12 +32,13 @@ ever computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure, NotStabilizable, NotStable, SingularMatrix, SingularWeight
-from .matcore import DEFAULT_TOL, EPS, ToleranceConfig, solve_linear
+from .matcore import DEFAULT_TOL, EPS, ToleranceConfig, fro_norm, residual_norms, solve_linear
 from .reachdecomp import SystemQuadruple
 from .stablyap import solve_dlyap_stable, stability_certificate
 
@@ -98,12 +99,12 @@ def _doubling_gain(A, B, cfg: ToleranceConfig):
     n, m = B.shape
     Ak = A
     G = B @ B.T
-    H = np.eye(n)
+    H = I = np.eye(n)
     prev_dh = np.inf
     for it in range(1, cfg.max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                X = np.linalg.solve(np.eye(n) + G @ H, np.hstack([Ak, G]))
+                X = np.linalg.solve(I + G @ H, np.concatenate((Ak, G), axis=1))
             except np.linalg.LinAlgError as exc:
                 raise NotStabilizable(
                     f"structured doubling broke down at step {it}: "
@@ -112,11 +113,11 @@ def _doubling_gain(A, B, cfg: ToleranceConfig):
             A_next = Ak @ X[:, :n]
             G_next = _sym(G + Ak @ X[:, n:] @ Ak.T)
             H_next = _sym(H + Ak.T @ H @ X[:, :n])
-            dh = float(np.linalg.norm(H_next - H, "fro"))
-            h_scale = 1.0 + float(np.linalg.norm(H_next, "fro"))
+            dh = fro_norm(H_next - H)
+            h_scale = 1.0 + fro_norm(H_next)
         # A non-finite entry of H makes both norms non-finite at once; one of
         # A_k or G breaks the next step's solve or makes its norms non-finite.
-        if not (np.isfinite(dh) and np.isfinite(h_scale)):
+        if not (math.isfinite(dh) and math.isfinite(h_scale)):
             raise NotStabilizable(
                 f"structured doubling diverged after {it} steps; "
                 "no stabilizing feedback exists for this system"
@@ -196,17 +197,18 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
                 "the operational assumptions"
             ) from exc
         P_new = gram.W
-        Rw = _sym(R + B.T @ P_new @ B)
-        L = B.T @ P_new @ A + S.T
+        BtP = B.T @ P_new
+        Rw = _sym(R + BtP @ B)
+        L = BtP @ A + S.T
         try:
             K = -solve_linear(Rw, L, cfg)
         except SingularMatrix as exc:
             raise SingularWeight(
                 "innovation weight D'D + B'PB is singular to working tolerance"
             ) from exc
-        dp = float(np.linalg.norm(P_new - P, "fro"))
+        dp = fro_norm(P_new - P)
         P = P_new
-        if _settled(dp, prev_dp, 1.0 + float(np.linalg.norm(P, "fro"))):
+        if _settled(dp, prev_dp, 1.0 + fro_norm(P)):
             break  # the residual check below decides
         prev_dp = dp
     else:
@@ -226,10 +228,15 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         )
     A_K = A + B @ K
 
-    residual = np.linalg.norm(A.T @ P @ A + Q + L.T @ K - P, "fro")
-    if residual > cfg.residual_tol * (1.0 + float(np.linalg.norm(P, "fro"))):
+    # The residual is judged against the largest term it is summed from, not
+    # against P alone: with a square invertible D the solution is P = 0
+    # while C'C and L'K grow with the cost, and their rounding is the floor.
+    AtPA, LtK = A.T @ P @ A, L.T @ K
+    residual, rel = residual_norms(AtPA + Q + LtK - P, (AtPA, Q, LtK, P))
+    if rel > cfg.residual_tol:
         raise ConvergenceFailure(
-            f"Riccati residual {residual:.3e} exceeds tolerance after convergence"
+            f"Riccati residual {residual:.3e} ({rel:.3e} relative) exceeds tolerance "
+            "after convergence"
         )
     if not stability_certificate(A_K, cfg):
         raise NotStabilizable("final closed loop failed the stability certificate")

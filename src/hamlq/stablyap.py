@@ -8,12 +8,13 @@ eigenvalue solver is needed anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotStable
-from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix
+from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, fro_norm
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 
 __all__ = [
@@ -72,19 +73,24 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
         raise ValueError(f"Q must be {n}x{n}, got {Qm.shape}")
 
     W = 0.5 * (Qm + Qm.T)
-    E = A.copy()
+    # Each product keeps the operand layouts of the plain expression
+    # ``E @ W @ E.T`` (C-ordered E and W), whose rounding depends on them;
+    # only the allocations are gone.
+    E = np.ascontiguousarray(A)
+    E_next, EW, update = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iter + 1):
-            update = E @ W @ E.T
-            update_norm = float(np.linalg.norm(update, "fro"))
+            E.dot(W, out=EW).dot(E.T, out=update)
+            update_norm = fro_norm(update)
             trace.append(update_norm)
-            W = W + update
-            W = 0.5 * (W + W.T)
-            w_norm = float(np.linalg.norm(W, "fro"))
+            W += update
+            np.add(W, W.T, out=EW)
+            np.multiply(EW, 0.5, out=W)
+            w_norm = fro_norm(W)
             # A non-finite entry of W makes w_norm non-finite at once; one of
             # E makes the next update, and so its norm, non-finite.
-            if not (np.isfinite(update_norm) and np.isfinite(w_norm)):
+            if not (math.isfinite(update_norm) and math.isfinite(w_norm)):
                 raise NotStable(
                     f"Smith iteration overflowed after {it} doublings; "
                     "A_K is not discrete-stable",
@@ -92,7 +98,7 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
                 )
             if update_norm <= cfg.residual_tol * w_norm:
                 return GramianSolution(W=W, iterations=it)
-            E = E @ E
+            E, E_next = E.dot(E, out=E_next), E
     raise NotStable(
         f"Smith update norms did not decay within {cfg.max_iter} doublings",
         trace=trace,
@@ -123,11 +129,14 @@ def stability_certificate(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     E = as_matrix(M, "M")
     if E.shape[0] != E.shape[1]:
         raise ValueError(f"M must be square, got {E.shape}")
+    # Squarings alternate between two buffers; the first reads M in its own
+    # layout, as ``E @ E`` would.
+    squares = (np.empty(E.shape), np.empty(E.shape))
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(E, "fro"))
-        for _ in range(cfg.max_iter):
-            if norm < 1.0 or not np.isfinite(norm):
+        norm = fro_norm(E)
+        for k in range(cfg.max_iter):
+            if norm < 1.0 or not math.isfinite(norm):
                 break
-            E = E @ E
-            norm = float(np.linalg.norm(E, "fro"))
+            E = E.dot(E, out=squares[k & 1])
+            norm = fro_norm(E)
     return norm < 1.0

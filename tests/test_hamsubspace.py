@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthogonal, random_stabilizable, stable_matrix, staircase_embedded
+from conftest import hidden_left_null_space, random_stabilizable, staircase_embedded
 from hamlq import hamsubspace
 from hamlq.hamsubspace import (
     analyze,
@@ -139,33 +139,6 @@ def test_analyze_makes_one_rank_decision(golden_sys, monkeypatch):
     monkeypatch.setattr(hamsubspace, "rank", counting_rank)
     analyze(golden_sys)
     assert calls == [(4, 6)]
-
-
-def hidden_left_null_space(rng, n, d, singular_D, cost_scale):
-    """Rotated staircase system whose ``[A B]`` has a d-dimensional left null space.
-
-    The first d rows of the stable unreachable block ``A_u`` are zero and the
-    rest of ``[A B]`` has full row rank. ``D'D`` is singular on request, and
-    ``(C, D)`` is multiplied by ``cost_scale``.
-    """
-    m = int(rng.integers(1, 4))
-    p = int(rng.integers(m, 5))
-    n_u = int(rng.integers(d, n))
-    n_c = n - n_u
-    A_u = np.zeros((n_u, n_u))
-    A_u[d:, :d] = rng.standard_normal((n_u - d, d))
-    A_u[d:, d:] = stable_matrix(rng, n_u - d, radius=0.6)
-    A = np.block([
-        [stable_matrix(rng, n_c, radius=0.8), rng.standard_normal((n_c, n_u))],
-        [np.zeros((n_u, n_c)), A_u],
-    ])
-    B = np.vstack([rng.standard_normal((n_c, m)), np.zeros((n_u, m))])
-    C = rng.standard_normal((p, n))
-    D = rng.standard_normal((p, m))
-    if singular_D:
-        D[:, -1] = 0.0
-    T = random_orthogonal(rng, n)
-    return SystemQuadruple(A=T @ A @ T.T, B=T @ B, C=cost_scale * C @ T.T, D=cost_scale * D)
 
 
 @st.composite

@@ -7,6 +7,7 @@ from conftest import full_column_rank_D, random_stabilizable, stable_matrix
 from hamlq.errors import BoundaryInconsistent, Infeasible
 from hamlq.lqtraj import (
     TrajectoryProblem,
+    _chain_power,
     cost,
     kkt_oracle,
     solve_nonrecursive,
@@ -268,6 +269,25 @@ def test_cost_recompute_matches_reported(golden_sys):
         prob = TrajectoryProblem(golden_sys, rng.standard_normal(4), int(rng.integers(1, 15)))
         traj = solve_nonrecursive(prob, ric, gram)
         assert abs(cost(traj, golden_sys) - traj.J) <= 1e-12 * (1 + abs(traj.J))
+
+
+@pytest.mark.parametrize("n, radius", [(1, 0.5), (3, 0.9), (8, 0.05), (20, 0.08)])
+def test_chain_power_matches_reference_bitwise(n, radius):
+    # The boundary matrix's A_K^{k_f} must be the product I A_K ... A_K to
+    # the last bit: near-singular boundary systems sit at the residual
+    # cutoff, and an ulp decides them. Radii 0.05 and 0.08 drive the powers
+    # through subnormal numbers to zero within 300 steps.
+    A_K = stable_matrix(np.random.default_rng(60 + n), n, radius=radius)
+    tiny = np.finfo(np.float64).tiny
+    ref = np.eye(n)
+    subnormal = False
+    for k_f in range(1, 301):
+        ref = ref @ A_K
+        phi = _chain_power(A_K, k_f)
+        assert np.array_equal(phi, ref), k_f
+        assert np.array_equal(np.signbit(phi), np.signbit(ref)), k_f
+        subnormal |= bool(np.any((ref != 0.0) & (np.abs(ref) < tiny)))
+    assert subnormal == (radius < 0.1)
 
 
 def power_list_solve(prob, ric, gram):

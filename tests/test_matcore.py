@@ -11,6 +11,7 @@ from hamlq.matcore import (
     EPS,
     ToleranceConfig,
     as_matrix,
+    fro_norm,
     rank,
     solve_linear,
 )
@@ -147,3 +148,17 @@ def test_rank_tolerance_override():
 
 def test_default_tol_is_shared_instance():
     assert DEFAULT_TOL == ToleranceConfig()
+
+
+def test_fro_norm_equals_numpy_norm_bitwise():
+    # fro_norm takes np.linalg.norm's own path; the operands cover every
+    # layout the solvers hand it, and entries spread over ten decades make
+    # the summation order show in the last bits.
+    rng = np.random.default_rng(31)
+    for shape in [(0, 0), (1, 1), (1, 9), (7, 3), (20, 20), (64, 33)]:
+        X = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
+        views = [X, np.asfortranarray(X), X.T, X[::2, ::3], X[::-1, ::2].T, np.asfortranarray(X)[1:, :]]
+        for V in views:
+            assert fro_norm(V) == float(np.linalg.norm(V, "fro"))
+        for v in (X.ravel(), X.ravel()[::3], X.T.ravel()[::-2]):
+            assert fro_norm(v) == float(np.linalg.norm(v))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import is_psd, random_stabilizable, unstable_modes
+from conftest import hidden_left_null_space, is_psd, random_stabilizable, unstable_modes
 from hamlq import riccati
 from hamlq.errors import NotStabilizable, SingularWeight
 from hamlq.reachdecomp import SystemQuadruple, staircase
@@ -200,3 +200,27 @@ def test_restricted_requires_reachable_modes():
     assert st.n_c == 0
     with pytest.raises(ValueError):
         SystemQuadruple(st.A_c, st.B_c, st.C_c, sys.D)
+
+
+@pytest.mark.parametrize(
+    "case, scale",
+    [("p-zero", 1.0), ("p-zero", 1e3), ("p-zero", 1e4), ("golden", 1e4)],
+)
+def test_residual_judged_against_its_terms(case, scale, golden_sys):
+    # p-zero: square invertible D, so P = 0 while C'C and L'K grow as
+    # scale^2; a residual judged against 1 + ||P|| failed on rounding alone
+    # at 1e3 and 1e4. golden: P itself grows as scale^2.
+    if case == "p-zero":
+        sys = hidden_left_null_space(np.random.default_rng(24), 2, 0, False, scale)
+        assert sys.D.shape[0] == sys.D.shape[1]
+    else:
+        sys = SystemQuadruple(golden_sys.A, golden_sys.B, scale * golden_sys.C, scale * golden_sys.D)
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    sol = solve_dare(sys)
+    Q = C.T @ C
+    P_ref = scipy.linalg.solve_discrete_are(A, B, Q, D.T @ D, s=C.T @ D)
+    assert np.max(np.abs(sol.P - P_ref)) <= 1e-9 * (1.0 + np.max(np.abs(Q)))
+    L = B.T @ sol.P @ A + D.T @ C
+    terms = [A.T @ sol.P @ A, Q, L.T @ sol.K, sol.P]
+    residual = np.linalg.norm(terms[0] + terms[1] + terms[2] - terms[3], "fro")
+    assert residual <= 1e-10 * (1.0 + max(np.linalg.norm(t, "fro") for t in terms))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import is_psd, stable_matrix, staircase_embedded
 from hamlq.errors import NotStable
+from hamlq.matcore import DEFAULT_TOL
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
 from hamlq import stablyap
@@ -173,3 +174,49 @@ def test_restricted_gain_stabilizes_reachable_part(golden_sys):
     assert K_c.shape == (2, 2)
     assert K_u.shape == (2, 2)
     assert stability_certificate(st.A_c + st.B_c @ K_c)
+
+
+def smith_reference(A_K, Q, cfg=DEFAULT_TOL):
+    """The Smith loop written with ``@`` and ``np.linalg.norm``: the arithmetic
+    ``solve_dlyap_stable`` must repeat, operation for operation."""
+    A = np.array(A_K, dtype=np.float64)
+    Qm = np.array(Q, dtype=np.float64)
+    W = 0.5 * (Qm + Qm.T)
+    E = A.copy()
+    for it in range(1, cfg.max_iter + 1):
+        update = E @ W @ E.T
+        update_norm = float(np.linalg.norm(update, "fro"))
+        W = W + update
+        W = 0.5 * (W + W.T)
+        if update_norm <= cfg.residual_tol * float(np.linalg.norm(W, "fro")):
+            return W, it
+        E = E @ E
+    raise AssertionError("reference Smith loop did not converge")
+
+
+@st.composite
+def smith_cases(draw):
+    """(A_K, Q) with n <= 30, spectral radius 0.1..0.99, each operand either
+    C-ordered or the transpose of a C-ordered matrix."""
+    n = draw(st.integers(1, 30))
+    rho = draw(st.floats(0.1, 0.99))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A_K = stable_matrix(rng, n, radius=rho)
+    G = rng.standard_normal((n, n + 1))
+    Q = G @ G.T
+    if draw(st.booleans()):
+        A_K = np.ascontiguousarray(A_K.T).T
+    if draw(st.booleans()):
+        Q = np.ascontiguousarray(Q.T).T
+    return A_K, Q
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(smith_cases())
+def test_smith_matches_reference_bitwise(case):
+    A_K, Q = case
+    W_ref, it_ref = smith_reference(A_K, Q)
+    sol = solve_dlyap_stable(A_K, Q)
+    assert sol.iterations == it_ref
+    assert np.array_equal(sol.W, W_ref)
