@@ -7,15 +7,14 @@ The package computes, for a plant (A, B) with stage cost |C x + D u|^2:
 * closed-form bases V1, V2, Vbar2 for the forward and backward solution
   families of the coupled state/costate/input relations, with rank
   diagnostics explaining when V2 loses rank,
-* finite-horizon trajectories in closed form, checked against an
-  independent stacked least-squares oracle.
+* finite-horizon trajectories in closed form from the Riccati solution and
+  the Gramian, without a backward recursion.
 """
 
 from .errors import (
     BoundaryInconsistent,
     ConvergenceFailure,
     HamlqError,
-    Infeasible,
     NotStabilizable,
     NotStable,
     SingularMatrix,
@@ -38,7 +37,6 @@ from .lqtraj import (
     Trajectory,
     TrajectoryProblem,
     cost,
-    kkt_oracle,
     solve_nonrecursive,
     stage_costs,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "SingularWeight",
     "NotStable",
     "BoundaryInconsistent",
-    "Infeasible",
     "ToleranceConfig",
     "DEFAULT_TOL",
     "SystemQuadruple",
@@ -96,7 +93,6 @@ __all__ = [
     "TrajectoryProblem",
     "Trajectory",
     "solve_nonrecursive",
-    "kkt_oracle",
     "cost",
     "stage_costs",
     "GoldenResult",

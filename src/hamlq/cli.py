@@ -12,7 +12,7 @@ Three subcommands:
 Input files hold a single JSON object with row-major matrices, e.g.
 ``{"A": [[...]], "B": [[...]], "C": [[...]], "D": [[...]]}``. Exit codes:
 0 success, 1 reference check failed, 2 invalid input, 3 assumption
-violation, 4 convergence failure, 5 endpoint/boundary infeasible.
+violation, 4 convergence failure, 5 boundary system inconsistent.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     BoundaryInconsistent,
     ConvergenceFailure,
-    Infeasible,
     NotStabilizable,
     NotStable,
     SingularWeight,
@@ -248,7 +247,7 @@ def main(argv=None) -> int:
     except (ConvergenceFailure, NotStable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (BoundaryInconsistent, Infeasible) as exc:
+    except BoundaryInconsistent as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
 

@@ -39,7 +39,3 @@ class NotStable(HamlqError):
 
 class BoundaryInconsistent(HamlqError):
     """The two-point boundary system has no solution within tolerance."""
-
-
-class Infeasible(HamlqError):
-    """The requested terminal state is not reachable within the horizon."""

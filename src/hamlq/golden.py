@@ -118,9 +118,14 @@ def _max_deviation(computed: np.ndarray, reference: np.ndarray):
     return float(dev[i, j]), (int(i) + 1, int(j) + 1)
 
 
-def _largest_angle(computed: np.ndarray, reference: np.ndarray) -> float:
-    qa = scipy.linalg.orth(computed)
-    qb = scipy.linalg.orth(reference)
+def _largest_angle(computed: np.ndarray, reference: np.ndarray, cfg: ToleranceConfig) -> float:
+    """Largest principal angle between the column spans, ranks cut as ``cfg`` says.
+
+    ``orth`` drops singular values at or below ``cfg.rank_tol_factor *
+    max(shape)`` times the largest, SciPy's own cutoff at ``DEFAULT_TOL``.
+    """
+    qa = scipy.linalg.orth(computed, rcond=cfg.rank_tol_factor * max(computed.shape))
+    qb = scipy.linalg.orth(reference, rcond=cfg.rank_tol_factor * max(reference.shape))
     if qa.shape[1] != qb.shape[1]:
         return float(np.pi / 2)
     if qa.shape[1] == 0:
@@ -150,8 +155,8 @@ def golden_check(
     fallback = None
     ang2 = angb = None
     if not entrywise:
-        ang2 = _largest_angle(bundle.bases.V2, REFERENCE_V2)
-        angb = _largest_angle(bundle.bases.Vbar2, REFERENCE_VBAR2)
+        ang2 = _largest_angle(bundle.bases.V2, REFERENCE_V2, cfg)
+        angb = _largest_angle(bundle.bases.Vbar2, REFERENCE_VBAR2, cfg)
         fallback = (
             ang2 <= ANGLE_TOL and angb <= ANGLE_TOL and max_residual <= RESIDUAL_TOL
         )

@@ -15,9 +15,7 @@ so a solve reduces to one 2n-by-2n boundary system in ``(a, b)``. The two
 mode sequences ``A_K^k a`` and ``(A_K')^j b`` are then filled by doubling:
 each round multiplies the rows already known by the next power ``A_K^{2^i}``,
 so propagation costs about ``log2 k_f`` stacked products and ``O(k_f n)``
-memory, the size of the output. One independent oracle cross-checks it
-for both endpoint kinds: a dense least-squares solve over the stacked input
-sequence, equality-constrained when the endpoint is fixed.
+memory, the size of the output.
 """
 
 from __future__ import annotations
@@ -25,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import BoundaryInconsistent, Infeasible
+from .errors import BoundaryInconsistent
 from .matcore import DEFAULT_TOL, ToleranceConfig, fro_norm
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 from .reachdecomp import SystemQuadruple
@@ -38,7 +35,6 @@ __all__ = [
     "TrajectoryProblem",
     "Trajectory",
     "solve_nonrecursive",
-    "kkt_oracle",
     "cost",
     "stage_costs",
 ]
@@ -83,16 +79,16 @@ class Trajectory:
     """State, costate and input sequences with the achieved cost.
 
     ``x`` and ``p`` have ``k_f + 1`` rows (steps 0..k_f), ``u`` has ``k_f``
-    rows. ``alpha`` and ``beta`` are the causal/anticausal parameters when
-    the trajectory came from the nonrecursive solver, ``None`` otherwise.
+    rows. ``alpha`` and ``beta`` are the causal and anticausal parameters
+    the sequences are propagated from.
     """
 
     x: np.ndarray
     p: np.ndarray
     u: np.ndarray
     J: float
-    alpha: np.ndarray | None = None
-    beta: np.ndarray | None = None
+    alpha: np.ndarray
+    beta: np.ndarray
 
 
 def stage_costs(traj: Trajectory, sys: SystemQuadruple) -> np.ndarray:
@@ -104,15 +100,6 @@ def stage_costs(traj: Trajectory, sys: SystemQuadruple) -> np.ndarray:
 def cost(traj: Trajectory, sys: SystemQuadruple) -> float:
     """Recompute the objective from scratch."""
     return float(stage_costs(traj, sys).sum())
-
-
-def _lstsq(M: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``M z = rhs``.
-
-    Singular values at or below ``cfg.rank_tol_factor * max(M.shape)`` times
-    the largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
-    """
-    return np.linalg.lstsq(M, rhs, rcond=cfg.rank_tol_factor * max(M.shape))[0]
 
 
 def _chain_power(A_K: np.ndarray, k_f: int) -> np.ndarray:
@@ -205,7 +192,9 @@ def solve_nonrecursive(
         M[n:, n:] = W
         rhs[n:] = prob.xf
 
-    z = _lstsq(M, rhs, cfg)
+    # Singular values at or below ``cfg.rank_tol_factor * max(M.shape)`` times
+    # the largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
+    z = np.linalg.lstsq(M, rhs, rcond=cfg.rank_tol_factor * max(M.shape))[0]
     residual = fro_norm(M @ z - rhs)
     scale = 1.0 + fro_norm(rhs) + fro_norm(M) * fro_norm(z)
     if residual > cfg.residual_tol * scale:
@@ -228,85 +217,5 @@ def solve_nonrecursive(
     u += (bwd[:-1] @ u_gain.T)[::-1]
 
     traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
-    traj.J = cost(traj, sysq)
-    return traj
-
-
-def kkt_oracle(prob: TrajectoryProblem, cfg: ToleranceConfig = DEFAULT_TOL) -> Trajectory:
-    """Dense least-squares oracle over the stacked input sequence, either endpoint.
-
-    The stacked outputs are ``y = M_u u + y0`` with ``M_u`` block Toeplitz
-    in the Markov blocks ``H_0 = D``, ``H_i = C A^{i-1} B``. A fixed endpoint
-    restricts ``u`` to ``u_part + N z``, with ``u_part`` the minimum-norm
-    solution of the endpoint constraint ``G u = xf - A^{k_f} x0`` and ``N``
-    an orthonormal basis of the null space of ``G``; a free endpoint takes
-    ``u_part = 0`` and ``N = I``. The minimum-norm ``z`` minimizing
-    ``|M_u (u_part + N z) + y0|`` then gives the minimum-norm optimal input.
-    Costates run the adjoint recursion ``p_k = C' y_k + A' p_{k+1}`` from
-    ``p_{k_f} = 0`` (free endpoint) or from the terminal costate that best
-    fits the stationarity rows ``D' y_k + B' p_{k+1} = 0`` (fixed endpoint).
-    Every rank cutoff is ``cfg.rank_tol_factor * max(shape)`` relative to
-    the largest singular value.
-
-    Raises
-    ------
-    Infeasible
-        ``xf`` is not reachable from ``x0`` in ``k_f`` steps.
-    """
-    sysq, k_f = prob.sys, prob.k_f
-    A, B, C, D = sysq.A, sysq.B, sysq.C, sysq.D
-    n, m, p_dim = sysq.n, sysq.m, sysq.p
-
-    # One recurrence fills A^i [B  x0] for i = 0..k_f.
-    AX = np.empty((k_f + 1, n, m + 1))
-    AX[0] = np.column_stack([B, prob.x0])
-    for i in range(k_f):
-        AX[i + 1] = A @ AX[i]
-    AiB, Aix = AX[:, :, :m], AX[:, :, m]
-
-    # Block (k, j) of M_u is H_{k-j}; blocks above the diagonal index the
-    # trailing zero block.
-    H = np.concatenate([D[None], C @ AiB[: k_f - 1], np.zeros((1, p_dim, m))])
-    lag = np.subtract.outer(np.arange(k_f), np.arange(k_f))
-    M_u = H[np.where(lag >= 0, lag, k_f)].transpose(0, 2, 1, 3).reshape(k_f * p_dim, k_f * m)
-    y0 = (Aix[:k_f] @ C.T).ravel()
-
-    if prob.free_terminal:
-        u_part, N = np.zeros(k_f * m), np.eye(k_f * m)
-    else:
-        # Block j of G is A^{k_f-1-j} B.
-        G = AiB[k_f - 1 :: -1].transpose(1, 0, 2).reshape(n, k_f * m)
-        r = prob.xf - Aix[k_f]
-        u_part = _lstsq(G, r, cfg)
-        gap = float(np.linalg.norm(G @ u_part - r))
-        if gap > cfg.residual_tol * (1.0 + float(np.linalg.norm(r))):
-            raise Infeasible(
-                f"terminal state misses by {gap:.3e}: endpoint not attainable "
-                "from x0 in k_f steps"
-            )
-        N = scipy.linalg.null_space(G, rcond=cfg.rank_tol_factor * max(G.shape))
-    z = _lstsq(M_u @ N, -(M_u @ u_part + y0), cfg)
-    u = (u_part + N @ z).reshape(k_f, m)
-
-    x = np.empty((k_f + 1, n))
-    x[0] = prob.x0
-    for k in range(k_f):
-        x[k + 1] = A @ x[k] + B @ u[k]
-    y = x[:-1] @ C.T + u @ D.T
-
-    def adjoint(p_end):
-        p = np.empty((k_f + 1, n))
-        p[k_f] = p_end
-        for k in range(k_f - 1, -1, -1):
-            p[k] = C.T @ y[k] + A.T @ p[k + 1]
-        return p
-
-    p = adjoint(np.zeros(n))
-    if not prob.free_terminal:
-        # p_{k+1} moves by (A')^{k_f-1-k} p_end, so the stationarity rows in
-        # p_end have coefficient matrix G'.
-        p = adjoint(_lstsq(G.T, -(y @ D + p[1:] @ B).ravel(), cfg))
-
-    traj = Trajectory(x=x, p=p, u=u, J=0.0)
     traj.J = cost(traj, sysq)
     return traj

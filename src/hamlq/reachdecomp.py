@@ -110,9 +110,9 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     deterministically:
 
     * if the reachable subspace is already spanned by the leading ``n_c``
-      coordinate axes (the Krylov matrix has numerically zero rows below
-      them), ``T`` is the identity, so systems supplied in staircase form
-      keep their coordinates;
+      coordinate axes (no entry of the Krylov matrix below them exceeds
+      ``cfg.abs_zero_tol`` times its largest entry), ``T`` is the identity,
+      so systems supplied in staircase form keep their coordinates;
     * otherwise ``T`` comes from a column-pivoted Householder QR of the
       Krylov matrix (pivot on the largest remaining column norm).
 
@@ -124,7 +124,7 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     kry = reachability_matrix(A, B)
     n_c = rank(kry, cfg)
 
-    row_tol = cfg.abs_zero_tol * (1.0 + (float(np.max(np.abs(kry))) if kry.size else 0.0))
+    row_tol = cfg.abs_zero_tol * float(np.max(np.abs(kry)))
     bottom = kry[n_c:, :]
     if bottom.size == 0 or float(np.max(np.abs(bottom))) <= row_tol:
         T = np.eye(n)
@@ -148,10 +148,15 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
 
 
 def zero_row_indices(M, cfg: ToleranceConfig = DEFAULT_TOL) -> list[int]:
-    """1-based indices of rows with infinity norm below the zero threshold."""
+    """1-based indices of the rows of ``M`` that are zero relative to ``max|M|``.
+
+    A row is zero when its infinity norm is at most ``cfg.abs_zero_tol *
+    max|M|``, so scaling ``M`` keeps its zero rows; every row of the zero
+    matrix is zero.
+    """
     M = as_matrix(M, "M")
     if M.size == 0:
         return []
-    tol = cfg.abs_zero_tol * (1.0 + float(np.max(np.abs(M))))
-    row_norms = np.max(np.abs(M), axis=1) if M.shape[1] else np.zeros(M.shape[0])
+    tol = cfg.abs_zero_tol * float(np.max(np.abs(M)))
+    row_norms = np.max(np.abs(M), axis=1)
     return [int(i) + 1 for i in np.nonzero(row_norms <= tol)[0]]

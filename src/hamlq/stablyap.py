@@ -48,7 +48,8 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
     A_K : (n, n) array_like
         Closed-loop matrix; must have spectral radius below one.
     Q : (n, n) array_like
-        Symmetric positive semidefinite forcing term.
+        Positive semidefinite forcing term; only its symmetric part
+        ``(Q + Q') / 2`` is used.
     cfg : ToleranceConfig
         ``residual_tol`` controls the stopping test (update norm relative to
         the current iterate); ``max_iter`` bounds the number of doublings.
@@ -111,10 +112,9 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> Gramian
     Solves ``A_K W A_K' + B Rw^{-1} B' = W`` for the feedback data in
     ``ric``. In the reachability basis the solution has the block form
     ``diag(W_c, 0)`` with a positive definite reachable block.
+    ``solve_dlyap_stable`` symmetrizes the forcing ``B Rw^{-1} B'``.
     """
-    forcing = sys.B @ ric.Rw_inv_Bt
-    forcing = 0.5 * (forcing + forcing.T)
-    return solve_dlyap_stable(ric.A_K, forcing, cfg)
+    return solve_dlyap_stable(ric.A_K, sys.B @ ric.Rw_inv_Bt, cfg)
 
 
 def stability_certificate(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:

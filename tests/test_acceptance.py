@@ -20,11 +20,12 @@ from hamlq.hamsubspace import (
     residuals_v1,
     residuals_v2,
 )
-from hamlq.lqtraj import TrajectoryProblem, kkt_oracle, solve_nonrecursive
+from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive
 from hamlq.matcore import rank
 from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
+from oracle import kkt_oracle
 
 ROOT = (1.0 + np.sqrt(65.0)) / 8.0
 

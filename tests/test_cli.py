@@ -8,9 +8,10 @@ import hamlq.cli as cli
 from hamlq.errors import ConvergenceFailure
 from hamlq.golden import golden_system
 from hamlq.hamsubspace import DimensionReport
-from hamlq.lqtraj import TrajectoryProblem, kkt_oracle
+from hamlq.lqtraj import TrajectoryProblem
 from hamlq.matcore import DEFAULT_TOL
 from hamlq.reachdecomp import SystemQuadruple
+from oracle import kkt_oracle
 
 
 @pytest.fixture()

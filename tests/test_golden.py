@@ -1,4 +1,8 @@
+import dataclasses
+
 import numpy as np
+import pytest
+import scipy.linalg
 
 from hamlq.golden import (
     ANGLE_TOL,
@@ -8,8 +12,15 @@ from hamlq.golden import (
     golden_check,
     golden_system,
 )
-from hamlq.matcore import rank
+from hamlq.matcore import DEFAULT_TOL, rank
 from hamlq.reachdecomp import SystemQuadruple
+
+
+def bumped_golden():
+    base = golden_system()
+    A = base.A.copy()
+    A[0, 0] += 1e-3
+    return SystemQuadruple(A=A, B=base.B, C=base.C, D=base.D)
 
 
 def test_golden_system_shape():
@@ -43,11 +54,7 @@ def test_golden_check_passes():
 
 
 def test_golden_check_reports_deviation_location():
-    base = golden_system()
-    A = base.A.copy()
-    A[0, 0] += 1e-3
-    bumped = SystemQuadruple(A=A, B=base.B, C=base.C, D=base.D)
-    res = golden_check(bumped)
+    res = golden_check(bumped_golden())
     assert not res.entrywise_pass
     assert res.max_dev_v2 > ENTRYWISE_TOL or res.max_dev_vbar2 > ENTRYWISE_TOL
     # on entrywise failure the subspace fallback is evaluated and reported
@@ -58,6 +65,22 @@ def test_golden_check_reports_deviation_location():
     assert not res.passed or res.fallback_pass
     loc = res.loc_v2
     assert 1 <= loc[0] <= 10 and 1 <= loc[1] <= 4
+
+
+def test_fallback_rank_cutoff_follows_cfg():
+    # V2 is 10 x 4 with singular values 2.6, 0.46, 0.066, 0: a factor of 0.01
+    # cuts at 0.1 sigma_max, so the fallback compares the leading planes.
+    sys = bumped_golden()
+    cfg = dataclasses.replace(DEFAULT_TOL, rank_tol_factor=0.01)
+    res = golden_check(sys, cfg)
+    assert res.fallback_pass is not None
+
+    def plane(M):
+        return np.linalg.svd(M)[0][:, :2]
+
+    want = np.max(scipy.linalg.subspace_angles(plane(res.bundle.bases.V2), plane(REFERENCE_V2)))
+    assert res.max_angle_v2 == pytest.approx(want, rel=1e-9)
+    assert res.max_angle_v2 != golden_check(sys).max_angle_v2
 
 
 def test_fallback_tolerances_are_pinned():

@@ -129,6 +129,16 @@ def test_analyze_ranks_do_not_depend_on_cost_scale(golden_sys, scale):
     assert (rep.rank_v1, rep.rank_v2, rep.rank_vbar2) == (4, 3, 4)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-11, 1e-12])
+def test_analyze_zero_rows_do_not_depend_on_plant_scale(golden_sys, scale):
+    # The one zero row of A_u explains the drop of one in rank V2; a small A
+    # must not add a second.
+    g = golden_sys
+    rep = analyze(SystemQuadruple(A=scale * g.A, B=g.B, C=g.C, D=g.D)).report
+    assert rep.zero_rows_Au == [2]
+    assert rep.rank_deficiency_v2 == 1
+
+
 def test_analyze_makes_one_rank_decision(golden_sys, monkeypatch):
     calls = []
 

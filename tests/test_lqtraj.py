@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import full_column_rank_D, random_stabilizable, stable_matrix
-from hamlq.errors import BoundaryInconsistent, Infeasible
+from hamlq.errors import BoundaryInconsistent
 from hamlq.lqtraj import (
     TrajectoryProblem,
     _chain_power,
     cost,
-    kkt_oracle,
     solve_nonrecursive,
     stage_costs,
 )
@@ -17,6 +16,7 @@ from hamlq.matcore import solve_linear
 from hamlq.reachdecomp import SystemQuadruple
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
+from oracle import Infeasible, kkt_oracle
 
 ROOT = (1.0 + np.sqrt(65.0)) / 8.0
 

@@ -120,6 +120,30 @@ def test_zero_row_indices():
     assert zero_row_indices(np.zeros((0, 0))) == []
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20])
+def test_zero_row_indices_is_relative(scale):
+    # golden's A_u; an absolute threshold calls its first row zero at 1e-12
+    assert zero_row_indices(scale * np.array([[0.5, 0.0], [0.0, 0.0]])) == [2]
+    assert zero_row_indices(scale * np.array([[1.0, 0.0], [0.0, 1e-13]])) == [2]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-13])
+def test_staircase_identity_test_is_relative(scale):
+    # Rotated input must not keep T = I because A and B are small: with an
+    # absolute threshold the unreachable block of T'AT is 0.53 max|A| at 1e-13.
+    s = staircase_embedded(np.random.default_rng(6), 3, 2, rotate=True)
+    small = SystemQuadruple(A=scale * s.A, B=scale * s.B, C=s.C, D=s.D)
+    st = staircase(small)
+    assert st.n_c == 3
+    assert not np.array_equal(st.T, np.eye(small.n))
+    At = st.T.T @ small.A @ st.T
+    assert np.max(np.abs(At[3:, :3])) <= 1e-10 * np.max(np.abs(small.A))
+    # input already in staircase form keeps its coordinates at any scale
+    plain = staircase_embedded(np.random.default_rng(6), 3, 2)
+    st = staircase(SystemQuadruple(A=scale * plain.A, B=scale * plain.B, C=plain.C, D=plain.D))
+    assert np.array_equal(st.T, np.eye(plain.n))
+
+
 def test_random_orthogonal_is_orthogonal():
     rng = np.random.default_rng(9)
     Q = random_orthogonal(rng, 5)
