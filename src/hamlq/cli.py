@@ -43,18 +43,28 @@ from .stablyap import closed_loop_gramian
 
 __all__ = ["main", "run"]
 
+# Exit code of each error a subcommand reports; the first matching row wins,
+# and an error no row names propagates. json.JSONDecodeError is a ValueError.
+_EXIT_CODES = {
+    OSError: 2,
+    ValueError: 2,
+    NotStabilizable: 3,
+    SingularWeight: 3,
+    ConvergenceFailure: 4,
+    NotStable: 4,
+    BoundaryInconsistent: 5,
+}
+
 
 def load_system(path: str) -> SystemQuadruple:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("input must be a JSON object with matrices A, B, C, D")
-    mats = {}
-    for name in ("A", "B", "C", "D"):
+    for name in "ABCD":
         if name not in doc:
             raise ValueError(f"input is missing matrix {name}")
-        mats[name] = doc[name]
-    return SystemQuadruple(A=mats["A"], B=mats["B"], C=mats["C"], D=mats["D"])
+    return SystemQuadruple(A=doc["A"], B=doc["B"], C=doc["C"], D=doc["D"])
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
@@ -67,10 +77,12 @@ def _parse_vector(text: str, name: str) -> np.ndarray:
     return np.array(values)
 
 
-def _tolerances(args) -> ToleranceConfig:
-    if getattr(args, "tol", None) is not None:
-        return dataclasses.replace(DEFAULT_TOL, rank_tol_factor=args.tol)
-    return DEFAULT_TOL
+def _system_and_tolerances(args) -> tuple[SystemQuadruple, ToleranceConfig]:
+    """The ``input`` system and the ``--tol`` policy both subcommands share."""
+    cfg = DEFAULT_TOL
+    if args.tol is not None:
+        cfg = dataclasses.replace(DEFAULT_TOL, rank_tol_factor=args.tol)
+    return load_system(args.input), cfg
 
 
 def _residual_dict(res) -> dict:
@@ -82,8 +94,7 @@ def _residual_dict(res) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _tolerances(args)
-    sysq = load_system(args.input)
+    sysq, cfg = _system_and_tolerances(args)
     bundle = analyze(sysq, cfg)
     doc = dataclasses.asdict(bundle.report)
     doc["residuals"] = {
@@ -113,34 +124,27 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _trajectory_csv(traj, sysq) -> str:
+def _trajectory_csv(sysq, x: list, p: list, u: list, costs: list, J: float) -> str:
+    """One row per step 0..k_f, then the total; the terminal step has no
+    input and no stage cost, so its cells are empty."""
     n, m = sysq.n, sysq.m
-    costs = stage_costs(traj, sysq)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = (
+    writer.writerow(
         ["k"]
         + [f"x{i}" for i in range(1, n + 1)]
         + [f"p{i}" for i in range(1, n + 1)]
         + [f"u{i}" for i in range(1, m + 1)]
         + ["stage_cost"]
     )
-    writer.writerow(header)
-    k_f = traj.u.shape[0]
-    for k in range(k_f + 1):
-        row = [k] + [repr(float(v)) for v in traj.x[k]] + [repr(float(v)) for v in traj.p[k]]
-        if k < k_f:
-            row += [repr(float(v)) for v in traj.u[k]] + [repr(float(costs[k]))]
-        else:
-            row += [""] * m + [""]
-        writer.writerow(row)
-    writer.writerow(["total"] + [""] * (2 * n + m) + [repr(float(traj.J))])
+    steps = zip(x, p, u + [[""] * m], costs + [""])
+    writer.writerows([k, *xk, *pk, *uk, ck] for k, (xk, pk, uk, ck) in enumerate(steps))
+    writer.writerow(["total"] + [""] * (2 * n + m) + [J])
     return buf.getvalue()
 
 
 def cmd_trajectory(args) -> int:
-    cfg = _tolerances(args)
-    sysq = load_system(args.input)
+    sysq, cfg = _system_and_tolerances(args)
     x0 = _parse_vector(args.x0, "--x0")
     xf = _parse_vector(args.xf, "--xf") if args.xf is not None else None
     prob = TrajectoryProblem(sys=sysq, x0=x0, k_f=args.kf, xf=xf)
@@ -149,43 +153,41 @@ def cmd_trajectory(args) -> int:
     gram = closed_loop_gramian(sysq, ric, cfg)
     traj = solve_nonrecursive(prob, ric, gram, cfg)
 
+    # csv writes a float with str(), the same shortest round-trip text that
+    # json.dumps writes, so both formats print the same digits.
+    x, p, u = traj.x.tolist(), traj.p.tolist(), traj.u.tolist()
+    costs = stage_costs(traj, sysq).tolist()
     if args.format == "json":
-        out = json.dumps(
-            {
-                "k_f": prob.k_f,
-                "x": traj.x.tolist(),
-                "p": traj.p.tolist(),
-                "u": traj.u.tolist(),
-                "stage_costs": stage_costs(traj, sysq).tolist(),
-                "J": traj.J,
-                "alpha": traj.alpha.tolist(),
-                "beta": traj.beta.tolist(),
-            },
-            indent=2,
-        )
+        doc = {
+            "k_f": prob.k_f,
+            "x": x,
+            "p": p,
+            "u": u,
+            "stage_costs": costs,
+            "J": traj.J,
+            "alpha": traj.alpha.tolist(),
+            "beta": traj.beta.tolist(),
+        }
+        out = json.dumps(doc, indent=2) + "\n"
     else:
-        out = _trajectory_csv(traj, sysq)
+        out = _trajectory_csv(sysq, x, p, u, costs, traj.J)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out if out.endswith("\n") else out + "\n")
+            fh.write(out)
     else:
-        print(out, end="" if out.endswith("\n") else "\n")
+        sys.stdout.write(out)
     return 0
 
 
 def cmd_golden(args) -> int:
     result = golden_check()
-    if result.entrywise_pass:
-        print(
-            f"PASS (entrywise): max |dev| V2 = {result.max_dev_v2:.2e} "
-            f"at {result.loc_v2}, Vbar2 = {result.max_dev_vbar2:.2e} at {result.loc_vbar2}"
-        )
-    else:
-        print(
-            f"entrywise FAIL: max |dev| V2 = {result.max_dev_v2:.2e} at {result.loc_v2}, "
-            f"Vbar2 = {result.max_dev_vbar2:.2e} at {result.loc_vbar2}"
-        )
+    verdict = "PASS (entrywise)" if result.entrywise_pass else "entrywise FAIL"
+    print(
+        f"{verdict}: max |dev| V2 = {result.max_dev_v2:.2e} at {result.loc_v2}, "
+        f"Vbar2 = {result.max_dev_vbar2:.2e} at {result.loc_vbar2}"
+    )
+    if not result.entrywise_pass:
         verdict = "PASS" if result.fallback_pass else "FAIL"
         print(
             f"fallback (subspace) {verdict}: largest principal angle "
@@ -208,20 +210,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="structural analysis of a system file")
-    pa.add_argument("input", help="JSON file with matrices A, B, C, D")
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("input", help="JSON file with matrices A, B, C, D")
+    system.add_argument("--tol", type=float, default=None, help="rank tolerance factor override")
+
+    pa = sub.add_parser("analyze", parents=[system], help="structural analysis of a system file")
     pa.add_argument("--full", action="store_true", help="include matrices in the report")
-    pa.add_argument("--tol", type=float, default=None, help="rank tolerance factor override")
     pa.set_defaults(func=cmd_analyze)
 
-    pt = sub.add_parser("trajectory", help="solve one finite-horizon problem")
-    pt.add_argument("input", help="JSON file with matrices A, B, C, D")
+    pt = sub.add_parser("trajectory", parents=[system], help="solve one finite-horizon problem")
     pt.add_argument("--x0", required=True, help="initial state, comma separated")
     pt.add_argument("--kf", required=True, type=int, help="horizon length")
     pt.add_argument("--xf", default=None, help="terminal state, comma separated")
     pt.add_argument("--out", default=None, help="output file (default stdout)")
     pt.add_argument("--format", choices=("json", "csv"), default="csv")
-    pt.add_argument("--tol", type=float, default=None, help="rank tolerance factor override")
     pt.set_defaults(func=cmd_trajectory)
 
     pg = sub.add_parser("golden", help="check the built-in reference example")
@@ -235,21 +237,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, OSError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotStabilizable, SingularWeight) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConvergenceFailure, NotStable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except BoundaryInconsistent as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 def run() -> None:

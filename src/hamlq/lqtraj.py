@@ -40,6 +40,16 @@ __all__ = [
 ]
 
 
+def _state_vector(v, name: str, n: int) -> np.ndarray:
+    """``v`` as a finite float64 vector of length ``n`` or ``ValueError``."""
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    if v.ndim != 1 or v.shape[0] != n:
+        raise ValueError(f"{name} must be a vector of length n={n}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 @dataclass
 class TrajectoryProblem:
     """One finite-horizon problem: system, start state, horizon, endpoint.
@@ -54,20 +64,12 @@ class TrajectoryProblem:
     xf: np.ndarray | None = None
 
     def __post_init__(self):
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=np.float64))
-        if self.x0.ndim != 1 or self.x0.shape[0] != self.sys.n:
-            raise ValueError(f"x0 must be a vector of length n={self.sys.n}")
-        if not np.all(np.isfinite(self.x0)):
-            raise ValueError("x0 must be finite")
+        self.x0 = _state_vector(self.x0, "x0", self.sys.n)
         if int(self.k_f) != self.k_f or self.k_f < 1:
             raise ValueError("k_f must be a positive integer")
         self.k_f = int(self.k_f)
         if self.xf is not None:
-            self.xf = np.atleast_1d(np.asarray(self.xf, dtype=np.float64))
-            if self.xf.ndim != 1 or self.xf.shape[0] != self.sys.n:
-                raise ValueError(f"xf must be a vector of length n={self.sys.n}")
-            if not np.all(np.isfinite(self.xf)):
-                raise ValueError("xf must be finite")
+            self.xf = _state_vector(self.xf, "xf", self.sys.n)
 
     @property
     def free_terminal(self) -> bool:

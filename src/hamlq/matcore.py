@@ -75,7 +75,10 @@ DEFAULT_TOL = ToleranceConfig()
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite 2-D float64 array or raise ``ValueError``."""
-    m = np.array(a, dtype=np.float64)
+    try:
+        m = np.array(a, dtype=np.float64)
+    except TypeError as exc:  # an entry float() cannot take, such as a dict
+        raise ValueError(f"{name} has an entry that is not a number: {exc}") from exc
     if m.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import hamlq.cli as cli
-from hamlq.errors import ConvergenceFailure
+from hamlq.errors import (
+    BoundaryInconsistent,
+    ConvergenceFailure,
+    NotStabilizable,
+    NotStable,
+    SingularWeight,
+)
 from hamlq.golden import golden_system
 from hamlq.hamsubspace import DimensionReport
 from hamlq.lqtraj import TrajectoryProblem
@@ -91,6 +97,17 @@ def test_analyze_bad_dimensions(tmp_path, capsys):
     assert "B" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "B, D",
+    [({"x": 1}, [[1.0]]), ([[1.0, {}]], [[1.0, 0.0]])],
+    ids=["object-matrix", "object-entry"],
+)
+def test_analyze_non_numeric_entry(tmp_path, capsys, B, D):
+    path = write_system(tmp_path, "obj.json", A=[[0.5]], B=B, C=[[1.0]], D=D)
+    assert cli.main(["analyze", path]) == 2
+    assert capsys.readouterr().err.startswith("error: B ")
+
+
 def test_analyze_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -112,13 +129,27 @@ def test_analyze_singular_weight(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
-def test_analyze_convergence_failure_exit(golden_file, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ConvergenceFailure, 4),
+        (NotStable, 4),
+        (NotStabilizable, 3),
+        (SingularWeight, 3),
+        (BoundaryInconsistent, 5),
+        (ValueError, 2),
+        (OSError, 2),
+    ],
+)
+def test_analyze_convergence_failure_exit(golden_file, monkeypatch, capsys, error, code):
     def boom(sysq, cfg):
-        raise ConvergenceFailure("iteration stalled")
+        raise error("iteration stalled")
 
     monkeypatch.setattr(cli, "analyze", boom)
-    assert cli.main(["analyze", golden_file]) == 4
-    assert "iteration stalled" in capsys.readouterr().err
+    assert cli.main(["analyze", golden_file]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "error: iteration stalled\n"
+    assert captured.out == ""
 
 
 def test_trajectory_csv(golden_file, capsys):

@@ -58,8 +58,10 @@ def test_problem_validation():
         TrajectoryProblem(sys, np.zeros(2), 0)
     with pytest.raises(ValueError, match="xf"):
         TrajectoryProblem(sys, np.zeros(2), 5, xf=np.zeros(1))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="x0 must be finite"):
         TrajectoryProblem(sys, np.array([np.inf, 0.0]), 5)
+    with pytest.raises(ValueError, match="xf must be finite"):
+        TrajectoryProblem(sys, np.zeros(2), 5, xf=np.array([0.0, np.nan]))
     assert TrajectoryProblem(sys, np.zeros(2), 5).free_terminal
     assert not TrajectoryProblem(sys, np.zeros(2), 5, xf=np.ones(2)).free_terminal
 

@@ -59,6 +59,16 @@ def test_as_matrix_rejects_bad_input():
     assert M.dtype == np.float64
 
 
+@pytest.mark.parametrize("entries", [{"x": 1}, [[1.0, {}]]])
+def test_as_matrix_names_the_matrix_with_a_non_numeric_entry(entries):
+    with pytest.raises(ValueError, match="^B has an entry that is not a number"):
+        as_matrix(entries, "B")
+
+
+def test_as_matrix_accepts_numeric_strings():
+    np.testing.assert_array_equal(as_matrix([["1", "2.5"]], "M"), [[1.0, 2.5]])
+
+
 def test_solve_linear_identity():
     X = solve_linear(np.eye(2), np.array([[3.0], [7.0]]))
     np.testing.assert_allclose(X, [[3.0], [7.0]])

@@ -12,9 +12,12 @@ trajectory, built by this checkout's ``perfbench/workloads.py``. It records
 the three bases, both residual triples and every ``DimensionReport`` field
 of each analysis; the same Riccati and Gramian data of each trajectory
 system; ``x``, ``p``, ``u``, ``J``, ``alpha`` and ``beta`` of each
-trajectory; and the type and message of every error raised. Run it once
-per tree, each in its own process, with the same BLAS build and thread
-count (it pins one thread, as the benchmark does).
+trajectory; the type and message of every error raised; and the exit code
+and stdout bytes of the benchmark's four ``cli_items`` (``golden --report``,
+``analyze --full``, and ``trajectory --kf 5000`` as CSV and as JSON), run
+in-process on files written to a temporary directory. Run it once per tree,
+each in its own process, with the same BLAS build and thread count (it pins
+one thread, as the benchmark does).
 
 ``compare`` requires the same records, ``np.array_equal`` arrays, equal
 scalars and identical errors, prints each difference, and exits non-zero if
@@ -26,6 +29,7 @@ files ``capture`` wrote.
 import os
 import pickle
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -86,6 +90,10 @@ def capture(src: str, out: str, seeds) -> None:
             records[("traj", seed, item.id)] = {
                 "x": t.x, "p": t.p, "u": t.u, "J": t.J, "alpha": t.alpha, "beta": t.beta,
             }
+        with tempfile.TemporaryDirectory() as workdir:
+            for item in workloads.cli_items(seed, Path(workdir)):
+                res = workloads.cli_inprocess(item.argv)
+                records[("cli", seed, item.id)] = {"code": res.code, "stdout": res.stdout.encode("utf-8")}
     with open(out, "wb") as fh:
         pickle.dump(records, fh)
     print(f"captured {len(records)} records for seeds {list(seeds)} from {src_dir}")
