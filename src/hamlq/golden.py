@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hamsubspace import AnalysisBundle, analyze
-from .matcore import DEFAULT_TOL, ToleranceConfig
+from .matcore import DEFAULT_TOL, ToleranceConfig, range_basis
 from .reachdecomp import SystemQuadruple
 
 __all__ = [
@@ -121,16 +120,16 @@ def _max_deviation(computed: np.ndarray, reference: np.ndarray):
 def _largest_angle(computed: np.ndarray, reference: np.ndarray, cfg: ToleranceConfig) -> float:
     """Largest principal angle between the column spans, ranks cut as ``cfg`` says.
 
-    ``orth`` drops singular values at or below ``cfg.rank_tol_factor *
-    max(shape)`` times the largest, SciPy's own cutoff at ``DEFAULT_TOL``.
+    With ``qa``, ``qb`` the leading left singular vectors it is the arcsine of
+    ``sigma_max(qb - qa qa' qb)`` (Bjorck & Golub 1973), accurate for small angles.
     """
-    qa = scipy.linalg.orth(computed, rcond=cfg.rank_tol_factor * max(computed.shape))
-    qb = scipy.linalg.orth(reference, rcond=cfg.rank_tol_factor * max(reference.shape))
-    if qa.shape[1] != qb.shape[1]:
+    ua, ra = range_basis(computed, cfg)
+    ub, rb = range_basis(reference, cfg)
+    if ra != rb:
         return float(np.pi / 2)
-    if qa.shape[1] == 0:
-        return 0.0
-    return float(np.max(scipy.linalg.subspace_angles(qa, qb)))
+    qa, qb = ua[:, :ra], ub[:, :rb]
+    sines = np.linalg.svd(qb - qa @ (qa.T @ qb), compute_uv=False)
+    return float(np.arcsin(min(sines.max(initial=0.0), 1.0)))
 
 
 def golden_check(

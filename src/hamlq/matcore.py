@@ -13,7 +13,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import ConvergenceFailure, SingularMatrix
 
@@ -28,6 +27,7 @@ __all__ = [
     "residual_norms",
     "solve_linear",
     "rank",
+    "range_basis",
 ]
 
 
@@ -77,7 +77,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite 2-D float64 array or raise ``ValueError``."""
     try:
         m = np.array(a, dtype=np.float64)
-    except TypeError as exc:  # an entry float() cannot take, such as a dict
+    except (TypeError, ValueError) as exc:  # a dict, a ragged row, a non-numeric string
         raise ValueError(f"{name} has an entry that is not a number: {exc}") from exc
     if m.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got ndim={m.ndim}")
@@ -115,40 +115,47 @@ def _max_abs(m: np.ndarray) -> float:
 
 
 def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Solve ``M @ X = rhs`` by LU elimination with row pivoting.
+    """Solve ``M @ X = rhs`` for a symmetric positive definite ``M``.
 
     ``rhs`` may be a vector or a matrix with matching row count. Raises
-    ``SingularMatrix`` when any pivot magnitude falls below
-    ``abs_zero_tol * max|M|``. Calls LAPACK ``dgetrf`` and ``dgetrs``, the
-    routines ``scipy.linalg.lu_factor`` and ``lu_solve`` wrap, directly.
+    ``SingularMatrix`` when the Cholesky factorization of ``M`` fails or its
+    smallest squared pivot falls below ``abs_zero_tol * max|M|``. The solve
+    is ``np.linalg.solve``; a matrix result is returned Fortran-ordered,
+    because the layout of a gain decides how later products with it round.
     """
     M = as_matrix(M, "M")
     n, nc = M.shape
     if n != nc:
         raise ValueError(f"M must be square, got {M.shape}")
     r = np.array(rhs, dtype=np.float64)
-    vector = r.ndim == 1
-    if vector:
-        r = r[:, None]
-    if r.ndim != 2 or r.shape[0] != n:
+    if r.ndim not in (1, 2) or r.shape[0] != n:
         raise ValueError(f"rhs row count {r.shape[0] if r.ndim else '?'} does not match M ({n})")
     if r.size and not np.isfinite(r).all():
         raise ValueError("rhs contains non-finite entries")
 
     scale = _max_abs(M)
-    min_pivot = 0.0
-    # dgetrf rejects n = 0; an exactly zero pivot, which its info flags,
-    # fails the pivot test below.
-    if scale > 0.0:
-        lu, piv, _ = dgetrf(M)
-        min_pivot = float(np.abs(lu.diagonal()).min())
+    try:
+        min_pivot = float(np.linalg.cholesky(M).diagonal().min()) ** 2 if scale else 0.0
+    except np.linalg.LinAlgError:  # not positive definite
+        min_pivot = 0.0
     if scale == 0.0 or min_pivot < cfg.abs_zero_tol * scale:
         raise SingularMatrix(
             f"matrix is singular to working tolerance (min pivot "
             f"{min_pivot:.3e}, scale {scale:.3e})"
         )
-    x, _ = dgetrs(lu, piv, r)
-    return x[:, 0] if vector else x
+    x = np.linalg.solve(M, r)
+    return x if r.ndim == 1 else np.asfortranarray(x)
+
+
+def _svd_rank(M, cfg: ToleranceConfig, compute_uv: bool):
+    """Thin SVD of ``M`` and its rank, the count of singular values above the cutoff."""
+    M = as_matrix(M, "M")
+    try:
+        out = np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"singular value iteration did not converge: {exc}") from exc
+    s = out[1] if compute_uv else out
+    return out, int(np.count_nonzero(s > s.max(initial=0.0) * max(M.shape) * cfg.rank_tol_factor))
 
 
 def rank(M, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -156,11 +163,13 @@ def rank(M, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
 
     The zero matrix has rank 0.
     """
-    M = as_matrix(M, "M")
-    try:
-        s = np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"singular value iteration did not converge: {exc}") from exc
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > s[0] * max(M.shape) * cfg.rank_tol_factor))
+    return _svd_rank(M, cfg, False)[1]
+
+
+def range_basis(M, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+    """``U`` of the thin SVD of ``M`` and ``r = rank(M, cfg)`` read off the same SVD.
+
+    ``U[:, :r]`` is an orthonormal basis of the column span of ``M``.
+    """
+    (U, _, _), r = _svd_rank(M, cfg, True)
+    return U, r

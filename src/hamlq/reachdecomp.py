@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, rank
+from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, range_basis
 
 __all__ = [
     "SystemQuadruple",
@@ -105,32 +104,28 @@ def reachability_matrix(A, B) -> np.ndarray:
 def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> StaircaseForm:
     """Orthogonal similarity transformation exposing the reachable part.
 
-    The reachable dimension ``n_c`` is the numerical rank of the Krylov
-    matrix. The basis is chosen
-    deterministically:
+    One thin SVD ``U S V'`` of the Krylov matrix gives its numerical rank
+    ``n_c`` and, as it has ``n m >= n`` columns, an ``n x n`` basis ``U``:
 
     * if the reachable subspace is already spanned by the leading ``n_c``
       coordinate axes (no entry of the Krylov matrix below them exceeds
       ``cfg.abs_zero_tol`` times its largest entry), ``T`` is the identity,
       so systems supplied in staircase form keep their coordinates;
-    * otherwise ``T`` comes from a column-pivoted Householder QR of the
-      Krylov matrix (pivot on the largest remaining column norm).
+    * otherwise ``T = U``, whose leading ``n_c`` columns span that subspace.
 
     ``n_c`` may be 0 (nothing reachable) or ``n`` (fully reachable); the
     corresponding blocks are then empty.
     """
     A, B, C = sys.A, sys.B, sys.C
-    n = sys.n
     kry = reachability_matrix(A, B)
-    n_c = rank(kry, cfg)
+    U, n_c = range_basis(kry, cfg)
 
     row_tol = cfg.abs_zero_tol * float(np.max(np.abs(kry)))
     bottom = kry[n_c:, :]
     if bottom.size == 0 or float(np.max(np.abs(bottom))) <= row_tol:
-        T = np.eye(n)
+        T = np.eye(sys.n)
     else:
-        Qfull, _, _ = scipy.linalg.qr(kry, pivoting=True, mode="full")
-        T = Qfull
+        T = U
 
     At = T.T @ A @ T
     Bt = T.T @ B

@@ -217,12 +217,9 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         )
 
     # P, Rw, L and K are the last iterate's; P needs no symmetrizing, as the
-    # Smith solution is exactly symmetric.
-    try:
-        chol = np.linalg.cholesky(Rw)
-    except np.linalg.LinAlgError as exc:
-        raise SingularWeight("innovation weight D'D + B'PB is not positive definite") from exc
-    if float(np.min(np.diag(chol)) ** 2) <= cfg.abs_zero_tol:
+    # Smith solution is exactly symmetric. The solve for K has already
+    # factored Rw, so its Cholesky factorization exists.
+    if float(np.min(np.diag(np.linalg.cholesky(Rw))) ** 2) <= cfg.abs_zero_tol:
         raise SingularWeight(
             "innovation weight D'D + B'PB has a pivot at or below the zero tolerance"
         )

@@ -99,8 +99,13 @@ def test_analyze_bad_dimensions(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "B, D",
-    [({"x": 1}, [[1.0]]), ([[1.0, {}]], [[1.0, 0.0]])],
-    ids=["object-matrix", "object-entry"],
+    [
+        ({"x": 1}, [[1.0]]),
+        ([[1.0, {}]], [[1.0, 0.0]]),
+        ([[1, [2]]], [[1.0, 0.0]]),
+        ([["abc"]], [[1.0]]),
+    ],
+    ids=["object-matrix", "object-entry", "ragged-row", "unparseable-string"],
 )
 def test_analyze_non_numeric_entry(tmp_path, capsys, B, D):
     path = write_system(tmp_path, "obj.json", A=[[0.5]], B=B, C=[[1.0]], D=D)

@@ -9,6 +9,7 @@ from hamlq.golden import (
     ENTRYWISE_TOL,
     REFERENCE_V2,
     REFERENCE_VBAR2,
+    _largest_angle,
     golden_check,
     golden_system,
 )
@@ -68,19 +69,32 @@ def test_golden_check_reports_deviation_location():
 
 
 def test_fallback_rank_cutoff_follows_cfg():
-    # V2 is 10 x 4 with singular values 2.6, 0.46, 0.066, 0: a factor of 0.01
-    # cuts at 0.1 sigma_max, so the fallback compares the leading planes.
+    # V2 is 10 x 4 with singular values 2.6, 0.46, 0.066, 0: the default
+    # factor keeps three of them, and a factor of 0.01 cuts at 0.1 sigma_max,
+    # so the fallback then compares the leading planes. Both match SciPy.
     sys = bumped_golden()
-    cfg = dataclasses.replace(DEFAULT_TOL, rank_tol_factor=0.01)
-    res = golden_check(sys, cfg)
-    assert res.fallback_pass is not None
 
-    def plane(M):
-        return np.linalg.svd(M)[0][:, :2]
+    def span(M, r):
+        return np.linalg.svd(M)[0][:, :r]
 
-    want = np.max(scipy.linalg.subspace_angles(plane(res.bundle.bases.V2), plane(REFERENCE_V2)))
-    assert res.max_angle_v2 == pytest.approx(want, rel=1e-9)
-    assert res.max_angle_v2 != golden_check(sys).max_angle_v2
+    angles = []
+    for factor, r in ((DEFAULT_TOL.rank_tol_factor, 3), (0.01, 2)):
+        res = golden_check(sys, dataclasses.replace(DEFAULT_TOL, rank_tol_factor=factor))
+        assert res.fallback_pass is not None
+        V2 = res.bundle.bases.V2
+        want = np.max(scipy.linalg.subspace_angles(span(V2, r), span(REFERENCE_V2, r)))
+        assert res.max_angle_v2 == pytest.approx(want, rel=1e-9)
+        angles.append(res.max_angle_v2)
+    assert angles[0] != angles[1]
+
+
+@pytest.mark.parametrize("reference", [REFERENCE_V2, REFERENCE_VBAR2], ids=["V2", "Vbar2"])
+def test_largest_angle_of_a_column_mixed_copy_is_rounding(reference):
+    # The sine form resolves angles down to rounding; a cosine form bottoms
+    # out near sqrt(EPS), about 1e-8 here.
+    rng = np.random.default_rng(9)
+    mixed = reference @ (rng.standard_normal((4, 4)) + 4.0 * np.eye(4))
+    assert _largest_angle(mixed, reference, DEFAULT_TOL) <= 1e-12
 
 
 def test_fallback_tolerances_are_pinned():
