@@ -80,7 +80,11 @@ def assemble_v1(ric: RiccatiSolution) -> np.ndarray:
 def assemble_vbar2(ric: RiccatiSolution, gram: GramianSolution) -> np.ndarray:
     """Backward-family basis ``[W; P W - I]``, shape (2n, n), always rank n."""
     n = ric.P.shape[0]
-    return np.vstack([gram.W, ric.P @ gram.W - np.eye(n)])
+    out = np.empty((2 * n, n))
+    out[:n] = gram.W
+    np.dot(ric.P, gram.W, out=out[n:])
+    out[n:].reshape(-1)[:: n + 1] -= 1.0  # the diagonal of P W
+    return out
 
 
 def assemble_v2(ric: RiccatiSolution, gram: GramianSolution) -> np.ndarray:
@@ -89,9 +93,11 @@ def assemble_v2(ric: RiccatiSolution, gram: GramianSolution) -> np.ndarray:
     The state and costate rows are exactly ``assemble_vbar2(ric, gram) @
     ric.A_K.T``; the input row is ``K W A_K' + Rw^{-1} B'``.
     """
-    top = assemble_vbar2(ric, gram) @ ric.A_K.T
-    input_row = ric.K @ gram.W @ ric.A_K.T + ric.Rw_inv_Bt
-    return np.vstack([top, input_row])
+    n = ric.P.shape[0]
+    out = np.empty((2 * n + ric.K.shape[0], n))
+    np.dot(assemble_vbar2(ric, gram), ric.A_K.T, out=out[: 2 * n])
+    np.add(ric.K @ gram.W @ ric.A_K.T, ric.Rw_inv_Bt, out=out[2 * n :])
+    return out
 
 
 def _relation_residuals(sys: SystemQuadruple, V: np.ndarray, V_next: np.ndarray) -> ResidualNorms:
@@ -108,12 +114,9 @@ def _relation_residuals(sys: SystemQuadruple, V: np.ndarray, V_next: np.ndarray)
     X, Lam, U = V[:n], V[n : 2 * n], V[2 * n :]
     X_next, Lam_next = V_next[:n], V_next[n:]
 
-    t_dyn = (A @ X, B @ U, X_next)
-    t_cos = (C.T @ C @ X, A.T @ Lam_next, C.T @ D @ U, Lam)
-    t_sta = (D.T @ C @ X, B.T @ Lam_next, D.T @ D @ U)
-    d, dr = residual_norms(t_dyn[0] + t_dyn[1] - X_next, t_dyn)
-    c, cr = residual_norms(t_cos[0] + t_cos[1] + t_cos[2] - Lam, t_cos)
-    s, sr = residual_norms(t_sta[0] + t_sta[1] + t_sta[2], t_sta)
+    d, dr = residual_norms(((A, X), (B, U)), X_next)
+    c, cr = residual_norms(((C.T, C, X), (A.T, Lam_next), (C.T, D, U)), Lam)
+    s, sr = residual_norms(((D.T, C, X), (B.T, Lam_next), (D.T, D, U)))
     return ResidualNorms(d, c, s, dr, cr, sr)
 
 
@@ -192,16 +195,17 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     ric = solve_dare(sys, cfg)
     gram = closed_loop_gramian(sys, ric, cfg)
 
-    V1 = assemble_v1(ric)
-    V2 = assemble_v2(ric, gram)
-    Vbar2 = assemble_vbar2(ric, gram)
-    res1 = residuals_v1(sys, V1, ric.A_K)
-    res2 = residuals_v2(sys, V2, Vbar2)
-
     # V1 and Vbar2 have rank n by construction, and ker V2 = ker [A B]' (see
     # DimensionReport), so the only rank decision is on plant data and does
     # not depend on the scale of the cost.
     rank_v2 = rank(np.hstack([sys.A, sys.B]), cfg)
+
+    # each residual triple is taken before the next basis adds to the peak
+    V1 = assemble_v1(ric)
+    res1 = residuals_v1(sys, V1, ric.A_K)
+    V2 = assemble_v2(ric, gram)
+    Vbar2 = assemble_vbar2(ric, gram)
+    res2 = residuals_v2(sys, V2, Vbar2)
 
     report = DimensionReport(
         n=sys.n,

@@ -209,14 +209,18 @@ def solve_nonrecursive(
 
     # The anticausal mode at step k is bwd[k_f - k]: products are taken on
     # bwd in storage order and reversed after, as matmul on a reversed view
-    # would skip BLAS. The sums for p and u are formed in their first term.
+    # would skip BLAS. The sums are formed in their first term, x in fwd once
+    # p and u are done; the state-sized products share one scratch buffer.
     fwd, bwd = _propagate(A_K, phi, alpha, beta, k_f)
     u_gain = K @ W @ A_K.T + ric.Rw_inv_Bt
-    x = fwd + (bwd @ W.T)[::-1]
+    scratch = np.empty_like(bwd)
     p = fwd @ P.T
-    p += (bwd @ PW_I.T)[::-1]
+    p += np.dot(bwd, PW_I.T, out=scratch)[::-1]
     u = fwd[:-1] @ K.T
     u += (bwd[:-1] @ u_gain.T)[::-1]
+    x = fwd
+    x += np.dot(bwd, W.T, out=scratch)[::-1]
+    del bwd, scratch  # free before the cost adds its own arrays
 
     traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
     traj.J = cost(traj, sysq)

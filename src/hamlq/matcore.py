@@ -8,6 +8,7 @@ concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -99,15 +100,27 @@ def fro_norm(X: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def residual_norms(residual: np.ndarray, terms) -> tuple[float, float]:
-    """Frobenius norm of ``residual`` and that norm over ``1 + max`` of the terms' norms.
+def residual_norms(products, minus: np.ndarray | None = None) -> tuple[float, float]:
+    """Frobenius norm of ``t_0 + t_1 + ... - minus``, raw and over ``1 + max`` term norm.
 
-    ``terms`` are the matrices the residual is summed from, so the relative
-    value is free of the cancellation that a scale taken from the solution
-    alone misses.
+    Term ``t_i`` is the left-to-right product of the factors ``products[i]``.
+    Each is formed, measured, added into one accumulator (a copy of ``t_0``,
+    as a term may be an input) and dropped, so one term is held at a time and
+    the sum rounds as the plain left-to-right expression does. Scaling by the
+    terms the residual is summed from, ``minus`` among them, keeps the
+    relative value free of the cancellation a scale from the solution misses.
     """
-    raw = fro_norm(residual)
-    return raw, raw / (1.0 + max(fro_norm(t) for t in terms))
+    acc, norms = None, []
+    for factors in products:
+        term = functools.reduce(np.matmul, factors)
+        norms.append(fro_norm(term))
+        acc = term.copy() if acc is None else np.add(acc, term, out=acc)
+        del term
+    if minus is not None:
+        norms.append(fro_norm(minus))
+        acc -= minus
+    raw = fro_norm(acc)
+    return raw, raw / (1.0 + max(norms))
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -147,15 +160,16 @@ def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return x if r.ndim == 1 else np.asfortranarray(x)
 
 
-def _svd_rank(M, cfg: ToleranceConfig, compute_uv: bool):
-    """Thin SVD of ``M`` and its rank, the count of singular values above the cutoff."""
+def _svd_rank(M, cfg: ToleranceConfig, compute_uv: bool, shape=None):
+    """Thin SVD of ``M`` and its rank, counted at the cutoff for ``max(shape or M.shape)``."""
     M = as_matrix(M, "M")
     try:
         out = np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"singular value iteration did not converge: {exc}") from exc
     s = out[1] if compute_uv else out
-    return out, int(np.count_nonzero(s > s.max(initial=0.0) * max(M.shape) * cfg.rank_tol_factor))
+    cutoff = s.max(initial=0.0) * max(shape or M.shape) * cfg.rank_tol_factor
+    return out, int(np.count_nonzero(s > cutoff))
 
 
 def rank(M, cfg: ToleranceConfig = DEFAULT_TOL) -> int:

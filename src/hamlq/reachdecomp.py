@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, range_basis
+from .matcore import DEFAULT_TOL, ToleranceConfig, _svd_rank, as_matrix, range_basis
 
 __all__ = [
     "SystemQuadruple",
@@ -104,13 +104,16 @@ def reachability_matrix(A, B) -> np.ndarray:
 def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> StaircaseForm:
     """Orthogonal similarity transformation exposing the reachable part.
 
-    One thin SVD ``U S V'`` of the Krylov matrix gives its numerical rank
-    ``n_c`` and, as it has ``n m >= n`` columns, an ``n x n`` basis ``U``:
+    The Krylov matrix has ``n m >= n`` columns and factors as ``R'Q'``, with
+    ``Q R`` the QR factorization of its transpose, so the ``n x n`` factor
+    ``R'`` has its singular values, which give its numerical rank ``n_c``
+    (cutoff taken at the Krylov shape ``max(n, n m)``), and its left
+    singular vectors ``U``:
 
     * if the reachable subspace is already spanned by the leading ``n_c``
       coordinate axes (no entry of the Krylov matrix below them exceeds
       ``cfg.abs_zero_tol`` times its largest entry), ``T`` is the identity,
-      so systems supplied in staircase form keep their coordinates;
+      so systems in staircase form keep their coordinates and blocks;
     * otherwise ``T = U``, whose leading ``n_c`` columns span that subspace.
 
     ``n_c`` may be 0 (nothing reachable) or ``n`` (fully reachable); the
@@ -118,18 +121,19 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     """
     A, B, C = sys.A, sys.B, sys.C
     kry = reachability_matrix(A, B)
-    U, n_c = range_basis(kry, cfg)
+    Rt = np.linalg.qr(kry.T, mode="r").T
+    n_c = _svd_rank(Rt, cfg, False, kry.shape)[1]
 
     row_tol = cfg.abs_zero_tol * float(np.max(np.abs(kry)))
     bottom = kry[n_c:, :]
     if bottom.size == 0 or float(np.max(np.abs(bottom))) <= row_tol:
         T = np.eye(sys.n)
+        At, Bt, Ct = A.copy(), B.copy(), C.copy()
     else:
-        T = U
-
-    At = T.T @ A @ T
-    Bt = T.T @ B
-    Ct = C @ T
+        T = range_basis(Rt, cfg)[0]
+        At = T.T @ A @ T
+        Bt = T.T @ B
+        Ct = C @ T
     return StaircaseForm(
         T=T,
         n_c=n_c,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import hidden_left_null_space, random_stabilizable, staircase_embedded
 from hamlq import hamsubspace
 from hamlq.hamsubspace import (
+    ResidualNorms,
     analyze,
     assemble_v1,
     assemble_v2,
@@ -13,7 +16,7 @@ from hamlq.hamsubspace import (
     residuals_v1,
     residuals_v2,
 )
-from hamlq.matcore import rank
+from hamlq.matcore import fro_norm, rank
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
@@ -275,3 +278,78 @@ def test_residuals_hold_on_random_systems():
         r1, r2 = both_residuals(sys, ric, gram)
         assert r1.max_rel <= 1e-10
         assert r2.max_rel <= 1e-10
+
+
+def test_analyze_peak_memory():
+    # The residual terms, the bases and the staircase factor are formed one
+    # at a time or in place: with every residual term held on top of all
+    # three bases the peak was about 20 n x n matrices.
+    n = 100
+    sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
+    analyze(sys)
+    tracemalloc.start()
+    try:
+        analyze(sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n * 8
+
+
+def singular_dd_n30():
+    sys = random_stabilizable(np.random.default_rng(62), 30, 3, 3, singular_D=True)
+    assert np.linalg.matrix_rank(sys.D.T @ sys.D) < sys.m
+    return sys
+
+
+@pytest.mark.parametrize("which", ["golden", "singular_dd_n30"])
+def test_bases_and_residuals_equal_plain_expressions_bitwise(which, golden_sys):
+    sys = golden_sys if which == "golden" else singular_dd_n30()
+    ric, gram = solve_all(sys)
+    n, eye = sys.n, np.eye(sys.n)
+    P, K, W, A_K = ric.P, ric.K, gram.W, ric.A_K
+    Vbar2 = assemble_vbar2(ric, gram)
+    V2 = assemble_v2(ric, gram)
+    assert np.array_equal(Vbar2, np.vstack([W, P @ W - eye]))
+    assert np.array_equal(
+        V2, np.vstack([np.vstack([W, P @ W - eye]) @ A_K.T, K @ W @ A_K.T + ric.Rw_inv_Bt])
+    )
+
+    def plain(residual, terms):
+        raw = fro_norm(residual)
+        return raw, raw / (1.0 + max(fro_norm(t) for t in terms))
+
+    def plain_triple(V, V_next):
+        A, B, C, D = sys.A, sys.B, sys.C, sys.D
+        X, Lam, U = V[:n], V[n : 2 * n], V[2 * n :]
+        X_next, Lam_next = V_next[:n], V_next[n:]
+        t_dyn = (A @ X, B @ U, X_next)
+        t_cos = (C.T @ C @ X, A.T @ Lam_next, C.T @ D @ U, Lam)
+        t_sta = (D.T @ C @ X, B.T @ Lam_next, D.T @ D @ U)
+        d = plain(t_dyn[0] + t_dyn[1] - X_next, t_dyn)
+        c = plain(t_cos[0] + t_cos[1] + t_cos[2] - Lam, t_cos)
+        s = plain(t_sta[0] + t_sta[1] + t_sta[2], t_sta)
+        return ResidualNorms(d[0], c[0], s[0], d[1], c[1], s[1])
+
+    V1 = assemble_v1(ric)
+    assert residuals_v1(sys, V1, A_K) == plain_triple(V1, V1[: 2 * n] @ A_K)
+    assert residuals_v2(sys, V2, Vbar2) == plain_triple(V2, Vbar2)
+
+
+@pytest.mark.parametrize("which", ["golden", "singular_dd_n30"])
+def test_analyze_and_residuals_leave_their_inputs_unchanged(which, golden_sys):
+    sys = golden_sys if which == "golden" else singular_dd_n30()
+    plant = [M.copy() for M in (sys.A, sys.B, sys.C, sys.D)]
+    bundle = analyze(sys)
+    ric, b, A_K = bundle.riccati, bundle.bases, bundle.riccati.A_K
+    # analyze's own residual checks ran on the bases it returns
+    assert np.array_equal(b.V1, assemble_v1(ric))
+    assert np.array_equal(b.V2, assemble_v2(ric, bundle.gramian))
+    assert np.array_equal(b.Vbar2, assemble_vbar2(ric, bundle.gramian))
+    held = [M.copy() for M in (b.V1, b.V2, b.Vbar2, A_K)]
+    residuals_v1(sys, b.V1, A_K)
+    residuals_v2(sys, b.V2, b.Vbar2)
+    for before, after in zip(plant, (sys.A, sys.B, sys.C, sys.D)):
+        assert np.array_equal(before, after)
+    for before, after in zip(held, (b.V1, b.V2, b.Vbar2, A_K)):
+        assert np.array_equal(before, after)

@@ -399,3 +399,21 @@ def test_propagation_memory_is_linear_in_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_trajectory_peak_memory_is_a_few_outputs():
+    # x, p, fwd and bwd are (k_f + 1) x n each; the anticausal products share
+    # one more such buffer and x is formed in fwd, where a separate array for
+    # every product put the peak near 5.1 (k_f + 1) n doubles
+    rng = np.random.default_rng(48)
+    sys = random_stabilizable(rng, 50, 3, 4)
+    ric, gram = solve_all(sys)
+    k_f = 4000
+    prob = TrajectoryProblem(sys, rng.standard_normal(50), k_f)
+    tracemalloc.start()
+    try:
+        solve_nonrecursive(prob, ric, gram)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6 * (k_f + 1) * 50 * 8

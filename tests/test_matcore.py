@@ -12,6 +12,7 @@ from hamlq.matcore import (
     as_matrix,
     fro_norm,
     rank,
+    residual_norms,
     solve_linear,
 )
 
@@ -171,3 +172,26 @@ def test_fro_norm_equals_numpy_norm_bitwise():
             assert fro_norm(V) == float(np.linalg.norm(V, "fro"))
         for v in (X.ravel(), X.ravel()[::3], X.T.ravel()[::-2]):
             assert fro_norm(v) == float(np.linalg.norm(v))
+
+
+def test_residual_norms_equals_the_plain_sum_and_writes_no_input():
+    # terms are summed left to right, as the plain expression does, and a
+    # term that is an input matrix (a single factor) is never accumulated into
+    rng = np.random.default_rng(32)
+    A, X, Y, Z = (rng.standard_normal((6, 6)) * 10.0 ** rng.uniform(-4, 4, (6, 6)) for _ in range(4))
+    B = rng.standard_normal((6, 2))
+    U = rng.standard_normal((2, 6))
+    inputs = [M.copy() for M in (A, X, Y, Z, B, U)]
+    cases = [
+        ([(A,), (B, U)], Z, (A, B @ U, Z), A + B @ U - Z),
+        ([(A, X), (Y,), (X.T, A, Y)], Z, (A @ X, Y, X.T @ A @ Y, Z), A @ X + Y + X.T @ A @ Y - Z),
+        ([(Y,), (A, X), (B, U)], None, (Y, A @ X, B @ U), Y + A @ X + B @ U),
+    ]
+    for products, minus, terms, residual in cases:
+        raw = fro_norm(residual)
+        assert residual_norms(products, minus) == (
+            raw,
+            raw / (1.0 + max(fro_norm(t) for t in terms)),
+        )
+    for before, after in zip(inputs, (A, X, Y, Z, B, U)):
+        assert np.array_equal(before, after)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_orthogonal, stable_matrix, staircase_embedded
-from hamlq.matcore import rank
+from hamlq.matcore import EPS, rank
 from hamlq.reachdecomp import (
     SystemQuadruple,
     reachability_matrix,
@@ -148,3 +148,48 @@ def test_random_orthogonal_is_orthogonal():
     rng = np.random.default_rng(9)
     Q = random_orthogonal(rng, 5)
     np.testing.assert_allclose(Q.T @ Q, np.eye(5), atol=1e-12)
+
+
+# (n_c, n_u, m): generic, m > n, nothing reachable, fully reachable
+STAIRCASE_SHAPES = [
+    (3, 2, 2), (4, 3, 1), (2, 1, 5), (1, 2, 4), (0, 4, 2), (0, 2, 3), (5, 0, 2), (3, 0, 6),
+]
+
+
+@pytest.mark.parametrize("n_c, n_u, m", STAIRCASE_SHAPES)
+def test_staircase_rank_and_orthogonal_basis_on_rotated_input(n_c, n_u, m):
+    rng = np.random.default_rng(100 + 10 * n_c + n_u + 100 * m)
+    for _ in range(5):
+        s = staircase_embedded(rng, n_c, n_u, m=m, rotate=True)
+        st = staircase(s)
+        assert st.n_c == rank(reachability_matrix(s.A, s.B)) == n_c
+        assert np.max(np.abs(st.T.T @ st.T - np.eye(s.n))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_c, n_u, m", STAIRCASE_SHAPES)
+def test_staircase_keeps_unrotated_input_exactly(n_c, n_u, m):
+    rng = np.random.default_rng(200 + 10 * n_c + n_u + 100 * m)
+    s = staircase_embedded(rng, n_c, n_u, m=m)
+    st = staircase(s)
+    assert st.n_c == n_c
+    assert np.array_equal(st.T, np.eye(s.n))
+    blocks = [
+        (st.A_c, s.A[:n_c, :n_c]),
+        (st.A_cu, s.A[:n_c, n_c:]),
+        (st.A_u, s.A[n_c:, n_c:]),
+        (st.B_c, s.B[:n_c]),
+        (st.C_c, s.C[:, :n_c]),
+        (st.C_u, s.C[:, n_c:]),
+    ]
+    for block, expected in blocks:
+        assert block.shape == expected.shape
+        assert np.array_equal(block, expected)
+
+
+def test_staircase_cutoff_is_taken_at_the_krylov_shape():
+    # sigma_2 / sigma_1 = 8 eps lies between the cutoff of the 2 x 2 factor
+    # (2 eps) and that of the 2 x 20 Krylov matrix (20 eps)
+    B = np.zeros((2, 10))
+    B[0, 0], B[1, 1] = 1.0, 8 * EPS
+    s = SystemQuadruple(A=np.zeros((2, 2)), B=B, C=np.ones((1, 2)), D=np.zeros((1, 10)))
+    assert staircase(s).n_c == rank(reachability_matrix(s.A, s.B)) == 1

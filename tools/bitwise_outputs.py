@@ -9,8 +9,9 @@ compare two captures for bitwise equality.
 (default 1-10), every ``analyze-mix`` item and every ``traj-many`` set-up and
 trajectory, built by this checkout's ``perfbench/workloads.py``. It records
 ``P``, ``K``, ``Rw``, ``A_K``, ``Rw_inv_Bt``, ``W``, the iteration counts,
-the three bases, both residual triples and every ``DimensionReport`` field
-of each analysis; the same Riccati and Gramian data of each trajectory
+the ``StaircaseForm`` (``T``, ``n_c`` and the six blocks ``A_c``, ``A_cu``,
+``A_u``, ``B_c``, ``C_c``, ``C_u``), the three bases, both residual triples
+and every ``DimensionReport`` field of each analysis; the same Riccati and Gramian data of each trajectory
 system; ``x``, ``p``, ``u``, ``J``, ``alpha`` and ``beta`` of each
 trajectory; the type and message of every error raised; and the exit code
 and stdout bytes of the benchmark's four ``cli_items`` (``golden --report``,
@@ -70,6 +71,7 @@ def capture(src: str, out: str, seeds) -> None:
                 records[("analyze", seed, item.id)] = _error(exc)
                 continue
             rec = _setup_record(b.riccati, b.gramian)
+            rec.update({f"staircase.{k}": v for k, v in asdict(b.staircase).items()})
             rec.update({f"bases.{k}": v for k, v in asdict(b.bases).items()})
             rec.update({f"report.{k}": v for k, v in asdict(b.report).items() if k != "tolerances"})
             rec.update({f"residuals_v1.{k}": v for k, v in asdict(b.residuals_v1).items()})
