@@ -159,7 +159,6 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = A.shape[0]
-    Q = C.T @ C
     S = C.T @ D
     R = D.T @ D
 
@@ -228,7 +227,7 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
     # The residual is judged against the largest term it is summed from, not
     # against P alone: with a square invertible D the solution is P = 0
     # while C'C and L'K grow with the cost, and their rounding is the floor.
-    residual, rel = residual_norms(((A.T, P, A), (Q,), (L.T, K)), P)
+    residual, rel = residual_norms(((A.T, P, A), (C.T, C), (L.T, K)), P)
     if rel > cfg.residual_tol:
         raise ConvergenceFailure(
             f"Riccati residual {residual:.3e} ({rel:.3e} relative) exceeds tolerance "

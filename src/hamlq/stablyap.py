@@ -43,6 +43,10 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
     starting from ``W = Q``, ``E = A_K``, which converges quadratically for
     discrete-stable ``A_K`` and symmetric positive semidefinite ``Q``.
 
+    The loop holds five ``n x n`` arrays: ``E`` (the one copy of ``A_K``,
+    C-ordered), ``W``, and buffers for ``E W``, ``E W E'`` and the next
+    ``E``. The copy of ``Q`` is dropped once ``W`` is formed.
+
     Parameters
     ----------
     A_K : (n, n) array_like
@@ -65,20 +69,24 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
         When the update norms fail to decay within ``max_iter`` doublings or
         the iterates overflow. The update-norm trace is attached.
     """
-    A = as_matrix(A_K, "A_K")
-    n, nc = A.shape
+    # Each product keeps the operand layouts of the plain expression
+    # ``E @ W @ E.T`` (C-ordered E and W), whose rounding depends on them;
+    # only the allocations are gone.
+    E = np.ascontiguousarray(as_matrix(A_K, "A_K"))
+    n, nc = E.shape
     if n != nc:
-        raise ValueError(f"A_K must be square, got {A.shape}")
+        raise ValueError(f"A_K must be square, got {E.shape}")
     Qm = as_matrix(Q, "Q")
     if Qm.shape != (n, n):
         raise ValueError(f"Q must be {n}x{n}, got {Qm.shape}")
 
-    W = 0.5 * (Qm + Qm.T)
-    # Each product keeps the operand layouts of the plain expression
-    # ``E @ W @ E.T`` (C-ordered E and W), whose rounding depends on them;
-    # only the allocations are gone.
-    E = np.ascontiguousarray(A)
-    E_next, EW, update = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    # W = (Q + Q') / 2 is formed through the EW buffer into a fresh C-ordered
+    # array, the layout the plain expression gives for either layout of Q,
+    # and the copy of Q goes before the loop's buffers exist.
+    EW = np.add(Qm, Qm.T, out=np.empty((n, n)))
+    W = np.multiply(EW, 0.5)
+    del Qm
+    E_next, update = np.empty((n, n)), np.empty((n, n))
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iter + 1):

@@ -8,6 +8,7 @@ from hamlq.errors import BoundaryInconsistent
 from hamlq.lqtraj import (
     TrajectoryProblem,
     _chain_power,
+    _propagate,
     cost,
     solve_nonrecursive,
     stage_costs,
@@ -62,6 +63,14 @@ def test_problem_validation():
         TrajectoryProblem(sys, np.array([np.inf, 0.0]), 5)
     with pytest.raises(ValueError, match="xf must be finite"):
         TrajectoryProblem(sys, np.zeros(2), 5, xf=np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="x0 has an entry that is not a number"):
+        TrajectoryProblem(sys, [{}, 0.0], 5)
+    with pytest.raises(ValueError, match="x0 has an entry that is not a number"):
+        TrajectoryProblem(sys, [1j, 0.0], 5)
+    with pytest.raises(ValueError, match="xf has an entry that is not a number"):
+        TrajectoryProblem(sys, np.zeros(2), 5, xf=[0.0, 2 + 1j])
+    with pytest.raises(ValueError, match="k_f"):
+        TrajectoryProblem(sys, np.zeros(2), True)
     assert TrajectoryProblem(sys, np.zeros(2), 5).free_terminal
     assert not TrajectoryProblem(sys, np.zeros(2), 5, xf=np.ones(2)).free_terminal
 
@@ -386,6 +395,42 @@ def test_doubling_matches_power_list_propagation(golden_sys, n):
     assert solved >= 20
 
 
+@pytest.mark.parametrize("n", [None, 3, 12])
+def test_outputs_are_plain_sums_bitwise(golden_sys, n):
+    # x, p and u must be, to the last bit and sign of zero, the plain sums of
+    # the causal and reversed anticausal products over the propagated modes;
+    # the solver forms them in place in another order of operands.
+    rng = np.random.default_rng(49 + (n or 0))
+    sys = golden_sys if n is None else random_stabilizable(rng, n, 3, 4, singular_D=n == 3)
+    ric, gram = solve_all(sys)
+    P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
+    PW_I = P @ W - np.eye(sys.n)
+    u_gain = K @ W @ A_K.T + ric.Rw_inv_Bt
+    solved = 0
+    for k_f in (1, 2, 63, 199):
+        x0 = rng.standard_normal(sys.n)
+        x = x0.copy()
+        for _ in range(k_f):
+            x = sys.A @ x + sys.B @ rng.standard_normal(sys.m)
+        for start, xf in ((x0, None), (x0, x), (-np.zeros(sys.n), None)):
+            try:
+                traj = solve_nonrecursive(TrajectoryProblem(sys, start, k_f, xf=xf), ric, gram)
+            except BoundaryInconsistent:
+                continue
+            solved += 1
+            fwd, bwd = _propagate(A_K, _chain_power(A_K, k_f), traj.alpha, traj.beta, k_f)
+            want = {
+                "x": fwd + (bwd @ W.T)[::-1],
+                "p": fwd @ P.T + (bwd @ PW_I.T)[::-1],
+                "u": fwd[:-1] @ K.T + (bwd[:-1] @ u_gain.T)[::-1],
+            }
+            for name, ref in want.items():
+                got = getattr(traj, name)
+                assert np.array_equal(got, ref), (name, k_f, xf is None)
+                assert np.array_equal(np.signbit(got), np.signbit(ref)), (name, k_f, xf is None)
+    assert solved >= 9
+
+
 def test_propagation_memory_is_linear_in_horizon():
     # a stored list of A_K powers would need (k_f + 1) n^2 doubles = 80 MB
     rng = np.random.default_rng(48)
@@ -402,18 +447,19 @@ def test_propagation_memory_is_linear_in_horizon():
 
 
 def test_trajectory_peak_memory_is_a_few_outputs():
-    # x, p, fwd and bwd are (k_f + 1) x n each; the anticausal products share
-    # one more such buffer and x is formed in fwd, where a separate array for
-    # every product put the peak near 5.1 (k_f + 1) n doubles
-    rng = np.random.default_rng(48)
-    sys = random_stabilizable(rng, 50, 3, 4)
-    ric, gram = solve_all(sys)
-    k_f = 4000
-    prob = TrajectoryProblem(sys, rng.standard_normal(50), k_f)
-    tracemalloc.start()
-    try:
-        solve_nonrecursive(prob, ric, gram)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.6 * (k_f + 1) * 50 * 8
+    # x (formed in bwd), p, fwd and one scratch buffer are (k_f + 1) x n
+    # each. Adding a reversed product in place would make numpy buffer a
+    # whole copy of it when it has under 8192 elements: about 5.6 such
+    # arrays at n = 20, k_f = 199, where this reads 4.3.
+    for n, k_f in ((50, 4000), (20, 199)):
+        rng = np.random.default_rng(48)
+        sys = random_stabilizable(rng, n, 3, 4)
+        ric, gram = solve_all(sys)
+        prob = TrajectoryProblem(sys, rng.standard_normal(n), k_f)
+        tracemalloc.start()
+        try:
+            solve_nonrecursive(prob, ric, gram)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.6 * (k_f + 1) * n * 8, (n, k_f, peak / ((k_f + 1) * n * 8))

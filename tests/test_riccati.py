@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -224,3 +225,18 @@ def test_residual_judged_against_its_terms(case, scale, golden_sys):
     terms = [A.T @ sol.P @ A, Q, L.T @ sol.K, sol.P]
     residual = np.linalg.norm(terms[0] + terms[1] + terms[2] - terms[3], "fro")
     assert residual <= 1e-10 * (1.0 + max(np.linalg.norm(t, "fro") for t in terms))
+
+
+def test_newton_peak_memory():
+    # P, A_K, the Smith forcing and the Smith buffers; holding C'C through
+    # every Newton step and a second copy of A_K' inside the Smith solve put
+    # the peak at 12.0 n x n matrices.
+    n = 100
+    sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
+    tracemalloc.start()
+    try:
+        solve_dare(sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.3 * n * n * 8

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -130,6 +131,28 @@ def test_residual_contract_random_stable():
         assert smith_residual(A_K, Q, sol.W) <= 1e-10 * (1 + np.linalg.norm(sol.W, "fro"))
         assert np.max(np.abs(sol.W - sol.W.T)) <= 1e-12 * max(1.0, np.max(np.abs(sol.W)))
         assert is_psd(sol.W)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_smith_peak_memory(transposed):
+    # E, W and three loop buffers, plus numpy's 64 KB buffer for the
+    # transposed operand of the symmetrizing add. Holding the copy of Q
+    # through the loop, and a transposed A_K's copy next to E, made it 6.8
+    # and 7.8 n x n matrices.
+    n = 100
+    rng = np.random.default_rng(63)
+    A_K = stable_matrix(rng, n, radius=0.9)
+    if transposed:
+        A_K = A_K.T
+    G = rng.standard_normal((n, n + 1))
+    Q = G @ G.T
+    tracemalloc.start()
+    try:
+        solve_dlyap_stable(A_K, Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0 * n * n * 8
 
 
 def test_golden_gramian_matches_reference_block(golden_sys):
