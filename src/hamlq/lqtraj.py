@@ -11,11 +11,12 @@ mode propagated by ``A_K'`` from the far end:
     p_k = P A_K^k a + (P W - I)(A_K')^{k_f-k} b
     u_k = K A_K^k a + (K W A_K' + Rw^{-1} B')(A_K')^{k_f-1-k} b
 
-so a solve reduces to one 2n-by-2n boundary system in ``(a, b)``. The two
-mode sequences ``A_K^k a`` and ``(A_K')^j b`` are then filled by doubling:
-each round multiplies the rows already known by the next power ``A_K^{2^i}``,
-so propagation costs about ``log2 k_f`` stacked products and ``O(k_f n)``
-memory, the size of the output.
+so a solve reduces to one boundary system in ``(a, b)``. Its leading block
+is the identity, ``a = x0 - W (A_K')^{k_f} b``, which leaves one n-by-n
+system in ``b``. The two mode sequences ``A_K^k a`` and ``(A_K')^j b`` are
+then filled by doubling: each round multiplies the rows already known by
+the next power ``A_K^{2^i}``, so propagation costs about ``log2 k_f``
+stacked products and ``O(k_f n)`` memory, the size of the output.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ __all__ = [
 
 def _state_vector(v, name: str, n: int) -> np.ndarray:
     """``v`` as a finite float64 vector of length ``n`` or ``ValueError``."""
+    if isinstance(v, (np.ndarray, np.generic)) and v.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got a complex array")
     try:
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     except (TypeError, ValueError) as exc:  # a dict, a complex number, a ragged row
@@ -154,11 +157,24 @@ def solve_nonrecursive(
 ) -> Trajectory:
     """Solve in closed form from the Riccati solution and Gramian.
 
-    The boundary system pairs the ``k = 0`` state equation with either the
-    transversality condition ``p_{k_f} = 0`` (free endpoint) or the terminal
-    state equation (fixed endpoint). It is solved by minimum-norm least
-    squares because the matrix can be singular when optimal controls are
-    nonunique; an explicit residual check guards consistency.
+    The boundary system ``M [alpha; beta] = rhs`` pairs the ``k = 0`` state
+    equation, ``alpha + W phi' beta = x0``, with either the transversality
+    condition ``p_{k_f} = 0`` (free endpoint) or the terminal state equation
+    (fixed endpoint). Its leading block is the identity, so ``alpha`` is
+    eliminated through it, ``alpha = x0 - W phi' beta``, and ``beta`` solves
+    the n-by-n system ``S beta = r``:
+
+    * fixed end: ``S = W - phi W phi'``, the ``k_f``-step closed-loop
+      Gramian ``sum_{k<k_f} A_K^k B Rw^{-1} B' (A_K')^k``, and
+      ``r = xf - phi x0``;
+    * free end: ``S = P (W - phi W phi') - I`` up to rounding, and
+      ``r = -P phi x0``.
+
+    ``S`` is solved by minimum-norm least squares because it can be singular
+    when optimal controls are nonunique, so ``beta`` is the minimum-norm
+    solution; ``(alpha, beta)`` need not be the minimum-norm solution of
+    the full system. The residual of the full ``2n``-by-``2n`` system then
+    decides consistency.
 
     ``phi = A_K^{k_f}`` in the boundary matrix is the left-to-right product
     ``I A_K ... A_K``, one product per step into two reused buffers, not a
@@ -166,10 +182,11 @@ def solve_nonrecursive(
     residual cutoff, and the few ulps by which squaring changes ``phi`` move
     some of them across it. With ``np.linalg.matrix_power`` in its place,
     the benchmark's ``traj-many`` failure count changed on 3 of seeds 1-30
-    (seed 2: 8 to 9, seed 18: 7 to 6, seed 19: 8 to 7). Only the
-    propagation after the solve uses squaring. For the same reason every
-    product and sum here is the one the plain expressions would compute,
-    bit for bit; only calls and allocations were removed.
+    under the former 2n-by-2n solve (seed 2: 8 to 9, seed 18: 7 to 6,
+    seed 19: 8 to 7) and on 1 under the reduced one (seed 11: 10 to 9).
+    Only the propagation after the solve uses squaring. For the same reason
+    every product and sum here is the one the plain expressions would
+    compute, bit for bit; only calls and allocations were removed.
 
     The working set is about four ``(k_f + 1) x n`` arrays, ``x``, ``p``,
     the causal sequence and one scratch buffer, plus ``u``; ``x`` is formed
@@ -212,9 +229,17 @@ def solve_nonrecursive(
         M[n:, n:] = W
         rhs[n:] = prob.xf
 
-    # Singular values at or below ``cfg.rank_tol_factor * max(M.shape)`` times
-    # the largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
-    z = np.linalg.lstsq(M, rhs, rcond=cfg.rank_tol_factor * max(M.shape))[0]
+    # alpha is eliminated through M's identity block (see the docstring).
+    # Singular values of S at or below ``cfg.rank_tol_factor * max(S.shape)``
+    # times the largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
+    M12, M21 = M[:n, n:], M[n:, :n]
+    S = M[n:, n:] - M21 @ M12
+    r = rhs[n:] - M21 @ prob.x0
+    z = np.empty(2 * n)
+    z[n:] = np.linalg.lstsq(S, r, rcond=cfg.rank_tol_factor * max(S.shape))[0]
+    z[:n] = prob.x0 - M12 @ z[n:]
+    del M12, M21, S, r
+    # Consistency is judged on the full system M z = rhs.
     residual = fro_norm(M @ z - rhs)
     scale = 1.0 + fro_norm(rhs) + fro_norm(M) * fro_norm(z)
     if residual > cfg.residual_tol * scale:

@@ -76,6 +76,11 @@ DEFAULT_TOL = ToleranceConfig()
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite 2-D float64 array or raise ``ValueError``."""
+    # numpy would drop a complex array's imaginary part with only a warning.
+    # Only an array's dtype is checked, which costs nothing on the hot paths;
+    # a Python complex entry of a list fails the conversion below.
+    if isinstance(a, (np.ndarray, np.generic)) and a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got a complex array")
     try:
         m = np.array(a, dtype=np.float64)
     except (TypeError, ValueError) as exc:  # a dict, a ragged row, a non-numeric string

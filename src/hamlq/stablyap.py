@@ -94,7 +94,10 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
             update_norm = fro_norm(update)
             trace.append(update_norm)
             W += update
-            np.add(W, W.T, out=EW)
+            # W' + W, not W + W': numpy's ufunc would buffer-copy the
+            # transposed operand; a copy assignment takes it by strides.
+            EW[:] = W.T
+            EW += W
             np.multiply(EW, 0.5, out=W)
             w_norm = fro_norm(W)
             # A non-finite entry of W makes w_norm non-finite at once; one of

@@ -1,12 +1,17 @@
-"""Dense least-squares reference for finite-horizon trajectories.
+"""References for finite-horizon trajectories and their optimal cost.
 
 ``kkt_oracle`` solves the same problem as ``hamlq.lqtraj.solve_nonrecursive``
 by an independent route, a least-squares solve over the stacked input
 sequence, so the tests can compare the two. It is a short-horizon reference,
 not a general solver.
 
+``sqrt_riccati_cost`` gives the exact free-end optimum ``J*`` by the
+square-root Riccati difference recursion (Morf & Kailath 1975): it
+propagates a cost-to-go factor, never a trajectory, so nothing in it grows
+with the horizon. It returns a cost only, with no trajectory to compare.
+
 Range over which it was measured trustworthy (free end, against the exact
-optimum ``J*`` of the Riccati difference recursion):
+optimum ``J*`` of ``sqrt_riccati_cost``):
 
 * golden, ``x0 = default_rng(3).standard_normal(4)``, ``J* = 0.04412``: within
   1e-6 of ``J*`` up to ``k_f = 120``; from ``k_f = 150`` on it returns the
@@ -141,3 +146,32 @@ def kkt_oracle(prob: TrajectoryProblem, cfg: ToleranceConfig = DEFAULT_TOL) -> O
     traj = OracleTrajectory(x=x, p=p, u=u, J=0.0)
     traj.J = cost(traj, sysq)
     return traj
+
+
+def sqrt_riccati_cost(prob: TrajectoryProblem, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Free-end optimal cost ``J* = |R_{k_f} x0|^2`` by the square-root Riccati recursion.
+
+    The cost-to-go with ``j`` steps left is ``V_j(x) = |R_j x|^2``, with
+    ``R_0`` of 0 rows. One step minimizes ``|C x + D u|^2 + |R_j (A x + B u)|^2
+    = |G x + F u|^2`` over ``u``, with ``F = [D; R_j B]`` and
+    ``G = [C; R_j A]``: the minimum is the part of ``G x`` in the left null
+    space of ``F``, so ``R_{j+1} = U_2' G`` for ``U_2`` an orthonormal basis
+    of it (SVD, cutoff ``cfg.rank_tol_factor * max(F.shape)`` relative to the
+    largest singular value). Once ``R_{j+1}`` has more than ``n`` rows it is
+    replaced by the triangular factor of its QR, which keeps ``|R x|``.
+    """
+    if not prob.free_terminal:
+        raise ValueError("sqrt_riccati_cost takes a free-endpoint problem")
+    sysq = prob.sys
+    A, B, C, D = sysq.A, sysq.B, sysq.C, sysq.D
+    R = np.zeros((0, sysq.n))
+    for _ in range(prob.k_f):
+        F = np.vstack([D, R @ B])
+        G = np.vstack([C, R @ A])
+        U, s, _ = np.linalg.svd(F)
+        cutoff = s.max(initial=0.0) * max(F.shape) * cfg.rank_tol_factor
+        R = U[:, int(np.count_nonzero(s > cutoff)) :].T @ G
+        if R.shape[0] > sysq.n:
+            R = np.linalg.qr(R, mode="r")
+    v = R @ prob.x0
+    return float(v @ v)

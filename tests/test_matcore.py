@@ -65,6 +65,15 @@ def test_as_matrix_names_the_matrix_with_a_non_numeric_entry(entries):
         as_matrix(entries, "B")
 
 
+@pytest.mark.parametrize(
+    "a", [np.array([[1 + 2j]]), np.array([[1 + 0j]]), np.ones((2, 2), np.complex64)]
+)
+def test_as_matrix_rejects_a_complex_array(a):
+    # numpy's own conversion keeps only the real part, with a ComplexWarning
+    with pytest.raises(ValueError, match="^B must be real, got a complex array"):
+        as_matrix(a, "B")
+
+
 def test_as_matrix_accepts_numeric_strings():
     np.testing.assert_array_equal(as_matrix([["1", "2.5"]], "M"), [[1.0, 2.5]])
 

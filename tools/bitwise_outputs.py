@@ -22,9 +22,11 @@ one thread, as the benchmark does).
 
 ``compare`` requires the same records, ``np.array_equal`` arrays, equal
 scalars and identical errors, prints each difference, and exits non-zero if
-there is one. It also counts arrays that are equal but differ in their
-bytes (zeros of opposite sign). It unpickles its arguments, so give it only
-files ``capture`` wrote.
+there is one. For two arrays of one shape that differ it also prints how far
+they moved, ``max|a-b| / (1 + max|a|)`` with ``a`` from the first file, and
+the summary names the largest such move. It also counts arrays that are
+equal but differ in their bytes (zeros of opposite sign). It unpickles its
+arguments, so give it only files ``capture`` wrote.
 """
 
 import os
@@ -112,6 +114,16 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _moved(a, b) -> float | None:
+    """``max|a-b| / (1 + max|a|)`` of two non-empty real arrays of one shape, else ``None``."""
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
+        return None
+    if a.shape != b.shape or not a.size or a.dtype.kind not in "biuf" or b.dtype.kind not in "biuf":
+        return None
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))))
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a, "rb") as fh:
         a = pickle.load(fh)
@@ -121,6 +133,7 @@ def compare(path_a: str, path_b: str) -> int:
         print(f"different records: {sorted(a.keys() ^ b.keys())[:10]}")
         return 1
     fields = differing = signed_zeros = 0
+    largest = (0.0, None)
     for key, ra in a.items():
         rb = b[key]
         if isinstance(ra, tuple) or isinstance(rb, tuple):
@@ -133,7 +146,13 @@ def compare(path_a: str, path_b: str) -> int:
             fields += 1
             if not _same(va, rb[name]):
                 differing += 1
-                print("differs", key, name)
+                moved = _moved(va, rb[name])
+                if moved is None:
+                    print("differs", key, name)
+                else:
+                    print("differs", key, name, f"moved {moved:.3e}")
+                    if moved > largest[0]:
+                        largest = (moved, (key, name))
             elif isinstance(va, np.ndarray) and va.tobytes() != rb[name].tobytes():
                 signed_zeros += 1
     kinds = {}
@@ -142,6 +161,8 @@ def compare(path_a: str, path_b: str) -> int:
     raised = sum(isinstance(v, tuple) for v in a.values())
     print(f"{len(a)} records {kinds}, {raised} raised, {fields} fields compared, "
           f"{differing} differ, {signed_zeros} equal but with zeros of opposite sign")
+    if largest[1] is not None:
+        print(f"largest move {largest[0]:.3e} at", *largest[1])
     return 1 if differing else 0
 
 
