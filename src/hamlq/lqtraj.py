@@ -11,22 +11,23 @@ mode propagated by ``A_K'`` from the far end:
     p_k = P A_K^k a + (P W - I)(A_K')^{k_f-k} b
     u_k = K A_K^k a + (K W A_K' + Rw^{-1} B')(A_K')^{k_f-1-k} b
 
-so a solve reduces to one boundary system in ``(a, b)``. Its leading block
-is the identity, ``a = x0 - W (A_K')^{k_f} b``, which leaves one n-by-n
-system in ``b``. The two mode sequences ``A_K^k a`` and ``(A_K')^j b`` are
-then filled by doubling: each round multiplies the rows already known by
-the next power ``A_K^{2^i}``, so propagation costs about ``log2 k_f``
-stacked products and ``O(k_f n)`` memory, the size of the output.
+so a solve reduces to one boundary system in ``(a, b)``, solved from its
+blocks: ``a`` is eliminated through the identity block, which leaves one
+n-by-n system in ``b``. The mode sequences ``A_K^k a`` and ``(A_K')^j b``
+are then filled by doubling, each round multiplying the rows already known
+by the next power ``A_K^{2^i}``: about ``log2 k_f`` stacked products and
+``O(k_f n)`` memory, the size of the output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryInconsistent
-from .matcore import DEFAULT_TOL, ToleranceConfig, fro_norm
+from .matcore import DEFAULT_TOL, ToleranceConfig, _float_array, fro_norm
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 from .reachdecomp import SystemQuadruple
 from .riccati import RiccatiSolution
@@ -43,12 +44,7 @@ __all__ = [
 
 def _state_vector(v, name: str, n: int) -> np.ndarray:
     """``v`` as a finite float64 vector of length ``n`` or ``ValueError``."""
-    if isinstance(v, (np.ndarray, np.generic)) and v.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got a complex array")
-    try:
-        v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    except (TypeError, ValueError) as exc:  # a dict, a complex number, a ragged row
-        raise ValueError(f"{name} has an entry that is not a number: {exc}") from exc
+    v = np.atleast_1d(_float_array(v, name))
     if v.ndim != 1 or v.shape[0] != n:
         raise ValueError(f"{name} must be a vector of length n={n}")
     if not np.all(np.isfinite(v)):
@@ -71,8 +67,11 @@ class TrajectoryProblem:
 
     def __post_init__(self):
         self.x0 = _state_vector(self.x0, "x0", self.sys.n)
-        # a bool is rejected as ToleranceConfig rejects a bool max_iter
-        if isinstance(self.k_f, bool) or int(self.k_f) != self.k_f or self.k_f < 1:
+        try:  # int() raises for inf, nan and None; a bool is rejected as for max_iter
+            valid = not isinstance(self.k_f, bool) and int(self.k_f) == self.k_f and self.k_f >= 1
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
             raise ValueError(f"k_f must be a positive integer, got {self.k_f!r}")
         self.k_f = int(self.k_f)
         if self.xf is not None:
@@ -131,7 +130,7 @@ def _propagate(A_K: np.ndarray, phi: np.ndarray, alpha: np.ndarray, beta: np.nda
     Rows below ``k_f`` are filled by doubling: with rows ``[0, j)`` known,
     rows ``[j, j + t)`` are rows ``[0, t)`` advanced by ``A_K^j``, which is
     then squared. Row ``k_f`` is taken from ``phi = A_K^{k_f}``, the power
-    in the boundary matrix, so the end states and costates meet the boundary
+    in the boundary blocks, so the end states and costates meet the boundary
     equations as closely as the solve did even where large modes cancel.
     """
     fwd = np.empty((k_f + 1, alpha.shape[0]))
@@ -157,12 +156,13 @@ def solve_nonrecursive(
 ) -> Trajectory:
     """Solve in closed form from the Riccati solution and Gramian.
 
-    The boundary system ``M [alpha; beta] = rhs`` pairs the ``k = 0`` state
-    equation, ``alpha + W phi' beta = x0``, with either the transversality
-    condition ``p_{k_f} = 0`` (free endpoint) or the terminal state equation
-    (fixed endpoint). Its leading block is the identity, so ``alpha`` is
-    eliminated through it, ``alpha = x0 - W phi' beta``, and ``beta`` solves
-    the n-by-n system ``S beta = r``:
+    The boundary system ``[[I, M12], [M21, M22]] [alpha; beta] = [x0; end]``
+    pairs the ``k = 0`` state equation (``M12 = W phi'``) with either the
+    transversality condition ``p_{k_f} = 0`` (free endpoint: ``M21 = P phi``,
+    ``M22 = P W - I``, ``end = 0``) or the terminal state equation (fixed
+    endpoint: ``M21 = phi``, ``M22 = W``, ``end = xf``). It is solved from
+    these three blocks, never assembled: ``alpha = x0 - M12 beta``, and
+    ``beta`` solves ``S beta = r``, ``S = M22 - M21 M12``, ``r = end - M21 x0``:
 
     * fixed end: ``S = W - phi W phi'``, the ``k_f``-step closed-loop
       Gramian ``sum_{k<k_f} A_K^k B Rw^{-1} B' (A_K')^k``, and
@@ -173,17 +173,18 @@ def solve_nonrecursive(
     ``S`` is solved by minimum-norm least squares because it can be singular
     when optimal controls are nonunique, so ``beta`` is the minimum-norm
     solution; ``(alpha, beta)`` need not be the minimum-norm solution of
-    the full system. The residual of the full ``2n``-by-``2n`` system then
-    decides consistency.
+    the full system. Consistency is judged on the full system's residual,
+    summed over its two block rows, against ``cfg.residual_tol`` times
+    ``1 + |[x0; end]| + |M|_F |[alpha; beta]|``, with
+    ``|M|_F^2 = n + |M12|^2 + |M21|^2 + |M22|^2``.
 
-    ``phi = A_K^{k_f}`` in the boundary matrix is the left-to-right product
+    ``phi = A_K^{k_f}`` in the boundary blocks is the left-to-right product
     ``I A_K ... A_K``, one product per step into two reused buffers, not a
-    product of squares: near-singular boundary matrices sit close to the
+    product of squares: near-singular boundary systems sit close to the
     residual cutoff, and the few ulps by which squaring changes ``phi`` move
-    some of them across it. With ``np.linalg.matrix_power`` in its place,
-    the benchmark's ``traj-many`` failure count changed on 3 of seeds 1-30
-    under the former 2n-by-2n solve (seed 2: 8 to 9, seed 18: 7 to 6,
-    seed 19: 8 to 7) and on 1 under the reduced one (seed 11: 10 to 9).
+    some of them across it: with ``np.linalg.matrix_power`` in its place,
+    the benchmark's ``traj-many`` failure count changed on 1 of seeds 1-30
+    (seed 11: 10 to 9).
     Only the propagation after the solve uses squaring. For the same reason
     every product and sum here is the one the plain expressions would
     compute, bit for bit; only calls and allocations were removed.
@@ -214,41 +215,29 @@ def solve_nonrecursive(
     # v - 0.0 == v exactly, signed zeros included.
     PW_I = P @ W
     PW_I.reshape(-1)[:: n + 1] -= 1.0
-    M = np.empty((2 * n, 2 * n))
-    M[:n, :n] = 0.0
-    np.fill_diagonal(M[:n, :n], 1.0)
-    M[:n, n:] = W @ phi.T
-    rhs = np.empty(2 * n)
-    rhs[:n] = prob.x0
+    # The free end keeps 0.0 - y against an explicit zero vector, so a zero
+    # entry of M21 x0 stays +0.0 in r. Singular values of S at or below
+    # ``cfg.rank_tol_factor * n`` times the largest count as zero, numpy's
+    # own cutoff at ``DEFAULT_TOL``.
+    x0, M12 = prob.x0, W @ phi.T
     if prob.free_terminal:
-        M[n:, :n] = P @ phi
-        M[n:, n:] = PW_I
-        rhs[n:] = 0.0
+        M21, M22, end = P @ phi, PW_I, np.zeros(n)
     else:
-        M[n:, :n] = phi
-        M[n:, n:] = W
-        rhs[n:] = prob.xf
-
-    # alpha is eliminated through M's identity block (see the docstring).
-    # Singular values of S at or below ``cfg.rank_tol_factor * max(S.shape)``
-    # times the largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
-    M12, M21 = M[:n, n:], M[n:, :n]
-    S = M[n:, n:] - M21 @ M12
-    r = rhs[n:] - M21 @ prob.x0
-    z = np.empty(2 * n)
-    z[n:] = np.linalg.lstsq(S, r, rcond=cfg.rank_tol_factor * max(S.shape))[0]
-    z[:n] = prob.x0 - M12 @ z[n:]
-    del M12, M21, S, r
-    # Consistency is judged on the full system M z = rhs.
-    residual = fro_norm(M @ z - rhs)
-    scale = 1.0 + fro_norm(rhs) + fro_norm(M) * fro_norm(z)
+        M21, M22, end = phi, W, prob.xf
+    beta = np.linalg.lstsq(M22 - M21 @ M12, end - M21 @ x0, rcond=cfg.rank_tol_factor * n)[0]
+    alpha = x0 - M12 @ beta
+    # the full system's residual and scale, one block row at a time
+    top, bottom = fro_norm(alpha + M12 @ beta - x0), fro_norm(M21 @ alpha + M22 @ beta - end)
+    norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), fro_norm(M22))
+    norm_z = math.hypot(fro_norm(alpha), fro_norm(beta))
+    residual = math.hypot(top, bottom)
+    scale = 1.0 + math.hypot(fro_norm(x0), fro_norm(end)) + norm_M * norm_z
     if residual > cfg.residual_tol * scale:
         raise BoundaryInconsistent(
             f"boundary system residual {residual:.3e} exceeds tolerance: "
             "endpoint not attainable from x0 in k_f steps, or the problem is degenerate"
         )
-    del M  # not needed past the check; the output arrays below set the peak
-    alpha, beta = z[:n], z[n:]
+    del M12, M21, M22  # not needed past the check; the output arrays below set the peak
 
     # The anticausal mode at step k is bwd[k_f - k]. Products are taken on
     # bwd in storage order, as matmul on a reversed view would skip BLAS,

@@ -44,13 +44,15 @@ class ToleranceConfig:
         of binary64.
     abs_zero_tol : float
         Threshold for treating pivots, rows and asymmetries as zero, relative
-        to the magnitude of the matrix at hand.
+        to the magnitude of the matrix at hand. One exception: ``solve_dare``
+        compares the squared Cholesky pivots of its final ``Rw`` with it
+        absolutely (ROADMAP item 4).
     residual_tol : float
         Acceptance threshold for equation residuals (Riccati, Lyapunov,
         boundary systems), relative to the size of what the residual is
         formed from: one plus the largest of the Riccati equation's terms,
-        the Smith iterate, or one plus ``|rhs| + |M| |z|`` for a boundary
-        system.
+        the Smith iterate, or one plus ``|rhs| + |M|_F |z|`` for a boundary
+        system ``M z = rhs``.
     max_iter : int
         Iteration budget for the doubling and Newton loops.
     """
@@ -74,17 +76,27 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def _float_array(a, name: str) -> np.ndarray:
+    """``a`` as a new float64 array, or ``ValueError`` naming ``name``.
+
+    numpy would keep only the real part of complex input, with a warning. An
+    array's dtype is checked, free on the hot paths; in other input, numpy
+    scalars become Python numbers, so a complex entry fails the conversion.
+    """
+    is_array = isinstance(a, (np.ndarray, np.generic))
+    if is_array and a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got a complex array")
+    try:  # a dict, a complex number, a ragged row, a non-numeric string, a huge int
+        if not is_array and (probe := np.asarray(a)).dtype.kind in "cO":
+            a = np.frompyfunc(lambda v: v.item() if isinstance(v, np.generic) else v, 1, 1)(probe)
+        return np.array(a, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} has an entry that is not a number: {exc}") from exc
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite 2-D float64 array or raise ``ValueError``."""
-    # numpy would drop a complex array's imaginary part with only a warning.
-    # Only an array's dtype is checked, which costs nothing on the hot paths;
-    # a Python complex entry of a list fails the conversion below.
-    if isinstance(a, (np.ndarray, np.generic)) and a.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got a complex array")
-    try:
-        m = np.array(a, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # a dict, a ragged row, a non-numeric string
-        raise ValueError(f"{name} has an entry that is not a number: {exc}") from exc
+    m = _float_array(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
@@ -128,10 +140,6 @@ def residual_norms(products, minus: np.ndarray | None = None) -> tuple[float, fl
     return raw, raw / (1.0 + max(norms))
 
 
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.abs(m).max()) if m.size else 0.0
-
-
 def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Solve ``M @ X = rhs`` for a symmetric positive definite ``M``.
 
@@ -145,13 +153,13 @@ def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     n, nc = M.shape
     if n != nc:
         raise ValueError(f"M must be square, got {M.shape}")
-    r = np.array(rhs, dtype=np.float64)
+    r = _float_array(rhs, "rhs")
     if r.ndim not in (1, 2) or r.shape[0] != n:
         raise ValueError(f"rhs row count {r.shape[0] if r.ndim else '?'} does not match M ({n})")
     if r.size and not np.isfinite(r).all():
         raise ValueError("rhs contains non-finite entries")
 
-    scale = _max_abs(M)
+    scale = float(np.abs(M).max()) if M.size else 0.0
     try:
         min_pivot = float(np.linalg.cholesky(M).diagonal().min()) ** 2 if scale else 0.0
     except np.linalg.LinAlgError:  # not positive definite

@@ -104,8 +104,9 @@ def test_analyze_bad_dimensions(tmp_path, capsys):
         ([[1.0, {}]], [[1.0, 0.0]]),
         ([[1, [2]]], [[1.0, 0.0]]),
         ([["abc"]], [[1.0]]),
+        ([[10**400]], [[1.0]]),  # JSON integers have no size limit
     ],
-    ids=["object-matrix", "object-entry", "ragged-row", "unparseable-string"],
+    ids=["object-matrix", "object-entry", "ragged-row", "unparseable-string", "huge-int"],
 )
 def test_analyze_non_numeric_entry(tmp_path, capsys, B, D):
     path = write_system(tmp_path, "obj.json", A=[[0.5]], B=B, C=[[1.0]], D=D)

@@ -13,7 +13,7 @@ from hamlq.lqtraj import (
     solve_nonrecursive,
     stage_costs,
 )
-from hamlq.matcore import solve_linear
+from hamlq.matcore import DEFAULT_TOL, solve_linear
 from hamlq.reachdecomp import SystemQuadruple
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
@@ -69,12 +69,15 @@ def test_problem_validation():
         TrajectoryProblem(sys, [1j, 0.0], 5)
     with pytest.raises(ValueError, match="xf has an entry that is not a number"):
         TrajectoryProblem(sys, np.zeros(2), 5, xf=[0.0, 2 + 1j])
+    with pytest.raises(ValueError, match="x0 has an entry that is not a number"):
+        TrajectoryProblem(sys, [np.complex128(1 + 2j), 0.0], 5)
     with pytest.raises(ValueError, match="x0 must be real"):
         TrajectoryProblem(sys, np.array([1 + 2j, 0]), 5)
     with pytest.raises(ValueError, match="xf must be real"):
         TrajectoryProblem(sys, np.zeros(2), 5, xf=np.zeros(2, dtype=complex))
-    with pytest.raises(ValueError, match="k_f"):
-        TrajectoryProblem(sys, np.zeros(2), True)
+    for k_f in (True, float("inf"), float("nan"), None, [3]):
+        with pytest.raises(ValueError, match="^k_f must be a positive integer"):
+            TrajectoryProblem(sys, np.zeros(2), k_f)
     assert TrajectoryProblem(sys, np.zeros(2), 5).free_terminal
     assert not TrajectoryProblem(sys, np.zeros(2), 5, xf=np.ones(2)).free_terminal
 
@@ -262,6 +265,82 @@ def test_fixed_endpoint_reduced_solve_matches_full_boundary_lstsq():
         assert np.max(np.abs(got - z)) <= 1e-10 * np.max(np.abs(z)), (n, m, k_f)
 
 
+def assembled_boundary_solve(prob, ric, gram, cfg=DEFAULT_TOL):
+    """``(alpha, beta)`` from the assembled ``2n x 2n`` boundary system ``M z = rhs``:
+    ``S`` and ``r`` sliced from ``M`` and ``rhs``, and consistency judged on
+    ``|M z - rhs|``. Raises ``BoundaryInconsistent`` where that test fails."""
+    n, P, W = prob.sys.n, ric.P, gram.W
+    phi = _chain_power(ric.A_K, prob.k_f)
+    PW_I = P @ W
+    PW_I.reshape(-1)[:: n + 1] -= 1.0
+    M = np.empty((2 * n, 2 * n))
+    M[:n, :n] = 0.0
+    np.fill_diagonal(M[:n, :n], 1.0)
+    M[:n, n:] = W @ phi.T
+    rhs = np.empty(2 * n)
+    rhs[:n] = prob.x0
+    if prob.free_terminal:
+        M[n:, :n], M[n:, n:], rhs[n:] = P @ phi, PW_I, 0.0
+    else:
+        M[n:, :n], M[n:, n:], rhs[n:] = phi, W, prob.xf
+    M12, M21 = M[:n, n:], M[n:, :n]
+    S = M[n:, n:] - M21 @ M12
+    r = rhs[n:] - M21 @ prob.x0
+    z = np.empty(2 * n)
+    z[n:] = np.linalg.lstsq(S, r, rcond=cfg.rank_tol_factor * max(S.shape))[0]
+    z[:n] = prob.x0 - M12 @ z[n:]
+    residual, norm = np.linalg.norm(M @ z - rhs), np.linalg.norm
+    if residual > cfg.residual_tol * (1.0 + norm(rhs) + norm(M) * norm(z)):
+        raise BoundaryInconsistent(f"boundary system residual {residual:.3e} exceeds tolerance")
+    return z[:n], z[n:]
+
+
+def assert_blockwise_solve_matches_assembled(prob, ric, gram):
+    """Same ``alpha`` and ``beta`` bits, zero signs included, and the same verdict."""
+    try:
+        want = assembled_boundary_solve(prob, ric, gram)
+    except BoundaryInconsistent:
+        with pytest.raises(BoundaryInconsistent, match="endpoint not attainable"):
+            solve_nonrecursive(prob, ric, gram)
+        return False
+    traj = solve_nonrecursive(prob, ric, gram)
+    for got, ref in zip((traj.alpha, traj.beta), want):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    return True
+
+
+def test_blockwise_boundary_solve_matches_assembled_system_bitwise(golden_sys):
+    # golden, free end: k_f 84-109 fail the residual test, the rest pass
+    ric, gram = solve_all(golden_sys)
+    x0 = np.random.default_rng(3).standard_normal(4)
+    solved = [
+        assert_blockwise_solve_matches_assembled(TrajectoryProblem(golden_sys, x0, k_f), ric, gram)
+        for k_f in range(1, 151)
+    ]
+    assert 0 < solved.count(False) < len(solved)
+    # seeded plants, fixed ends, horizons shorter than n included
+    rng, solved = np.random.default_rng(52), []
+    for _ in range(30):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        sys = random_stabilizable(rng, n, m, m + int(rng.integers(0, 2)))
+        ric, gram = solve_all(sys)
+        x0, xf = rng.standard_normal(n), rng.standard_normal(n)
+        for k_f in (1, n, 3 * n):
+            prob = TrajectoryProblem(sys, x0, k_f, xf=xf)
+            solved.append(assert_blockwise_solve_matches_assembled(prob, ric, gram))
+    assert 0 < solved.count(False) < len(solved)
+    # the drift plant: every free end solves, no fixed end with x2(k_f) = 1 does
+    sys = drift_system()
+    ric, gram = solve_all(sys)
+    for k_f in range(1, 30):
+        prob = TrajectoryProblem(sys, np.ones(2), k_f)
+        assert assert_blockwise_solve_matches_assembled(prob, ric, gram)
+        for x0 in (np.zeros(2), np.ones(2)):
+            prob = TrajectoryProblem(sys, x0, k_f, xf=np.array([0.0, 1.0]))
+            assert not assert_blockwise_solve_matches_assembled(prob, ric, gram)
+
+
 def test_sqrt_riccati_oracle_is_exact_where_known(golden_sys):
     # golden's free-end optimum is (c'x0)^2, c the second row of C, at
     # every horizon; the stable scalar plant's tends to x0' P x0 = ROOT
@@ -301,14 +380,18 @@ def test_golden_free_end_cost_is_optimal(golden_sys):
         assert abs(J - J_star) <= 1e-12 * (1 + J_star), k_f
 
 
-def test_unreachable_endpoint_raises():
-    # second state is pure drift: x2 can only follow 0.3^k x2(0)
-    sys = SystemQuadruple(
+def drift_system():
+    """The second state is pure drift: x2 can only follow 0.3^k x2(0)."""
+    return SystemQuadruple(
         A=np.array([[0.5, 0.0], [0.0, 0.3]]),
         B=np.array([[1.0], [0.0]]),
         C=np.array([[1.0, 1.0], [0.0, 0.0]]),
         D=np.array([[0.0], [1.0]]),
     )
+
+
+def test_unreachable_endpoint_raises():
+    sys = drift_system()
     ric, gram = solve_all(sys)
     prob = TrajectoryProblem(sys, np.zeros(2), 4, xf=np.array([0.0, 1.0]))
     with pytest.raises(BoundaryInconsistent, match="endpoint not attainable"):

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,7 +60,21 @@ def test_as_matrix_rejects_bad_input():
     assert M.dtype == np.float64
 
 
-@pytest.mark.parametrize("entries", [{"x": 1}, [[1.0, {}]], [[1, [2]]], [["abc"]]])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"x": 1},
+        [[1.0, {}]],
+        [[1, [2]]],
+        [["abc"]],
+        # numpy keeps only the real part of these, with a ComplexWarning
+        [[np.complex128(1 + 2j)]],
+        [[np.complex64(1 + 2j), 2.0]],
+        [np.array([1 + 2j]), np.array([0.0])],
+        [[np.complex128(1 + 2j), Fraction(1, 2)]],
+        [[10**400]],
+    ],
+)
 def test_as_matrix_names_the_matrix_with_a_non_numeric_entry(entries):
     with pytest.raises(ValueError, match="^B has an entry that is not a number"):
         as_matrix(entries, "B")
@@ -135,6 +150,8 @@ def test_solve_linear_bitwise_equals_numpy_solve():
         (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), ValueError),
         (np.ones(2), np.ones(2), ValueError),
         (np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), SingularMatrix),
+        (np.eye(2), np.array([1 + 1j, 0.0]), ValueError),
+        (np.eye(2), [np.complex128(1 + 1j), 0.0], ValueError),
     ],
 )
 def test_solve_linear_rejects(M, rhs, error):
