@@ -110,20 +110,6 @@ def cost(traj: Trajectory, sys: SystemQuadruple) -> float:
     return float(stage_costs(traj, sys).sum())
 
 
-def _chain_power(A_K: np.ndarray, k_f: int) -> np.ndarray:
-    """``A_K^{k_f}`` as the left-to-right product ``I A_K ... A_K``.
-
-    ``I A_K = A_K`` exactly, so the product starts from ``A_K``; each further
-    factor is one product into whichever of two buffers does not hold the
-    current power.
-    """
-    phi, spare = A_K.copy(), np.empty(A_K.shape)
-    for _ in range(k_f - 1):
-        phi.dot(A_K, out=spare)
-        phi, spare = spare, phi
-    return phi
-
-
 def _propagate(A_K: np.ndarray, phi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, k_f: int):
     """Rows ``fwd[k] = A_K^k alpha`` and ``bwd[k] = (A_K')^k beta``, k = 0..k_f.
 
@@ -178,16 +164,10 @@ def solve_nonrecursive(
     ``1 + |[x0; end]| + |M|_F |[alpha; beta]|``, with
     ``|M|_F^2 = n + |M12|^2 + |M21|^2 + |M22|^2``.
 
-    ``phi = A_K^{k_f}`` in the boundary blocks is the left-to-right product
-    ``I A_K ... A_K``, one product per step into two reused buffers, not a
-    product of squares: near-singular boundary systems sit close to the
-    residual cutoff, and the few ulps by which squaring changes ``phi`` move
-    some of them across it: with ``np.linalg.matrix_power`` in its place,
-    the benchmark's ``traj-many`` failure count changed on 1 of seeds 1-30
-    (seed 11: 10 to 9).
-    Only the propagation after the solve uses squaring. For the same reason
-    every product and sum here is the one the plain expressions would
-    compute, bit for bit; only calls and allocations were removed.
+    ``phi = A_K^{k_f}`` is formed once, by ``np.linalg.matrix_power``'s
+    repeated squaring (at most ``2 log2 k_f`` products), and shared by the
+    boundary blocks and the propagation's last rows. At ``k_f = 1`` it is
+    ``A_K`` itself, so nothing writes into it.
 
     The working set is about four ``(k_f + 1) x n`` arrays, ``x``, ``p``,
     the causal sequence and one scratch buffer, plus ``u``; ``x`` is formed
@@ -210,7 +190,7 @@ def solve_nonrecursive(
     n = sysq.n
     P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
 
-    phi = _chain_power(A_K, k_f)
+    phi = np.linalg.matrix_power(A_K, k_f)
     # P W - I with the identity subtracted on the diagonal only: off it,
     # v - 0.0 == v exactly, signed zeros included.
     PW_I = P @ W

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Capture every output of the benchmark's workloads for one source tree, or
-compare two captures for bitwise equality.
+"""Capture every output of the benchmark's workloads for one source tree, and
+compare two captures for bitwise equality or against the optimal cost.
 
     python3 tools/bitwise_outputs.py capture SRC_DIR OUT.pkl [SEED ...]
     python3 tools/bitwise_outputs.py compare A.pkl B.pkl
+    python3 tools/bitwise_outputs.py compare --oracle A.pkl B.pkl
 
 ``capture`` imports ``hamlq`` from ``SRC_DIR`` and runs, for each seed
 (default 1-10), every ``analyze-mix`` item and every ``traj-many`` set-up and
@@ -25,10 +26,27 @@ scalars and identical errors, prints each difference, and exits non-zero if
 there is one. For two arrays of one shape that differ it also prints how far
 they moved, ``max|a-b| / (1 + max|a|)`` with ``a`` from the first file, and
 the summary names the largest such move. It also counts arrays that are
-equal but differ in their bytes (zeros of opposite sign). It unpickles its
-arguments, so give it only files ``capture`` wrote.
+equal but differ in their bytes (zeros of opposite sign).
+
+``compare --oracle`` judges a change that moves trajectory bits on purpose.
+It rebuilds each ``traj`` record's problem from this checkout's
+``perfbench/workloads.py`` and computes the free-end optimum ``J*`` with
+``tests/oracle.py``'s ``sqrt_riccati_cost``, from the problem data alone.
+For every free-end record it prints ``|J - J*| / (1 + J*)`` of both files
+(``raised`` for an error). It then summarizes, per file, how many free-end
+records lie inside the band ``|J - J*| <= 1e-8 (1 + J*)``, and per seed how
+many records raised and how many failed as the benchmark counts them (raised,
+or failed ``perfbench/checks.py``'s ``trajectory_failures``). It lists every
+record whose verdict (inside or outside the band, or returned for a fixed
+end; raised; failing the checks) flips, marking those that leave the band
+from A to B and those that enter it, and the largest move
+``|J_B - J_A| / (1 + |J_A|)`` of a fixed-end ``J``. It exits non-zero if a
+record leaves the band or a seed's raised or failed count rises in B. Other
+records are not judged: plain ``compare`` checks those. Both modes unpickle
+their arguments, so give them only files ``capture`` wrote.
 """
 
+import math
 import os
 import pickle
 import sys
@@ -41,7 +59,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
+BAND = 1e-8  # a free-end J within BAND * (1 + J*) of J* counts as optimal
 RIC_FIELDS = ("P", "K", "Rw", "A_K", "Rw_inv_Bt", "iterations")
 
 
@@ -124,14 +144,23 @@ def _moved(a, b) -> float | None:
     return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))))
 
 
-def compare(path_a: str, path_b: str) -> int:
+def _load_pair(path_a: str, path_b: str):
+    """Both captures, or ``None`` after printing how their records differ."""
     with open(path_a, "rb") as fh:
         a = pickle.load(fh)
     with open(path_b, "rb") as fh:
         b = pickle.load(fh)
     if a.keys() != b.keys():
         print(f"different records: {sorted(a.keys() ^ b.keys())[:10]}")
+        return None
+    return a, b
+
+
+def compare(path_a: str, path_b: str) -> int:
+    pair = _load_pair(path_a, path_b)
+    if pair is None:
         return 1
+    a, b = pair
     fields = differing = signed_zeros = 0
     largest = (0.0, None)
     for key, ra in a.items():
@@ -166,12 +195,81 @@ def compare(path_a: str, path_b: str) -> int:
     return 1 if differing else 0
 
 
+def _verdict(rec, gap, fails) -> str:
+    if isinstance(rec, tuple):
+        return "raised"
+    band = "returned" if gap is None else "inside" if gap <= BAND else "outside"
+    return f"{band}, fails checks" if fails else band
+
+
+def compare_oracle(path_a: str, path_b: str) -> int:
+    pair = _load_pair(path_a, path_b)
+    if pair is None:
+        return 1
+    a, b = pair
+    sys.path[:0] = [str(ROOT / "src"), str(BENCH), str(ROOT / "tests")]
+    import workloads
+    from checks import trajectory_failures
+    from oracle import sqrt_riccati_cost
+
+    keys = sorted(k for k in a if k[0] == "traj")
+    seeds = sorted({seed for _, seed, _ in keys})
+    problems = {(seed, it.id): it.prob for seed in seeds for it in workloads.build("traj-many", seed)}
+    inside = {"A": 0, "B": 0}
+    raised = {side: dict.fromkeys(seeds, 0) for side in "AB"}
+    failed = {side: dict.fromkeys(seeds, 0) for side in "AB"}
+    flips, left, entered, free, largest = [], [], [], 0, (0.0, None)
+    for key in keys:
+        _, seed, item_id = key
+        prob = problems[(seed, item_id)]
+        j_star = sqrt_riccati_cost(prob) if prob.free_terminal else None
+        verdicts, gaps, in_band = {}, {}, {}
+        for side, rec in (("A", a[key]), ("B", b[key])):
+            fails = isinstance(rec, tuple) or bool(trajectory_failures(
+                prob.sys, prob.x0, prob.xf, rec["x"], rec["p"], rec["u"], rec["J"]))
+            raised[side][seed] += isinstance(rec, tuple)
+            failed[side][seed] += fails
+            if j_star is not None and not isinstance(rec, tuple):
+                gaps[side] = abs(rec["J"] - j_star) / (1.0 + j_star)
+            in_band[side] = gaps.get(side, math.inf) <= BAND
+            inside[side] += in_band[side]
+            verdicts[side] = _verdict(rec, gaps.get(side), fails)
+        if j_star is not None:
+            free += 1
+            shown = [f"{gaps[s]:.3e}" if s in gaps else "raised" for s in "AB"]
+            print("free", seed, item_id, f"J* {j_star:.6e}", *shown)
+        elif "raised" not in verdicts.values():
+            moved = abs(b[key]["J"] - a[key]["J"]) / (1.0 + abs(a[key]["J"]))
+            if moved > largest[0]:
+                largest = (moved, key)
+        if verdicts["A"] != verdicts["B"]:
+            flips.append((key, verdicts["A"], verdicts["B"]))
+        if in_band["A"] != in_band["B"]:
+            (left if in_band["A"] else entered).append(key)
+    rose = [s for s in seeds if raised["B"][s] > raised["A"][s] or failed["B"][s] > failed["A"][s]]
+    print(f"{len(keys)} traj records, {free} free-end; inside {BAND:g} (1 + J*): "
+          f"A {inside['A']}, B {inside['B']}; {len(left)} left the band, {len(entered)} entered it")
+    for name, count in (("raised", raised), ("failed (raised or failing perfbench's checks)", failed)):
+        for side in "AB":
+            per_seed = " ".join(f"{s}:{c}" for s, c in count[side].items())
+            print(f"{name} in {side}: {sum(count[side].values())}, per seed {per_seed}")
+    for key, va, vb in flips:
+        note = " (left the band)" if key in left else " (entered the band)" if key in entered else ""
+        print("flip", *key, f"{va} -> {vb}{note}")
+    if rose:
+        print("raised or failed count rose on seeds", *rose)
+    print(f"largest fixed-end J move {largest[0]:.3e} at", *(largest[1] or ["none"]))
+    return 1 if left or rose else 0
+
+
 def main(argv) -> int:
     if len(argv) >= 3 and argv[0] == "capture":
         capture(argv[1], argv[2], [int(s) for s in argv[3:]] or range(1, 11))
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
+    if len(argv) == 4 and argv[:2] == ["compare", "--oracle"]:
+        return compare_oracle(argv[2], argv[3])
     print(__doc__, file=sys.stderr)
     return 2
 
