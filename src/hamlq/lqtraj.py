@@ -13,10 +13,11 @@ mode propagated by ``A_K'`` from the far end:
 
 so a solve reduces to one boundary system in ``(a, b)``, solved from its
 blocks: ``a`` is eliminated through the identity block, which leaves one
-n-by-n system in ``b``. The mode sequences ``A_K^k a`` and ``(A_K')^j b``
-are then filled by doubling, each round multiplying the rows already known
-by the next power ``A_K^{2^i}``: about ``log2 k_f`` stacked products and
-``O(k_f n)`` memory, the size of the output.
+n-by-n system in ``b``. The mode sequences ``A_K^k a`` and
+``(A_K')^{k_f-k} b`` are then filled by doubling, each round multiplying the
+rows already known by the next power ``A_K^{2^i}``: about ``log2 k_f``
+stacked products and ``O(k_f n)`` memory, the size of the output. Both are
+stored by step ``k``, so each output is a plain sum of two stacked products.
 """
 
 from __future__ import annotations
@@ -111,23 +112,25 @@ def cost(traj: Trajectory, sys: SystemQuadruple) -> float:
 
 
 def _propagate(A_K: np.ndarray, phi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, k_f: int):
-    """Rows ``fwd[k] = A_K^k alpha`` and ``bwd[k] = (A_K')^k beta``, k = 0..k_f.
+    """Rows ``fwd[k] = A_K^k alpha`` and ``bwd[k] = (A_K')^{k_f-k} beta``, k = 0..k_f.
 
-    Rows below ``k_f`` are filled by doubling: with rows ``[0, j)`` known,
-    rows ``[j, j + t)`` are rows ``[0, t)`` advanced by ``A_K^j``, which is
-    then squared. Row ``k_f`` is taken from ``phi = A_K^{k_f}``, the power
-    in the boundary blocks, so the end states and costates meet the boundary
-    equations as closely as the solve did even where large modes cancel.
+    Each sequence is filled by doubling away from its start, ``fwd`` from
+    row 0 up and ``bwd`` from row ``k_f`` down: with ``j`` rows known, the
+    next ``t`` are the ``t`` nearest the start advanced by ``A_K^j``, which
+    is then squared. The far rows, ``fwd[k_f]`` and ``bwd[0]``, are taken from
+    ``phi = A_K^{k_f}``, the power in the boundary blocks, so the end states
+    and costates meet the boundary equations as closely as the solve did
+    even where large modes cancel.
     """
     fwd = np.empty((k_f + 1, alpha.shape[0]))
     bwd = np.empty_like(fwd)
-    fwd[0], bwd[0] = alpha, beta
-    fwd[k_f], bwd[k_f] = phi @ alpha, phi.T @ beta
+    fwd[0], bwd[k_f] = alpha, beta
+    fwd[k_f], bwd[0] = phi @ alpha, phi.T @ beta
     step, j = A_K, 1
     while j < k_f:
         t = min(j, k_f - j)
         fwd[:t].dot(step.T, out=fwd[j : j + t])
-        bwd[:t].dot(step, out=bwd[j : j + t])
+        bwd[k_f - t + 1 :].dot(step, out=bwd[k_f - j - t + 1 : k_f - j + 1])
         j += t
         if j < k_f:
             step = step.dot(step)
@@ -169,36 +172,23 @@ def solve_nonrecursive(
     boundary blocks and the propagation's last rows. At ``k_f = 1`` it is
     ``A_K`` itself, so nothing writes into it.
 
-    The working set is about four ``(k_f + 1) x n`` arrays, ``x``, ``p``,
-    the causal sequence and one scratch buffer, plus ``u``; ``x`` is formed
-    in the anticausal sequence's array. Each anticausal term is a product
-    taken in storage order, then reversed: it is copied reversed into its
-    output and the causal term is added in place, which allocates nothing.
-    Adding the reversed product in place instead would make numpy's ufunc
-    buffer a whole copy of it whenever it has under 8192 elements, 5.6 such
-    arrays in all at n = 20, k_f = 199. IEEE addition commutes, signed
-    zeros included, so the sums are bitwise those of
-    ``causal + anticausal[::-1]``.
+    The working set is about four ``(k_f + 1) x n`` arrays plus ``u``.
 
     Raises
     ------
     BoundaryInconsistent
         The boundary residual exceeds tolerance (endpoint not attainable
-        from ``x0`` in ``k_f`` steps, or the problem is degenerate).
+        from ``x0`` in ``k_f`` steps, or the problem is degenerate), or it
+        or its scale is not finite.
     """
     sysq, k_f = prob.sys, prob.k_f
     n = sysq.n
     P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
 
     phi = np.linalg.matrix_power(A_K, k_f)
-    # P W - I with the identity subtracted on the diagonal only: off it,
-    # v - 0.0 == v exactly, signed zeros included.
-    PW_I = P @ W
-    PW_I.reshape(-1)[:: n + 1] -= 1.0
-    # The free end keeps 0.0 - y against an explicit zero vector, so a zero
-    # entry of M21 x0 stays +0.0 in r. Singular values of S at or below
-    # ``cfg.rank_tol_factor * n`` times the largest count as zero, numpy's
-    # own cutoff at ``DEFAULT_TOL``.
+    PW_I = P @ W - np.eye(n)
+    # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
+    # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
     x0, M12 = prob.x0, W @ phi.T
     if prob.free_terminal:
         M21, M22, end = P @ phi, PW_I, np.zeros(n)
@@ -212,6 +202,11 @@ def solve_nonrecursive(
     norm_z = math.hypot(fro_norm(alpha), fro_norm(beta))
     residual = math.hypot(top, bottom)
     scale = 1.0 + math.hypot(fro_norm(x0), fro_norm(end)) + norm_M * norm_z
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        raise BoundaryInconsistent(
+            f"boundary system residual {residual:.3e} or its scale {scale:.3e} "
+            "is not finite: the problem overflows float64"
+        )
     if residual > cfg.residual_tol * scale:
         raise BoundaryInconsistent(
             f"boundary system residual {residual:.3e} exceeds tolerance: "
@@ -219,26 +214,16 @@ def solve_nonrecursive(
         )
     del M12, M21, M22  # not needed past the check; the output arrays below set the peak
 
-    # The anticausal mode at step k is bwd[k_f - k]. Products are taken on
-    # bwd in storage order, as matmul on a reversed view would skip BLAS,
-    # and copied reversed into their outputs (see the docstring). u comes
-    # first, while only fwd and bwd are held; p then shares one scratch
-    # buffer with x, formed in bwd.
     fwd, bwd = _propagate(A_K, phi, alpha, beta, k_f)
     del phi
     u_gain = K @ W @ A_K.T + ric.Rw_inv_Bt
-    rev = bwd[:-1] @ u_gain.T
-    u = rev[::-1].copy()
-    u += np.matmul(fwd[:-1], K.T, out=rev)
-    del rev
-    scratch = np.empty_like(bwd)
-    p = np.empty_like(bwd)
-    p[:] = np.dot(bwd, PW_I.T, out=scratch)[::-1]
-    p += np.matmul(fwd, P.T, out=scratch)
-    x = bwd
-    x[:] = np.dot(bwd, W.T, out=scratch)[::-1]
+    u = fwd[:-1] @ K.T
+    u += bwd[1:] @ u_gain.T
+    p = fwd @ P.T
+    p += bwd @ PW_I.T
+    x = bwd @ W.T
     x += fwd
-    del fwd, bwd, scratch  # free before the cost adds its own arrays
+    del fwd, bwd  # free before the cost adds its own arrays
 
     traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
     traj.J = cost(traj, sysq)

@@ -193,6 +193,27 @@ def test_trajectory_json_to_file(golden_file, tmp_path):
     assert abs(doc["J"] - ref.J) <= 1e-8 * (1 + abs(ref.J))
 
 
+@pytest.mark.parametrize(
+    "extra, cfg",
+    [
+        ([], DEFAULT_TOL),
+        (["--tol", "1e-10"], dataclasses.replace(DEFAULT_TOL, rank_tol_factor=1e-10)),
+    ],
+)
+def test_trajectory_tol_reaches_every_solve(golden_file, monkeypatch, capsys, extra, cfg):
+    names, seen = ("solve_dare", "closed_loop_gramian", "solve_nonrecursive"), {}
+    for name in names:
+        real = getattr(cli, name)
+
+        def record(*args, _name=name, _real=real):
+            seen[_name] = args[-1]
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, record)
+    assert cli.main(["trajectory", golden_file, "--x0", "1,0,0,0", "--kf", "3", *extra]) == 0
+    assert seen == dict.fromkeys(names, cfg)
+
+
 def test_trajectory_zero_start(golden_file, capsys):
     assert cli.main(["trajectory", golden_file, "--x0", "0,0,0,0", "--kf", "2"]) == 0
     total = capsys.readouterr().out.strip().split("\n")[-1].split(",")
