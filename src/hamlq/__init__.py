@@ -44,7 +44,6 @@ from .matcore import DEFAULT_TOL, ToleranceConfig
 from .reachdecomp import (
     StaircaseForm,
     SystemQuadruple,
-    reachability_matrix,
     staircase,
     zero_row_indices,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "DEFAULT_TOL",
     "SystemQuadruple",
     "StaircaseForm",
-    "reachability_matrix",
     "staircase",
     "zero_row_indices",
     "GramianSolution",

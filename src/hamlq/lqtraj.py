@@ -185,33 +185,35 @@ def solve_nonrecursive(
     n = sysq.n
     P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
 
-    phi = np.linalg.matrix_power(A_K, k_f)
-    PW_I = P @ W - np.eye(n)
-    # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
-    # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
-    x0, M12 = prob.x0, W @ phi.T
-    if prob.free_terminal:
-        M21, M22, end = P @ phi, PW_I, np.zeros(n)
-    else:
-        M21, M22, end = phi, W, prob.xf
-    beta = np.linalg.lstsq(M22 - M21 @ M12, end - M21 @ x0, rcond=cfg.rank_tol_factor * n)[0]
-    alpha = x0 - M12 @ beta
-    # the full system's residual and scale, one block row at a time
-    top, bottom = fro_norm(alpha + M12 @ beta - x0), fro_norm(M21 @ alpha + M22 @ beta - end)
-    norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), fro_norm(M22))
-    norm_z = math.hypot(fro_norm(alpha), fro_norm(beta))
-    residual = math.hypot(top, bottom)
-    scale = 1.0 + math.hypot(fro_norm(x0), fro_norm(end)) + norm_M * norm_z
-    if not (math.isfinite(residual) and math.isfinite(scale)):
-        raise BoundaryInconsistent(
-            f"boundary system residual {residual:.3e} or its scale {scale:.3e} "
-            "is not finite: the problem overflows float64"
-        )
-    if residual > cfg.residual_tol * scale:
-        raise BoundaryInconsistent(
-            f"boundary system residual {residual:.3e} exceeds tolerance: "
-            "endpoint not attainable from x0 in k_f steps, or the problem is degenerate"
-        )
+    # An overflow here ends in the not-finite verdict below, not in a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.linalg.matrix_power(A_K, k_f)
+        PW_I = P @ W - np.eye(n)
+        # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
+        # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
+        x0, M12 = prob.x0, W @ phi.T
+        if prob.free_terminal:
+            M21, M22, end = P @ phi, PW_I, np.zeros(n)
+        else:
+            M21, M22, end = phi, W, prob.xf
+        beta = np.linalg.lstsq(M22 - M21 @ M12, end - M21 @ x0, rcond=cfg.rank_tol_factor * n)[0]
+        alpha = x0 - M12 @ beta
+        # the full system's residual and scale, one block row at a time
+        top, bottom = fro_norm(alpha + M12 @ beta - x0), fro_norm(M21 @ alpha + M22 @ beta - end)
+        norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), fro_norm(M22))
+        norm_z = math.hypot(fro_norm(alpha), fro_norm(beta))
+        residual = math.hypot(top, bottom)
+        scale = 1.0 + math.hypot(fro_norm(x0), fro_norm(end)) + norm_M * norm_z
+        if not (math.isfinite(residual) and math.isfinite(scale)):
+            raise BoundaryInconsistent(
+                f"boundary system residual {residual:.3e} or its scale {scale:.3e} "
+                "is not finite: the problem overflows float64"
+            )
+        if residual > cfg.residual_tol * scale:
+            raise BoundaryInconsistent(
+                f"boundary system residual {residual:.3e} exceeds tolerance: "
+                "endpoint not attainable from x0 in k_f steps, or the problem is degenerate"
+            )
     del M12, M21, M22  # not needed past the check; the output arrays below set the peak
 
     fwd, bwd = _propagate(A_K, phi, alpha, beta, k_f)

@@ -21,7 +21,6 @@ from .matcore import DEFAULT_TOL, ToleranceConfig, _svd_rank, as_matrix, range_b
 __all__ = [
     "SystemQuadruple",
     "StaircaseForm",
-    "reachability_matrix",
     "staircase",
     "zero_row_indices",
 ]
@@ -91,20 +90,11 @@ class StaircaseForm:
         return self.A_u.shape[0]
 
 
-def reachability_matrix(A, B) -> np.ndarray:
-    """Krylov block matrix ``[B, AB, ..., A^(n-1) B]``."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    blocks = [B]
-    for _ in range(A.shape[0] - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
-
-
 def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> StaircaseForm:
     """Orthogonal similarity transformation exposing the reachable part.
 
-    The Krylov matrix has ``n m >= n`` columns and factors as ``R'Q'``, with
+    The Krylov matrix ``[B, AB, ..., A^(n-1) B]``, written block by block
+    into one array, has ``n m >= n`` columns and factors as ``R'Q'``, with
     ``Q R`` the QR factorization of its transpose, so the ``n x n`` factor
     ``R'`` has its singular values, which give its numerical rank ``n_c``
     (cutoff taken at the Krylov shape ``max(n, n m)``), and its left
@@ -120,14 +110,18 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     corresponding blocks are then empty.
     """
     A, B, C = sys.A, sys.B, sys.C
-    kry = reachability_matrix(A, B)
+    n, m = sys.n, sys.m
+    kry = np.empty((n, n * m))
+    kry[:, :m] = prev = B
+    for i in range(m, n * m, m):
+        prev = np.matmul(A, prev, out=kry[:, i : i + m])
     Rt = np.linalg.qr(kry.T, mode="r").T
     n_c = _svd_rank(Rt, cfg, False, kry.shape)[1]
 
     row_tol = cfg.abs_zero_tol * float(np.max(np.abs(kry)))
     bottom = kry[n_c:, :]
     if bottom.size == 0 or float(np.max(np.abs(bottom))) <= row_tol:
-        T = np.eye(sys.n)
+        T = np.eye(n)
         At, Bt, Ct = A.copy(), B.copy(), C.copy()
     else:
         T = range_basis(Rt, cfg)[0]

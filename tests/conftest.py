@@ -32,6 +32,18 @@ def stable_matrix(rng, k, radius=0.8):
     return M * (radius / rho)
 
 
+def krylov(A, B):
+    """Krylov block matrix ``[B, AB, ..., A^(n-1) B]``, by the plain recurrence.
+
+    Each block is ``A @`` the one before, the products the staircase forms in
+    place, so a rank of this matrix rounds as the staircase's does.
+    """
+    blocks = [B]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks)
+
+
 def is_psd(M, tol=1e-12):
     """Whether ``M`` is symmetric positive semidefinite up to ``tol * max|M|``.
 

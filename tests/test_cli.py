@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,8 +224,10 @@ def test_trajectory_zero_start(golden_file, capsys):
     assert float(total[-1]) == 0.0
 
 
-def test_trajectory_unattainable_endpoint(tmp_path, capsys):
-    path = write_system(
+@pytest.fixture()
+def drift_file(tmp_path):
+    """A plant whose second state is pure drift: x2 can only follow 0.3^k x2(0)."""
+    return write_system(
         tmp_path,
         "drift.json",
         A=[[0.5, 0.0], [0.0, 0.3]],
@@ -229,9 +235,26 @@ def test_trajectory_unattainable_endpoint(tmp_path, capsys):
         C=[[1.0, 1.0], [0.0, 0.0]],
         D=[[0.0], [1.0]],
     )
-    rc = cli.main(["trajectory", path, "--x0", "0,0", "--kf", "4", "--xf", "0,1"])
+
+
+def test_trajectory_unattainable_endpoint(drift_file, capsys):
+    rc = cli.main(["trajectory", drift_file, "--x0", "0,0", "--kf", "4", "--xf", "0,1"])
     assert rc == 5
     assert "endpoint not attainable" in capsys.readouterr().err
+
+
+def test_trajectory_overflow_prints_one_error_line(drift_file):
+    # A fresh interpreter with numpy's default warning filters, as the
+    # installed script runs: the typed error must be all that reaches stderr.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    args = ["trajectory", drift_file, "--x0=1e308,1e308", "--kf", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "from hamlq.cli import run; run()", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 5
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_trajectory_bad_vector(golden_file, capsys):

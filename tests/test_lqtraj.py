@@ -399,22 +399,23 @@ def test_unreachable_endpoint_raises():
         kkt_oracle(prob)
 
 
+@pytest.mark.filterwarnings("error")
 def test_boundary_verdict_fails_outside_float_range(golden_sys):
     # The residual or its scale overflows to inf or NaN, against which a plain
     # "residual > tol * scale" holds false and lets J = inf or NaN through.
+    # The typed error is all the caller sees: no numpy warning comes first.
     overflowing = [
         (golden_sys, [1e308, 1e308, 0.0, 0.0], 5, None),
         (golden_sys, [1e308, 1e308, 0.0, 0.0], 5, np.zeros(4)),
         (golden_sys, [1e200, 1.0, 1.0, 1.0], 5, None),
         (drift_system(), [1e308, 1e308], 4, None),
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sys, x0, k_f, xf in overflowing:
-            prob = TrajectoryProblem(sys, np.array(x0), k_f, xf=xf)
-            with pytest.raises(BoundaryInconsistent, match="is not finite"):
-                solve_nonrecursive(prob, *solve_all(sys))
-        prob = TrajectoryProblem(golden_sys, np.array([1e150, 1.0, 1.0, 1.0]), 5)
-        traj = solve_nonrecursive(prob, *solve_all(golden_sys))
+    for sys, x0, k_f, xf in overflowing:
+        prob = TrajectoryProblem(sys, np.array(x0), k_f, xf=xf)
+        with pytest.raises(BoundaryInconsistent, match="is not finite"):
+            solve_nonrecursive(prob, *solve_all(sys))
+    prob = TrajectoryProblem(golden_sys, np.array([1e150, 1.0, 1.0, 1.0]), 5)
+    traj = solve_nonrecursive(prob, *solve_all(golden_sys))
     assert 1e300 < traj.J < np.inf
 
 

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_orthogonal, stable_matrix, staircase_embedded
+from conftest import krylov, random_orthogonal, stable_matrix, staircase_embedded
 from hamlq.matcore import EPS, rank
-from hamlq.reachdecomp import (
-    SystemQuadruple,
-    reachability_matrix,
-    staircase,
-    zero_row_indices,
-)
+from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
 
 
 def test_quadruple_validation_names_offending_field():
@@ -25,14 +20,6 @@ def test_quadruple_validation_names_offending_field():
 def test_quadruple_dimensions():
     s = SystemQuadruple(A=np.eye(3), B=np.ones((3, 2)), C=np.ones((1, 3)), D=np.ones((1, 2)))
     assert (s.n, s.m, s.p) == (3, 2, 1)
-
-
-def test_reachability_matrix_shape():
-    A = np.diag([0.5, 0.25])
-    B = np.array([[1.0], [0.0]])
-    kry = reachability_matrix(A, B)
-    assert kry.shape == (2, 2)
-    np.testing.assert_allclose(kry, [[1.0, 0.5], [0.0, 0.0]])
 
 
 def test_staircase_golden(golden_sys):
@@ -86,7 +73,7 @@ def test_staircase_invariants_on_rotated_systems():
         np.testing.assert_allclose(At[:n_c, :n_c], st.A_c)
         np.testing.assert_allclose(Bt[:n_c, :], st.B_c)
         # the reachable pair really is reachable
-        assert rank(reachability_matrix(st.A_c, st.B_c)) == n_c
+        assert rank(krylov(st.A_c, st.B_c)) == n_c
 
 
 def test_staircase_n_c_equals_krylov_rank():
@@ -97,7 +84,7 @@ def test_staircase_n_c_equals_krylov_rank():
         A = stable_matrix(rng, n)
         B = rng.standard_normal((n, m))
         s = SystemQuadruple(A=A, B=B, C=np.ones((1, n)), D=np.zeros((1, m)))
-        assert staircase(s).n_c == rank(reachability_matrix(A, B))
+        assert staircase(s).n_c == rank(krylov(A, B))
 
 
 def test_staircase_idempotent_dimension():
@@ -162,7 +149,7 @@ def test_staircase_rank_and_orthogonal_basis_on_rotated_input(n_c, n_u, m):
     for _ in range(5):
         s = staircase_embedded(rng, n_c, n_u, m=m, rotate=True)
         st = staircase(s)
-        assert st.n_c == rank(reachability_matrix(s.A, s.B)) == n_c
+        assert st.n_c == rank(krylov(s.A, s.B)) == n_c
         assert np.max(np.abs(st.T.T @ st.T - np.eye(s.n))) <= 1e-12
 
 
@@ -192,4 +179,4 @@ def test_staircase_cutoff_is_taken_at_the_krylov_shape():
     B = np.zeros((2, 10))
     B[0, 0], B[1, 1] = 1.0, 8 * EPS
     s = SystemQuadruple(A=np.zeros((2, 2)), B=B, C=np.ones((1, 2)), D=np.zeros((1, 10)))
-    assert staircase(s).n_c == rank(reachability_matrix(s.A, s.B)) == 1
+    assert staircase(s).n_c == rank(krylov(s.A, s.B)) == 1
