@@ -49,6 +49,7 @@ from .reachdecomp import (
 )
 from .riccati import RiccatiSolution, solve_dare
 from .stablyap import (
+    ClosedLoopGramian,
     GramianSolution,
     closed_loop_gramian,
     solve_dlyap_stable,
@@ -72,6 +73,7 @@ __all__ = [
     "StaircaseForm",
     "staircase",
     "zero_row_indices",
+    "ClosedLoopGramian",
     "GramianSolution",
     "solve_dlyap_stable",
     "closed_loop_gramian",

@@ -19,6 +19,10 @@ closed-loop Gramian ``W``:
   plant data ``[A B]``, so it drops below ``n`` exactly when ``[A B]`` has a
   left null space.
 
+``Vbar2`` and the input row ``K W A_K' + Rw^{-1} B'`` depend only on the
+system; ``closed_loop_gramian`` forms them once, next to ``W``, and both
+this module and the trajectory solver read them from there.
+
 ``analyze`` bundles the decomposition, Riccati solution, Gramian, bases,
 the residual checks of those same bases and a dimension report in one pass.
 """
@@ -33,7 +37,7 @@ from .matcore import DEFAULT_TOL, ToleranceConfig, rank, residual_norms
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 from .reachdecomp import StaircaseForm, SystemQuadruple, staircase, zero_row_indices
 from .riccati import RiccatiSolution, solve_dare
-from .stablyap import GramianSolution, closed_loop_gramian
+from .stablyap import ClosedLoopGramian, closed_loop_gramian
 
 __all__ = [
     "ResidualNorms",
@@ -77,26 +81,25 @@ def assemble_v1(ric: RiccatiSolution) -> np.ndarray:
     return np.vstack([np.eye(n), ric.P, ric.K])
 
 
-def assemble_vbar2(ric: RiccatiSolution, gram: GramianSolution) -> np.ndarray:
-    """Backward-family basis ``[W; P W - I]``, shape (2n, n), always rank n."""
-    n = ric.P.shape[0]
-    out = np.empty((2 * n, n))
-    out[:n] = gram.W
-    np.dot(ric.P, gram.W, out=out[n:])
-    out[n:].reshape(-1)[:: n + 1] -= 1.0  # the diagonal of P W
-    return out
+def assemble_vbar2(ric: RiccatiSolution, gram: ClosedLoopGramian) -> np.ndarray:
+    """Backward-family basis ``[W; P W - I]``, shape (2n, n), always rank n.
+
+    ``closed_loop_gramian`` forms it once per system; this returns that
+    array, not a copy, and ``gram.W`` is a view of its top half.
+    """
+    return gram.Vbar2
 
 
-def assemble_v2(ric: RiccatiSolution, gram: GramianSolution) -> np.ndarray:
+def assemble_v2(ric: RiccatiSolution, gram: ClosedLoopGramian) -> np.ndarray:
     """Backward-family basis with input row, shape (2n + m, n).
 
-    The state and costate rows are exactly ``assemble_vbar2(ric, gram) @
-    ric.A_K.T``; the input row is ``K W A_K' + Rw^{-1} B'``.
+    The state and costate rows are exactly ``gram.Vbar2 @ ric.A_K.T``; the
+    input row is a copy of ``gram.u_gain = K W A_K' + Rw^{-1} B'``.
     """
     n = ric.P.shape[0]
     out = np.empty((2 * n + ric.K.shape[0], n))
-    np.dot(assemble_vbar2(ric, gram), ric.A_K.T, out=out[: 2 * n])
-    np.add(ric.K @ gram.W @ ric.A_K.T, ric.Rw_inv_Bt, out=out[2 * n :])
+    np.dot(gram.Vbar2, ric.A_K.T, out=out[: 2 * n])
+    out[2 * n :] = gram.u_gain
     return out
 
 
@@ -177,7 +180,7 @@ class AnalysisBundle:
     sys: SystemQuadruple
     staircase: StaircaseForm
     riccati: RiccatiSolution
-    gramian: GramianSolution
+    gramian: ClosedLoopGramian
     bases: InvariantBases
     residuals_v1: ResidualNorms
     residuals_v2: ResidualNorms
@@ -188,8 +191,10 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     """Full structural analysis of one system.
 
     Runs the reachability decomposition, solves the Riccati equation,
-    computes the closed-loop Gramian, assembles all three bases, evaluates
-    both residual triples and fills in the dimension report.
+    computes the closed-loop Gramian with ``Vbar2``, assembles ``V1`` and
+    ``V2``, evaluates both residual triples and fills in the dimension
+    report. ``bases.Vbar2`` is ``gramian.Vbar2`` itself, so ``P W`` is
+    formed once.
     """
     st = staircase(sys, cfg)
     ric = solve_dare(sys, cfg)
@@ -204,7 +209,7 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     V1 = assemble_v1(ric)
     res1 = residuals_v1(sys, V1, ric.A_K)
     V2 = assemble_v2(ric, gram)
-    Vbar2 = assemble_vbar2(ric, gram)
+    Vbar2 = assemble_vbar2(ric, gram)  # gram's own array, not a copy
     res2 = residuals_v2(sys, V2, Vbar2)
 
     report = DimensionReport(

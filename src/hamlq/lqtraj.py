@@ -13,11 +13,15 @@ mode propagated by ``A_K'`` from the far end:
 
 so a solve reduces to one boundary system in ``(a, b)``, solved from its
 blocks: ``a`` is eliminated through the identity block, which leaves one
-n-by-n system in ``b``. The mode sequences ``A_K^k a`` and
-``(A_K')^{k_f-k} b`` are then filled by doubling, each round multiplying the
-rows already known by the next power ``A_K^{2^i}``: about ``log2 k_f``
+n-by-n system in ``b``. The squares ``A_K^{2^i}``, ``2^i <= k_f``, are
+formed once per solve; ``A_K^{k_f}`` in the boundary blocks is built from
+them with ``np.linalg.matrix_power``'s products. The mode sequences
+``A_K^k a`` and ``(A_K')^{k_f-k} b`` are then filled by doubling, each round
+multiplying the rows already known by the next square: about ``log2 k_f``
 stacked products and ``O(k_f n)`` memory, the size of the output. Both are
 stored by step ``k``, so each output is a plain sum of two stacked products.
+The blocks ``W``, ``P W - I`` and ``K W A_K' + Rw^{-1} B'`` depend only on
+the system and are read from ``closed_loop_gramian``'s result.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .matcore import DEFAULT_TOL, ToleranceConfig, _float_array, fro_norm
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 from .reachdecomp import SystemQuadruple
 from .riccati import RiccatiSolution
-from .stablyap import GramianSolution
+from .stablyap import ClosedLoopGramian
 
 __all__ = [
     "TrajectoryProblem",
@@ -111,36 +115,57 @@ def cost(traj: Trajectory, sys: SystemQuadruple) -> float:
     return float(stage_costs(traj, sys).sum())
 
 
-def _propagate(A_K: np.ndarray, phi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, k_f: int):
+def _squares(A_K: np.ndarray, k_f: int):
+    """The squares ``A_K^(2^i)``, ``2^i <= k_f``, and ``phi = A_K^{k_f}`` built from them.
+
+    Each square is one product of the one before with itself, formed once
+    per solve. ``phi`` takes exactly ``np.linalg.matrix_power``'s products:
+    ``A_K`` itself at ``k_f = 1``, ``(A A) A`` at ``k_f = 3``, and otherwise
+    the squares of the set bits of ``k_f`` multiplied in from the least
+    significant bit, each on the right.
+    """
+    squares = [A_K]
+    while 2 ** len(squares) <= k_f:
+        squares.append(np.matmul(squares[-1], squares[-1]))
+    if k_f == 3:
+        return squares, np.matmul(squares[1], A_K)
+    phi = None
+    for i, z in enumerate(squares):
+        if k_f >> i & 1:
+            phi = z if phi is None else np.matmul(phi, z)
+    return squares, phi
+
+
+def _propagate(squares, phi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, k_f: int):
     """Rows ``fwd[k] = A_K^k alpha`` and ``bwd[k] = (A_K')^{k_f-k} beta``, k = 0..k_f.
 
     Each sequence is filled by doubling away from its start, ``fwd`` from
-    row 0 up and ``bwd`` from row ``k_f`` down: with ``j`` rows known, the
-    next ``t`` are the ``t`` nearest the start advanced by ``A_K^j``, which
-    is then squared. The far rows, ``fwd[k_f]`` and ``bwd[0]``, are taken from
-    ``phi = A_K^{k_f}``, the power in the boundary blocks, so the end states
-    and costates meet the boundary equations as closely as the solve did
-    even where large modes cancel.
+    row 0 up and ``bwd`` from row ``k_f`` down: in round ``i``, with ``j =
+    2^i`` rows known, the next ``t`` are the ``t`` nearest the start advanced
+    by ``squares[i] = A_K^j``. The far rows, ``fwd[k_f]`` and ``bwd[0]``,
+    are taken from ``phi = A_K^{k_f}``, the power in the boundary blocks, so
+    the end states and costates meet the boundary equations as closely as
+    the solve did even where large modes cancel.
     """
     fwd = np.empty((k_f + 1, alpha.shape[0]))
     bwd = np.empty_like(fwd)
     fwd[0], bwd[k_f] = alpha, beta
     fwd[k_f], bwd[0] = phi @ alpha, phi.T @ beta
-    step, j = A_K, 1
-    while j < k_f:
+    j = 1
+    for step in squares:
+        if j == k_f:
+            break
         t = min(j, k_f - j)
         fwd[:t].dot(step.T, out=fwd[j : j + t])
         bwd[k_f - t + 1 :].dot(step, out=bwd[k_f - j - t + 1 : k_f - j + 1])
         j += t
-        if j < k_f:
-            step = step.dot(step)
     return fwd, bwd
 
 
 def solve_nonrecursive(
     prob: TrajectoryProblem,
     ric: RiccatiSolution,
-    gram: GramianSolution,
+    gram: ClosedLoopGramian,
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> Trajectory:
     """Solve in closed form from the Riccati solution and Gramian.
@@ -167,10 +192,14 @@ def solve_nonrecursive(
     ``1 + |[x0; end]| + |M|_F |[alpha; beta]|``, with
     ``|M|_F^2 = n + |M12|^2 + |M21|^2 + |M22|^2``.
 
-    ``phi = A_K^{k_f}`` is formed once, by ``np.linalg.matrix_power``'s
-    repeated squaring (at most ``2 log2 k_f`` products), and shared by the
-    boundary blocks and the propagation's last rows. At ``k_f = 1`` it is
-    ``A_K`` itself, so nothing writes into it.
+    The squares ``A_K^{2^i}``, ``2^i <= k_f``, are formed once and serve
+    both ``phi = A_K^{k_f}``, built from them with exactly
+    ``np.linalg.matrix_power``'s products (at most ``2 log2 k_f`` products in
+    all), and every round of the propagation; ``phi`` also gives the
+    propagation's last rows. At ``k_f = 1`` it is ``A_K`` itself, so nothing
+    writes into it. ``W``, ``P W - I`` (the bottom half of ``gram.Vbar2``)
+    and the input gain ``gram.u_gain`` come from ``gram``, which must be
+    ``closed_loop_gramian``'s result for ``ric``.
 
     The working set is about four ``(k_f + 1) x n`` arrays plus ``u``.
 
@@ -183,12 +212,12 @@ def solve_nonrecursive(
     """
     sysq, k_f = prob.sys, prob.k_f
     n = sysq.n
-    P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
+    P, K, W, PW_I = ric.P, ric.K, gram.W, gram.Vbar2[n:]
 
-    # An overflow here ends in the not-finite verdict below, not in a warning.
+    # An overflow here ends in the not-finite verdict below, not in a warning:
+    # an overflowing square makes the last square, and so phi, non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.linalg.matrix_power(A_K, k_f)
-        PW_I = P @ W - np.eye(n)
+        squares, phi = _squares(ric.A_K, k_f)
         # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
         # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
         x0, M12 = prob.x0, W @ phi.T
@@ -197,9 +226,10 @@ def solve_nonrecursive(
         else:
             M21, M22, end = phi, W, prob.xf
         beta = np.linalg.lstsq(M22 - M21 @ M12, end - M21 @ x0, rcond=cfg.rank_tol_factor * n)[0]
-        alpha = x0 - M12 @ beta
+        M12_beta = M12 @ beta
+        alpha = x0 - M12_beta
         # the full system's residual and scale, one block row at a time
-        top, bottom = fro_norm(alpha + M12 @ beta - x0), fro_norm(M21 @ alpha + M22 @ beta - end)
+        top, bottom = fro_norm(alpha + M12_beta - x0), fro_norm(M21 @ alpha + M22 @ beta - end)
         norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), fro_norm(M22))
         norm_z = math.hypot(fro_norm(alpha), fro_norm(beta))
         residual = math.hypot(top, bottom)
@@ -216,11 +246,10 @@ def solve_nonrecursive(
             )
     del M12, M21, M22  # not needed past the check; the output arrays below set the peak
 
-    fwd, bwd = _propagate(A_K, phi, alpha, beta, k_f)
-    del phi
-    u_gain = K @ W @ A_K.T + ric.Rw_inv_Bt
+    fwd, bwd = _propagate(squares, phi, alpha, beta, k_f)
+    del squares, phi
     u = fwd[:-1] @ K.T
-    u += bwd[1:] @ u_gain.T
+    u += bwd[1:] @ gram.u_gain.T
     p = fwd @ P.T
     p += bwd @ PW_I.T
     x = bwd @ W.T

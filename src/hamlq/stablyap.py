@@ -19,6 +19,7 @@ from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps thi
 
 __all__ = [
     "GramianSolution",
+    "ClosedLoopGramian",
     "solve_dlyap_stable",
     "closed_loop_gramian",
     "stability_certificate",
@@ -27,7 +28,12 @@ __all__ = [
 
 @dataclass
 class GramianSolution:
-    """Solution of ``A_K W A_K' + Q = W`` with convergence diagnostics."""
+    """Solution of ``A_K W A_K' + Q = W`` with convergence diagnostics.
+
+    ``solve_dlyap_stable`` returns ``W`` as its own array.
+    ``closed_loop_gramian`` returns the subclass ``ClosedLoopGramian``,
+    whose ``W`` is a view of the top half of its ``Vbar2``.
+    """
 
     W: np.ndarray
     iterations: int
@@ -117,15 +123,44 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
     )
 
 
-def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSolution:
-    """Weighted reachability Gramian of the closed loop.
+@dataclass
+class ClosedLoopGramian(GramianSolution):
+    """The closed-loop Gramian with the backward-family blocks built from it.
+
+    ``Vbar2 = [W; P W - I]`` is one ``(2n, n)`` array and ``W`` is a view of
+    its top half, so no second copy of ``W`` exists. ``u_gain = K W A_K' +
+    Rw^{-1} B'`` is the input row of the backward family. Both depend only
+    on the system, so ``analyze`` and every trajectory solve read them
+    instead of forming them again.
+    """
+
+    Vbar2: np.ndarray
+    u_gain: np.ndarray
+
+
+def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedLoopGramian:
+    """Weighted reachability Gramian of the closed loop, with its backward family.
 
     Solves ``A_K W A_K' + B Rw^{-1} B' = W`` for the feedback data in
     ``ric``. In the reachability basis the solution has the block form
     ``diag(W_c, 0)`` with a positive definite reachable block.
     ``solve_dlyap_stable`` symmetrizes the forcing ``B Rw^{-1} B'``.
+
+    ``W`` is copied into the top half of ``Vbar2 = [W; P W - I]`` and the
+    returned ``W`` is a view of it; the bottom half is ``P W`` formed in
+    place with one subtracted on its diagonal only, the same bits as
+    ``P @ W - np.eye(n)``. ``u_gain = K W A_K' + Rw^{-1} B'`` is formed once
+    here as well.
     """
-    return solve_dlyap_stable(ric.A_K, sys.B @ ric.Rw_inv_Bt, cfg)
+    sol = solve_dlyap_stable(ric.A_K, sys.B @ ric.Rw_inv_Bt, cfg)
+    n = sol.W.shape[0]
+    Vbar2 = np.empty((2 * n, n))
+    W = Vbar2[:n]
+    W[:] = sol.W
+    np.dot(ric.P, W, out=Vbar2[n:])
+    Vbar2[n:].reshape(-1)[:: n + 1] -= 1.0  # the diagonal of P W
+    u_gain = ric.K @ W @ ric.A_K.T + ric.Rw_inv_Bt
+    return ClosedLoopGramian(W=W, iterations=sol.iterations, Vbar2=Vbar2, u_gain=u_gain)
 
 
 def stability_certificate(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -44,6 +44,11 @@ def krylov(A, B):
     return np.hstack(blocks)
 
 
+def same_bits(a, b):
+    """Equal shape and identical float64 bit patterns, signs of zero included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def is_psd(M, tol=1e-12):
     """Whether ``M`` is symmetric positive semidefinite up to ``tol * max|M|``.
 

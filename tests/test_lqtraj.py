@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import full_column_rank_D, random_stabilizable, stable_matrix
+from conftest import full_column_rank_D, random_stabilizable, same_bits, stable_matrix
 from hamlq.errors import BoundaryInconsistent
 from hamlq.lqtraj import (
     TrajectoryProblem,
-    _propagate,
+    _squares,
     cost,
     solve_nonrecursive,
     stage_costs,
@@ -521,11 +521,33 @@ def test_doubling_matches_power_list_propagation(golden_sys, n):
     assert solved >= 20
 
 
+def doubling_propagate(A_K, phi, alpha, beta, k_f):
+    """Mode sequences by doubling, each square formed from the one before.
+
+    An independent chain of ``step.dot(step)`` squares, the propagation as it
+    stood before the solver shared its squares with ``phi``.
+    """
+    fwd = np.empty((k_f + 1, alpha.shape[0]))
+    bwd = np.empty_like(fwd)
+    fwd[0], bwd[k_f] = alpha, beta
+    fwd[k_f], bwd[0] = phi @ alpha, phi.T @ beta
+    step, j = A_K, 1
+    while j < k_f:
+        t = min(j, k_f - j)
+        fwd[:t].dot(step.T, out=fwd[j : j + t])
+        bwd[k_f - t + 1 :].dot(step, out=bwd[k_f - j - t + 1 : k_f - j + 1])
+        j += t
+        if j < k_f:
+            step = step.dot(step)
+    return fwd, bwd
+
+
 @pytest.mark.parametrize("n", [None, 3, 12])
 def test_outputs_are_plain_sums_bitwise(golden_sys, n):
     # x, p and u must be, to the last bit and sign of zero, the plain sums of
     # the causal and anticausal products over the propagated modes; the
-    # solver forms them in place in another order of operands.
+    # solver forms them in place in another order of operands, from squares
+    # it shares with phi, and reads P W - I and the input gain from gram.
     rng = np.random.default_rng(49 + (n or 0))
     sys = golden_sys if n is None else random_stabilizable(rng, n, 3, 4, singular_D=n == 3)
     ric, gram = solve_all(sys)
@@ -544,7 +566,8 @@ def test_outputs_are_plain_sums_bitwise(golden_sys, n):
             except BoundaryInconsistent:
                 continue
             solved += 1
-            fwd, bwd = _propagate(A_K, np.linalg.matrix_power(A_K, k_f), traj.alpha, traj.beta, k_f)
+            phi = np.linalg.matrix_power(A_K, k_f)
+            fwd, bwd = doubling_propagate(A_K, phi, traj.alpha, traj.beta, k_f)
             want = {
                 "x": fwd + bwd @ W.T,
                 "p": fwd @ P.T + bwd @ PW_I.T,
@@ -555,6 +578,26 @@ def test_outputs_are_plain_sums_bitwise(golden_sys, n):
                 assert np.array_equal(got, ref), (name, k_f, xf is None)
                 assert np.array_equal(np.signbit(got), np.signbit(ref)), (name, k_f, xf is None)
     assert solved >= 9
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 3, 7, 20])
+def test_squares_match_matrix_power_bitwise(n, order):
+    # phi must be np.linalg.matrix_power's product to the last bit, k_f = 2
+    # and 3 (its short cuts) included, and each square must equal both
+    # matrix_power's and a plain chain of step.dot(step) squares.
+    A_K = np.asarray(stable_matrix(np.random.default_rng(50 + n), n, radius=0.99), order=order)
+    chain = [A_K]
+    for _ in range(10):  # 2^10 <= 1100 < 2^11
+        chain.append(chain[-1].dot(chain[-1]))
+    for i, z in enumerate(chain):
+        assert same_bits(z, np.linalg.matrix_power(A_K, 2**i)), i
+    for k_f in range(1, 1101):
+        squares, phi = _squares(A_K, k_f)
+        assert len(squares) == k_f.bit_length(), k_f
+        assert all(same_bits(z, c) for z, c in zip(squares, chain)), k_f
+        assert same_bits(phi, np.linalg.matrix_power(A_K, k_f)), k_f
+    assert _squares(A_K, 1)[1] is A_K
 
 
 def test_propagation_memory_is_linear_in_horizon():

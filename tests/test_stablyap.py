@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import is_psd, stable_matrix, staircase_embedded
+from conftest import is_psd, random_stabilizable, same_bits, stable_matrix, staircase_embedded
 from hamlq.errors import NotStable
 from hamlq.matcore import DEFAULT_TOL
 from hamlq.reachdecomp import SystemQuadruple, staircase
@@ -187,6 +187,30 @@ def test_gramian_block_structure_dual_route():
         # the reachable block is strictly positive definite
         assert np.linalg.svd(W_c, compute_uv=False)[-1] > 0
         assert is_psd(W_c)
+
+
+@pytest.mark.parametrize("which", ["golden", "n12", "singular_dd_n30"])
+def test_closed_loop_gramian_backward_blocks_bitwise(which, golden_sys):
+    # Vbar2 = [W; P W - I] and u_gain = K W A_K' + Rw^{-1} B' are the plain
+    # expressions to the last bit and sign of zero, W is the Smith solution
+    # and a view of Vbar2's top half, not a second copy.
+    rng = np.random.default_rng(63)
+    sys = {
+        "golden": lambda: golden_sys,
+        "n12": lambda: random_stabilizable(rng, 12, 3, 4),
+        "singular_dd_n30": lambda: random_stabilizable(rng, 30, 3, 3, singular_D=True),
+    }[which]()
+    ric = solve_dare(sys)
+    gram = closed_loop_gramian(sys, ric)
+    n = sys.n
+    P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
+    smith = solve_dlyap_stable(A_K, sys.B @ ric.Rw_inv_Bt)
+
+    assert same_bits(W, smith.W) and gram.iterations == smith.iterations
+    assert np.shares_memory(gram.W, gram.Vbar2)
+    assert W.flags.c_contiguous
+    assert same_bits(gram.Vbar2, np.vstack([W, P @ W - np.eye(n)]))
+    assert same_bits(gram.u_gain, K @ W @ A_K.T + ric.Rw_inv_Bt)
 
 
 def test_restricted_gain_stabilizes_reachable_part(golden_sys):
