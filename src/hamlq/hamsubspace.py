@@ -76,7 +76,11 @@ class ResidualNorms:
 
 
 def assemble_v1(ric: RiccatiSolution) -> np.ndarray:
-    """Forward-family basis ``[I; P; K]``, shape (2n + m, n)."""
+    """Forward-family basis ``[I; P; K]``, shape (2n + m, n).
+
+    Returns a new C-ordered array and leaves ``ric`` as it is; ``analyze``
+    then rebinds ``ric.P`` to the rows ``n:2n`` of the result.
+    """
     n = ric.P.shape[0]
     return np.vstack([np.eye(n), ric.P, ric.K])
 
@@ -177,6 +181,14 @@ class DimensionReport:
 
 @dataclass
 class AnalysisBundle:
+    """Everything ``analyze`` computed for one system.
+
+    Two outputs are views into a basis, so each ``n x n`` block is held once:
+    ``riccati.P`` is the rows ``n:2n`` of ``bases.V1`` and ``gramian.W`` the
+    top half of ``bases.Vbar2`` (``bases.Vbar2 is gramian.Vbar2``). Writing
+    into ``V1`` or ``Vbar2`` changes ``P`` or ``W``.
+    """
+
     sys: SystemQuadruple
     staircase: StaircaseForm
     riccati: RiccatiSolution
@@ -194,7 +206,11 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     computes the closed-loop Gramian with ``Vbar2``, assembles ``V1`` and
     ``V2``, evaluates both residual triples and fills in the dimension
     report. ``bases.Vbar2`` is ``gramian.Vbar2`` itself, so ``P W`` is
-    formed once.
+    formed once. Once ``V1 = [I; P; K]`` exists, ``riccati.P`` is rebound to
+    its C-contiguous view ``V1[n:2n]`` (the same bits) and the solver's own
+    ``P`` is freed, as ``W`` is a view of ``Vbar2``. ``K`` stays its own
+    Fortran-ordered array: a C-ordered view would round later products with
+    it differently.
     """
     st = staircase(sys, cfg)
     ric = solve_dare(sys, cfg)
@@ -207,6 +223,7 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
 
     # each residual triple is taken before the next basis adds to the peak
     V1 = assemble_v1(ric)
+    ric.P = V1[sys.n : 2 * sys.n]  # P is held once, inside V1
     res1 = residuals_v1(sys, V1, ric.A_K)
     V2 = assemble_v2(ric, gram)
     Vbar2 = assemble_vbar2(ric, gram)  # gram's own array, not a copy

@@ -79,6 +79,16 @@ def _settled(change: float, prev_change: float, scale: float) -> bool:
     return change >= prev_change and change <= np.sqrt(EPS) * scale
 
 
+def _sym_into(M: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``_sym(M)`` written over ``M``, with ``buf`` as scratch.
+
+    The same sums ``M_ij + M_ji`` and halvings, so the same bits.
+    """
+    buf[:] = M.T
+    buf += M
+    return np.multiply(buf, 0.5, out=M)
+
+
 def _doubling_gain(A, B, cfg: ToleranceConfig):
     """Gain of the auxiliary DARE ``(A, B, Q = I, R = I, S = 0)``; returns (K, steps).
 
@@ -95,26 +105,41 @@ def _doubling_gain(A, B, cfg: ToleranceConfig):
     ``H``; one LU of it is applied to ``[A_k, G_k]``. An unreachable mode on
     or outside the unit circle makes ``H_k`` grow without bound, which ends
     in a non-finite iterate or an exhausted ``cfg.max_iter``.
+
+    Each step holds ``A_k``, ``G_k``, ``H_k``, one scratch array and the
+    ``n x 2n`` solve result; ``W`` and the concatenation go as soon as the
+    solve returns, ``H_k`` once ``H_{k+1} - H_k`` is formed, and the solve
+    result once ``G_{k+1}`` is. The products, sums and operand layouts are
+    those of the plain expressions, and so are the bits.
     """
     n, m = B.shape
     Ak = A
     G = B @ B.T
-    H = I = np.eye(n)
+    H = np.eye(n)
+    buf = np.empty((n, n))  # each symmetrization's transpose, then H_{k+1} - H_k
     prev_dh = np.inf
     for it in range(1, cfg.max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
+            # W = I + G H on the product's diagonal; adding 0.0 first turns
+            # its -0.0 entries into +0.0, as the identity's zeros do
+            Wk = G @ H
+            Wk += 0.0
+            Wk.reshape(-1)[:: n + 1] += 1.0
             try:
-                X = np.linalg.solve(I + G @ H, np.concatenate((Ak, G), axis=1))
+                X = np.linalg.solve(Wk, np.concatenate((Ak, G), axis=1))
             except np.linalg.LinAlgError as exc:
                 raise NotStabilizable(
                     f"structured doubling broke down at step {it}: "
                     "I + G H is singular or not finite"
                 ) from exc
+            del Wk
             A_next = Ak @ X[:, :n]
-            G_next = _sym(G + Ak @ X[:, n:] @ Ak.T)
-            H_next = _sym(H + Ak.T @ H @ X[:, :n])
-            dh = fro_norm(H_next - H)
+            H_next = _sym_into(H + Ak.T @ H @ X[:, :n], buf)
+            dh = fro_norm(np.subtract(H_next, H, out=buf))
             h_scale = 1.0 + fro_norm(H_next)
+            del H
+            G_next = _sym_into(G + Ak @ X[:, n:] @ Ak.T, buf)
+            del X
         # A non-finite entry of H makes both norms non-finite at once; one of
         # A_k or G breaks the next step's solve or makes its norms non-finite.
         if not (math.isfinite(dh) and math.isfinite(h_scale)):
@@ -166,7 +191,6 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
     # is already stable (and keeps the Newton weights maximal, since policy
     # costs only decrease from there). Otherwise take the gain of the
     # auxiliary unit-weight equation, found by structured doubling.
-    P = np.zeros((n, n))
     boot_iters = 0
     if stability_certificate(A, cfg):
         K = np.zeros((B.shape[1], n))
@@ -181,7 +205,9 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
     # Phase 2: Newton (policy iteration) refinement. Each step solves the
     # closed-loop cost equation P = A_K' P A_K + (C + D K)'(C + D K), which
     # keeps the right-hand side positive semidefinite by construction and
-    # converges quadratically from a stabilizing gain.
+    # converges quadratically from a stabilizing gain. P = 0 only serves the
+    # first step's change and is made after the bootstrap, not held through it.
+    P = np.zeros((n, n))
     newton_iters = 0
     prev_dp = np.inf
     for it in range(1, cfg.max_iter + 1):

@@ -18,6 +18,7 @@ from hamlq.hamsubspace import (
 )
 from hamlq.matcore import fro_norm, rank
 from hamlq.reachdecomp import SystemQuadruple, staircase
+from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
 
@@ -284,8 +285,8 @@ def test_analyze_peak_memory():
     # The residual terms, the bases and the staircase factor are formed one
     # at a time or in place: with every residual term held on top of all
     # three bases the peak was about 20 n x n matrices. With P W formed
-    # once, in the Gramian's Vbar2, it reads 12.3 (13.3 when analyze
-    # formed Vbar2 twice).
+    # once, in the Gramian's Vbar2, it read 12.3 (13.3 when analyze
+    # formed Vbar2 twice); with P a view of V1 it reads 11.3.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
     analyze(sys)
@@ -295,7 +296,7 @@ def test_analyze_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 13 * n * n * 8, peak / (n * n * 8)
+    assert peak < 11.8 * n * n * 8, peak / (n * n * 8)
 
 
 def singular_dd_n30():
@@ -359,3 +360,32 @@ def test_analyze_and_residuals_leave_their_inputs_unchanged(which, golden_sys):
         assert np.array_equal(before, after)
     for before, after in zip(held, (b.V1, b.V2, b.Vbar2, A_K)):
         assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("which", ["golden", "n12", "singular_dd_n30"])
+def test_analyze_holds_p_as_a_view_of_v1(which, golden_sys):
+    # P is the rows n:2n of V1, not a second copy, with the solver's bits and
+    # C layout: trajectories solved from the bundle round as those solved
+    # from a fresh solve_dare, at either endpoint.
+    sys = {
+        "golden": lambda: golden_sys,
+        "n12": lambda: random_stabilizable(np.random.default_rng(63), 12, 3, 4),
+        "singular_dd_n30": singular_dd_n30,
+    }[which]()
+    bundle = analyze(sys)
+    P = bundle.riccati.P
+    assert np.shares_memory(P, bundle.bases.V1)
+    assert P.flags.c_contiguous
+    ric, gram = solve_all(sys)
+    assert same_bits(P, ric.P)
+
+    x0 = np.random.default_rng(64).standard_normal(sys.n)
+    free = TrajectoryProblem(sys, x0, 10)
+    fresh = solve_nonrecursive(free, ric, gram)
+    fixed = TrajectoryProblem(sys, x0, 10, xf=fresh.x[-1])  # reachable by construction
+    for prob in (free, fixed):
+        want = solve_nonrecursive(prob, ric, gram)
+        got = solve_nonrecursive(prob, bundle.riccati, bundle.gramian)
+        for name in ("x", "p", "u"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert same_bits(np.float64(got.J), np.float64(want.J))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import hidden_left_null_space, is_psd, random_stabilizable, unstable_modes
+from conftest import hidden_left_null_space, is_psd, random_stabilizable, same_bits, unstable_modes
 from hamlq import riccati
 from hamlq.errors import NotStabilizable, SingularWeight
+from hamlq.matcore import DEFAULT_TOL
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import stability_certificate
@@ -240,3 +241,57 @@ def test_newton_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 9.3 * n * n * 8
+
+
+def doubling_reference(A, B, cfg=DEFAULT_TOL):
+    """The structured-doubling loop written with plain expressions: the
+    arithmetic ``riccati._doubling_gain`` must repeat, operation for operation."""
+    n, m = B.shape
+    Ak = A
+    G = B @ B.T
+    H = I = np.eye(n)
+    prev_dh = np.inf
+    for it in range(1, cfg.max_iter + 1):
+        X = np.linalg.solve(I + G @ H, np.concatenate((Ak, G), axis=1))
+        A_next = Ak @ X[:, :n]
+        G_sum = G + Ak @ X[:, n:] @ Ak.T
+        H_sum = H + Ak.T @ H @ X[:, :n]
+        G_next = 0.5 * (G_sum + G_sum.T)
+        H_next = 0.5 * (H_sum + H_sum.T)
+        dh = np.linalg.norm(H_next - H)
+        h_scale = 1.0 + np.linalg.norm(H_next)
+        Ak, G, H = A_next, G_next, H_next
+        if riccati._settled(dh, prev_dh, h_scale):
+            return -np.linalg.solve(np.eye(m) + B.T @ H @ B, B.T @ H @ A), it
+        prev_dh = dh
+    raise AssertionError("reference doubling did not settle")
+
+
+@pytest.mark.parametrize("n, m, seed", [(1, 1, 70), (4, 2, 71), (10, 1, 72), (20, 3, 73), (50, 3, 74), (100, 3, 61)])
+def test_doubling_gain_matches_plain_loop_bitwise(n, m, seed):
+    # The in-place identity, the reused symmetrization buffer and the early
+    # drops change no operation: the gain and the step count are the plain
+    # loop's, bit for bit.
+    sys = unstable_modes(np.random.default_rng(seed), n, k=min(3, n), m=m)
+    K, steps = riccati._doubling_gain(sys.A, sys.B, DEFAULT_TOL)
+    K_ref, steps_ref = doubling_reference(sys.A, sys.B)
+    assert steps == steps_ref
+    assert same_bits(K, K_ref)
+
+
+def test_doubling_peak_memory():
+    # A_k, G, H, one scratch array and the n x 2n solve result, with I + G H
+    # and the concatenation alive only through the solve. Holding the
+    # identity, the concatenation and the solve result through every
+    # product, with fresh arrays for each symmetrization and for H_next - H,
+    # put the peak at 11.03 n x n matrices; it reads 9.03.
+    n = 100
+    sys = unstable_modes(np.random.default_rng(61), n)
+    riccati._doubling_gain(sys.A, sys.B, DEFAULT_TOL)
+    tracemalloc.start()
+    try:
+        riccati._doubling_gain(sys.A, sys.B, DEFAULT_TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5 * n * n * 8, peak / (n * n * 8)
