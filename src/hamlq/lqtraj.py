@@ -8,7 +8,7 @@ is a combination of a causal mode propagated by ``A_K`` and an anticausal
 mode propagated by ``A_K'`` from the far end:
 
     x_k = A_K^k a + W (A_K')^{k_f-k} b
-    p_k = P A_K^k a + (P W - I)(A_K')^{k_f-k} b
+    p_k = P x_k - (A_K')^{k_f-k} b
     u_k = K A_K^k a + (K W A_K' + Rw^{-1} B')(A_K')^{k_f-1-k} b
 
 so a solve reduces to one boundary system in ``(a, b)``, solved from its
@@ -19,9 +19,13 @@ them with ``np.linalg.matrix_power``'s products. The mode sequences
 ``A_K^k a`` and ``(A_K')^{k_f-k} b`` are then filled by doubling, each round
 multiplying the rows already known by the next square: about ``log2 k_f``
 stacked products and ``O(k_f n)`` memory, the size of the output. Both are
-stored by step ``k``, so each output is a plain sum of two stacked products.
-The blocks ``W``, ``P W - I`` and ``K W A_K' + Rw^{-1} B'`` depend only on
-the system and are read from ``closed_loop_gramian``'s result.
+stored by step ``k``, so ``x`` and ``u`` are each a plain sum of two stacked
+products. ``p`` is one product of ``x`` less the anticausal mode:
+``(x_k, p_k)`` is ``[I; P] A_K^k a + [W; P W - I] (A_K')^{k_f-k} b``, a
+point of the forward structural invariant subspace plus one of the
+backward, so ``p_k - P x_k = -(A_K')^{k_f-k} b``. The blocks ``W``,
+``P W - I`` and ``K W A_K' + Rw^{-1} B'`` depend only on the system and are
+read from ``closed_loop_gramian``'s result.
 """
 
 from __future__ import annotations
@@ -93,7 +97,10 @@ class Trajectory:
 
     ``x`` and ``p`` have ``k_f + 1`` rows (steps 0..k_f), ``u`` has ``k_f``
     rows. ``alpha`` and ``beta`` are the causal and anticausal parameters
-    the sequences are propagated from.
+    the sequences are propagated from. At a free end, ``p[k_f]`` is the
+    transversality row of the boundary system, ``P phi alpha + (P W - I)
+    beta``, as the consistency check measured it; every other row of ``p``
+    is ``P x_k - (A_K')^{k_f-k} beta``.
     """
 
     x: np.ndarray
@@ -197,11 +204,17 @@ def solve_nonrecursive(
     ``np.linalg.matrix_power``'s products (at most ``2 log2 k_f`` products in
     all), and every round of the propagation; ``phi`` also gives the
     propagation's last rows. At ``k_f = 1`` it is ``A_K`` itself, so nothing
-    writes into it. ``W``, ``P W - I`` (the bottom half of ``gram.Vbar2``)
-    and the input gain ``gram.u_gain`` come from ``gram``, which must be
-    ``closed_loop_gramian``'s result for ``ric``.
+    writes into it. ``W``, ``P W - I`` (the bottom half of ``gram.Vbar2``,
+    read only by the free-end block) and the input gain ``gram.u_gain`` come
+    from ``gram``, which must be ``closed_loop_gramian``'s result for ``ric``.
 
-    The working set is about four ``(k_f + 1) x n`` arrays plus ``u``.
+    The outputs are ``u``, then ``x = W bwd + fwd`` from the two mode
+    sequences, then ``p = P x - bwd``; at a free end ``p[k_f]`` is then
+    replaced by the bottom block row ``M21 alpha + M22 beta`` that the
+    consistency check measured, so the returned costate meets ``p_{k_f} = 0``
+    as closely as the solve did. Each sequence is freed once it is last
+    read, so the working set is about three ``(k_f + 1) x n`` arrays plus
+    ``u``.
 
     Raises
     ------
@@ -228,8 +241,10 @@ def solve_nonrecursive(
         beta = np.linalg.lstsq(M22 - M21 @ M12, end - M21 @ x0, rcond=cfg.rank_tol_factor * n)[0]
         M12_beta = M12 @ beta
         alpha = x0 - M12_beta
-        # the full system's residual and scale, one block row at a time
-        top, bottom = fro_norm(alpha + M12_beta - x0), fro_norm(M21 @ alpha + M22 @ beta - end)
+        # the full system's residual and scale, one block row at a time; at a
+        # free end the bottom row's left side is the costate p_{k_f}
+        end_row = M21 @ alpha + M22 @ beta
+        top, bottom = fro_norm(alpha + M12_beta - x0), fro_norm(end_row - end)
         norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), fro_norm(M22))
         norm_z = math.hypot(fro_norm(alpha), fro_norm(beta))
         residual = math.hypot(top, bottom)
@@ -244,17 +259,20 @@ def solve_nonrecursive(
                 f"boundary system residual {residual:.3e} exceeds tolerance: "
                 "endpoint not attainable from x0 in k_f steps, or the problem is degenerate"
             )
-    del M12, M21, M22  # not needed past the check; the output arrays below set the peak
+    del M12, M21, M22  # frees M12 and a free end's P phi; phi and gram hold the rest
 
     fwd, bwd = _propagate(squares, phi, alpha, beta, k_f)
     del squares, phi
     u = fwd[:-1] @ K.T
     u += bwd[1:] @ gram.u_gain.T
-    p = fwd @ P.T
-    p += bwd @ PW_I.T
     x = bwd @ W.T
     x += fwd
-    del fwd, bwd  # free before the cost adds its own arrays
+    del fwd
+    p = x @ P.T
+    p -= bwd
+    del bwd  # free before the cost adds its own arrays
+    if prob.free_terminal:
+        p[k_f] = end_row  # the row the transversality check measured
 
     traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
     traj.J = cost(traj, sysq)

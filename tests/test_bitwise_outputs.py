@@ -1,16 +1,18 @@
-"""``tools/bitwise_outputs.py compare --oracle`` on two small hand-written captures."""
+"""``tools/bitwise_outputs.py compare`` and ``compare --oracle`` on small hand-written captures."""
 
 import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracle import sqrt_riccati_cost
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bitwise_outputs.py"
+SHOWN = 5  # the tool's differing records printed per field name
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +51,30 @@ def test_oracle_compare_fails_when_a_free_end_J_leaves_the_band(tmp_path, free_r
     flip = f"flip {' '.join(map(str, key))} inside -> outside"
     assert (flip in res.stdout) == bool(code)
     assert ("(left the band)" in res.stdout) == bool(code)
+
+
+def test_compare_ends_with_one_line_per_field_name(tmp_path, free_record):
+    key, rec, _ = free_record
+    rec = dict(rec, alpha=np.ones(2), beta=np.zeros(2))
+    setup = {"ric.P": np.eye(2), "ric.K": np.ones((1, 2)), "gram.W": np.eye(2)}
+    a = {("traj", 1, f"t{i}"): rec for i in range(SHOWN + 3)}
+    a.update({("setup", 1, "s"): setup, ("traj", 1, "raised"): ("raised", "BoundaryInconsistent", "m")})
+    b = {**a, ("setup", 1, "s"): dict(setup, **{"ric.K": 2 * setup["ric.K"]})}
+    scale = 1.0 + np.max(np.abs(rec["p"]))
+    for i in range(SHOWN + 3):
+        b[("traj", 1, f"t{i}")] = dict(rec, p=rec["p"] + (i + 1) * 1e-9 * scale)
+    paths = []
+    for name, records in (("a.pkl", a), ("b.pkl", b)):
+        (tmp_path / name).write_bytes(pickle.dumps(records))
+        paths.append(str(tmp_path / name))
+    res = subprocess.run(
+        [sys.executable, str(TOOL), "compare", *paths], capture_output=True, text=True, check=False,
+    )
+    assert res.returncode == 1, res.stdout + res.stderr
+    lines = res.stdout.splitlines()
+    # each field name's first SHOWN differing records are listed, not all
+    assert sum(line.startswith("differs") and line.split()[4] == "p" for line in lines) == SHOWN
+    assert lines[-1] == (
+        f"p: {SHOWN + 3} differ, largest {(SHOWN + 3) * 1e-9:.1e}; ric.K: 1 differ, largest 5.0e-01; "
+        "x, u, J, alpha, beta, ric.P, gram.*, raised: 0"
+    )

@@ -544,10 +544,12 @@ def doubling_propagate(A_K, phi, alpha, beta, k_f):
 
 @pytest.mark.parametrize("n", [None, 3, 12])
 def test_outputs_are_plain_sums_bitwise(golden_sys, n):
-    # x, p and u must be, to the last bit and sign of zero, the plain sums of
-    # the causal and anticausal products over the propagated modes; the
-    # solver forms them in place in another order of operands, from squares
-    # it shares with phi, and reads P W - I and the input gain from gram.
+    # x and u must be, to the last bit and sign of zero, the plain sums of
+    # the causal and anticausal products over the propagated modes, and p
+    # must be P x less the anticausal mode, with a free end's last row the
+    # boundary system's bottom row; the solver forms them in place in another
+    # order of operands, from squares it shares with phi, and reads P W - I
+    # and the input gain from gram.
     rng = np.random.default_rng(49 + (n or 0))
     sys = golden_sys if n is None else random_stabilizable(rng, n, 3, 4, singular_D=n == 3)
     ric, gram = solve_all(sys)
@@ -570,9 +572,11 @@ def test_outputs_are_plain_sums_bitwise(golden_sys, n):
             fwd, bwd = doubling_propagate(A_K, phi, traj.alpha, traj.beta, k_f)
             want = {
                 "x": fwd + bwd @ W.T,
-                "p": fwd @ P.T + bwd @ PW_I.T,
+                "p": traj.x @ P.T - bwd,
                 "u": fwd[:-1] @ K.T + bwd[1:] @ u_gain.T,
             }
+            if xf is None:
+                want["p"][k_f] = (P @ phi) @ traj.alpha + PW_I @ traj.beta
             for name, ref in want.items():
                 got = getattr(traj, name)
                 assert np.array_equal(got, ref), (name, k_f, xf is None)
@@ -616,9 +620,9 @@ def test_propagation_memory_is_linear_in_horizon():
 
 
 def test_trajectory_peak_memory_is_a_few_outputs():
-    # At most four (k_f + 1) x n arrays are held at once, the two mode
-    # sequences, p, and x or the product added into p, plus u: this reads
-    # 4.3 at n = 20, k_f = 199, and 4.1 at n = 50, k_f = 4000.
+    # At most three (k_f + 1) x n arrays are held at once, plus u: the two
+    # mode sequences and x, then x, bwd and p once fwd is freed. This reads
+    # 3.2 at n = 20, k_f = 199, and 3.1 at n = 50, k_f = 4000.
     for n, k_f in ((50, 4000), (20, 199)):
         rng = np.random.default_rng(48)
         sys = random_stabilizable(rng, n, 3, 4)
@@ -630,4 +634,4 @@ def test_trajectory_peak_memory_is_a_few_outputs():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.6 * (k_f + 1) * n * 8, (n, k_f, peak / ((k_f + 1) * n * 8))
+        assert peak < 3.5 * (k_f + 1) * n * 8, (n, k_f, peak / ((k_f + 1) * n * 8))

@@ -1,4 +1,5 @@
-"""``tools/memory_phases.py`` on a small stable and a small unstable ``analyze-mix`` item."""
+"""``tools/memory_phases.py`` on a small stable and a small unstable ``analyze-mix``
+item and on the ``traj-many`` item with the largest peak."""
 
 import subprocess
 import sys
@@ -6,7 +7,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "memory_phases.py"
-PHASES = ["staircase", "DARE", "Gramian", "rank", "V1", "res1", "V2", "res2", "bootstrap", "Newton"]
+PHASES = [
+    "staircase", "DARE", "Gramian", "rank", "V1", "res1", "V2", "res2", "bootstrap", "Newton",
+    "boundary", "propagation", "outputs", "cost",
+]
 
 
 def test_memory_phases_reports_every_phase():
@@ -23,7 +27,17 @@ def test_memory_phases_reports_every_phase():
     assert list(rows) == PHASES
     for held, peak, after in rows.values():
         assert peak >= max(held, after)
-    assert res.stdout.count("<- peak") == 2
+    peaks = [line.split()[0] for line in res.stdout.splitlines() if line.endswith("<- peak")]
+    assert len(peaks) == 3 and peaks[-1] == "outputs", peaks
     # analyze rebinds P to a view of V1 once V1 exists, so the solver's own
     # P, one n x n array, is gone before the first residual check starts
     assert rows["V1"][2] - rows["res1"][0] > 0.9
+    # the trajectory phases follow one another: each starts where the one
+    # before ended, and x, p and u, about 2.2 (k_f + 1) x n arrays, outlive
+    # the outputs phase, whose peak (three such arrays) is the solve's
+    traj = ["boundary", "propagation", "outputs", "cost"]
+    for before, after in zip(traj, traj[1:]):
+        assert rows[before][2] == rows[after][0]
+    assert 2.0 < rows["outputs"][2] < 2.5
+    assert 2.9 < rows["outputs"][1] < 3.5
+    assert "solve_nonrecursive singular-dd-n20/" in res.stdout

@@ -22,11 +22,15 @@ each in its own process, with the same BLAS build and thread count (it pins
 one thread, as the benchmark does).
 
 ``compare`` requires the same records, ``np.array_equal`` arrays, equal
-scalars and identical errors, prints each difference, and exits non-zero if
-there is one. For two arrays of one shape that differ it also prints how far
-they moved, ``max|a-b| / (1 + max|a|)`` with ``a`` from the first file, and
-the summary names the largest such move. It also counts arrays that are
-equal but differ in their bytes (zeros of opposite sign).
+scalars and identical errors, and exits non-zero if one differs. It prints
+the first ``SHOWN`` differing records of each field name (an error, on
+either side, is the field ``raised``); for two real arrays or scalars of one
+shape it also prints how far they moved, ``max|a-b| / (1 + max|a|)`` with
+``a`` from the first file. The summary names the largest such move and
+counts arrays that are equal but differ in their bytes (zeros of opposite
+sign). The last line gives, for each field name, how many records differ
+and the largest move, then the names that never differ, for example
+``p: 2183 differ, largest 2.8e-08; ric.*, x, u, J, alpha, beta: 0``.
 
 ``compare --oracle`` judges a change that moves trajectory bits on purpose.
 It rebuilds each ``traj`` record's problem from this checkout's
@@ -63,6 +67,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 BAND = 1e-8  # a free-end J within BAND * (1 + J*) of J* counts as optimal
 RIC_FIELDS = ("P", "K", "Rw", "A_K", "Rw_inv_Bt", "iterations")
+SHOWN = 5  # differing records printed per field name; the last line counts them all
 
 
 def _setup_record(ric, gram) -> dict:
@@ -135,9 +140,8 @@ def _same(a, b) -> bool:
 
 
 def _moved(a, b) -> float | None:
-    """``max|a-b| / (1 + max|a|)`` of two non-empty real arrays of one shape, else ``None``."""
-    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
-        return None
+    """``max|a-b| / (1 + max|a|)`` of two non-empty real arrays or scalars of one shape, else ``None``."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape or not a.size or a.dtype.kind not in "biuf" or b.dtype.kind not in "biuf":
         return None
     a, b = a.astype(np.float64), b.astype(np.float64)
@@ -156,42 +160,59 @@ def _load_pair(path_a: str, path_b: str):
     return a, b
 
 
+def _by_field(fields: dict) -> str:
+    """One line: each field name's count of differing records and largest
+    move, then the names that never differ, a dotted group as ``group.*``
+    when none of its names differs."""
+    changed, same = [], []
+    for name, (count, move) in fields.items():
+        if count:
+            changed.append(f"{name}: {count} differ" + (f", largest {move:.1e}" if move is not None else ""))
+            continue
+        group = name.split(".")[0] + "."
+        whole = "." in name and not any(c for other, (c, _) in fields.items() if other.startswith(group))
+        same.append(group + "*" if whole else name)
+    same = list(dict.fromkeys(same))
+    return "; ".join(changed + ([", ".join(same) + ": 0"] if same else []))
+
+
 def compare(path_a: str, path_b: str) -> int:
     pair = _load_pair(path_a, path_b)
     if pair is None:
         return 1
     a, b = pair
-    fields = differing = signed_zeros = 0
+    compared = differing = signed_zeros = 0
     largest = (0.0, None)
+    fields = {}  # name -> [records that differ, largest move or None]
     for key, ra in a.items():
         rb = b[key]
-        if isinstance(ra, tuple) or isinstance(rb, tuple):
-            fields += 1
-            if ra != rb:
-                differing += 1
-                print("differs", key, ra, rb)
-            continue
+        if isinstance(ra, tuple) or isinstance(rb, tuple):  # an error on either side
+            ra, rb = {"raised": ra}, {"raised": rb}
         for name, va in ra.items():
-            fields += 1
+            compared += 1
+            stats = fields.setdefault(name, [0, None])
             if not _same(va, rb[name]):
                 differing += 1
+                stats[0] += 1
                 moved = _moved(va, rb[name])
-                if moved is None:
-                    print("differs", key, name)
-                else:
-                    print("differs", key, name, f"moved {moved:.3e}")
+                if moved is not None:
+                    stats[1] = max(moved, stats[1] or 0.0)
                     if moved > largest[0]:
                         largest = (moved, (key, name))
+                if stats[0] <= SHOWN:
+                    detail = [f"moved {moved:.3e}"] if moved is not None else [va, rb[name]] if name == "raised" else []
+                    print("differs", key, name, *detail)
             elif isinstance(va, np.ndarray) and va.tobytes() != rb[name].tobytes():
                 signed_zeros += 1
     kinds = {}
     for kind, *_ in a:
         kinds[kind] = kinds.get(kind, 0) + 1
     raised = sum(isinstance(v, tuple) for v in a.values())
-    print(f"{len(a)} records {kinds}, {raised} raised, {fields} fields compared, "
+    print(f"{len(a)} records {kinds}, {raised} raised, {compared} fields compared, "
           f"{differing} differ, {signed_zeros} equal but with zeros of opposite sign")
     if largest[1] is not None:
         print(f"largest move {largest[0]:.3e} at", *largest[1])
+    print(_by_field(fields))
     return 1 if differing else 0
 
 
