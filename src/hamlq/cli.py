@@ -12,7 +12,9 @@ Three subcommands:
 Input files hold a single JSON object with row-major matrices, e.g.
 ``{"A": [[...]], "B": [[...]], "C": [[...]], "D": [[...]]}``. Exit codes:
 0 success, 1 reference check failed, 2 invalid input, 3 assumption
-violation, 4 convergence failure, 5 boundary system inconsistent.
+violation, 4 convergence failure, 5 boundary system inconsistent, 6 out of
+memory (for example a trajectory whose ``k_f + 1`` rows cannot be
+allocated).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ _EXIT_CODES = {
     ConvergenceFailure: 4,
     NotStable: 4,
     BoundaryInconsistent: 5,
+    MemoryError: 6,
 }
 
 

@@ -24,8 +24,14 @@ products. ``p`` is one product of ``x`` less the anticausal mode:
 ``(x_k, p_k)`` is ``[I; P] A_K^k a + [W; P W - I] (A_K')^{k_f-k} b``, a
 point of the forward structural invariant subspace plus one of the
 backward, so ``p_k - P x_k = -(A_K')^{k_f-k} b``. The blocks ``W``,
-``P W - I`` and ``K W A_K' + Rw^{-1} B'`` depend only on the system and are
-read from ``closed_loop_gramian``'s result.
+``P W - I`` and ``K W A_K' + Rw^{-1} B'``, and the norms of the first two
+that the boundary verdict scales by, depend only on the system and are read
+from ``closed_loop_gramian``'s result.
+
+A solve is about 25 products of small operands: the squares, ``A_K^{k_f}``,
+the boundary blocks and verdict, the far rows of the modes, the outputs and
+the stage costs. At the sizes of many short solves (n <= 20, k_f <= 200)
+their per-call dispatch, not their arithmetic, sets most of a solve's cost.
 """
 
 from __future__ import annotations
@@ -49,6 +55,17 @@ __all__ = [
     "cost",
     "stage_costs",
 ]
+
+
+# Every product below is ``ndarray.dot``, not ``@``: on these 2-D and 1-D
+# float64 operands both make the same BLAS call on the same operand layouts,
+# so the bits are the same (``test_dot_matches_matmul_bitwise`` checks each
+# operand kind used here), but ``dot`` dispatches in about half the time.
+
+
+def _vec_norm(v: np.ndarray) -> float:
+    """2-norm of a contiguous vector, the sum ``fro_norm`` takes without its ravel."""
+    return math.sqrt(v.dot(v))
 
 
 def _state_vector(v, name: str, n: int) -> np.ndarray:
@@ -113,7 +130,7 @@ class Trajectory:
 
 def stage_costs(traj: Trajectory, sys: SystemQuadruple) -> np.ndarray:
     """Per-step costs ``|C x_k + D u_k|^2`` for k = 0..k_f-1."""
-    y = traj.x[:-1] @ sys.C.T + traj.u @ sys.D.T
+    y = traj.x[:-1].dot(sys.C.T) + traj.u.dot(sys.D.T)
     return np.multiply(y, y, out=y).sum(axis=1)
 
 
@@ -133,13 +150,13 @@ def _squares(A_K: np.ndarray, k_f: int):
     """
     squares = [A_K]
     while 2 ** len(squares) <= k_f:
-        squares.append(np.matmul(squares[-1], squares[-1]))
+        squares.append(squares[-1].dot(squares[-1]))
     if k_f == 3:
-        return squares, np.matmul(squares[1], A_K)
+        return squares, squares[1].dot(A_K)
     phi = None
     for i, z in enumerate(squares):
         if k_f >> i & 1:
-            phi = z if phi is None else np.matmul(phi, z)
+            phi = z if phi is None else phi.dot(z)
     return squares, phi
 
 
@@ -157,7 +174,8 @@ def _propagate(squares, phi: np.ndarray, alpha: np.ndarray, beta: np.ndarray, k_
     fwd = np.empty((k_f + 1, alpha.shape[0]))
     bwd = np.empty_like(fwd)
     fwd[0], bwd[k_f] = alpha, beta
-    fwd[k_f], bwd[0] = phi @ alpha, phi.T @ beta
+    phi.dot(alpha, out=fwd[k_f])
+    phi.T.dot(beta, out=bwd[0])
     j = 1
     for step in squares:
         if j == k_f:
@@ -205,8 +223,10 @@ def solve_nonrecursive(
     all), and every round of the propagation; ``phi`` also gives the
     propagation's last rows. At ``k_f = 1`` it is ``A_K`` itself, so nothing
     writes into it. ``W``, ``P W - I`` (the bottom half of ``gram.Vbar2``,
-    read only by the free-end block) and the input gain ``gram.u_gain`` come
-    from ``gram``, which must be ``closed_loop_gramian``'s result for ``ric``.
+    read only by the free-end block), their norms ``gram.norm_W`` and
+    ``gram.norm_PW_I`` (the verdict's ``|M22|``) and the input gain
+    ``gram.u_gain`` come from ``gram``, which must be
+    ``closed_loop_gramian``'s result for ``ric``.
 
     The outputs are ``u``, then ``x = W bwd + fwd`` from the two mode
     sequences, then ``p = P x - bwd``; at a free end ``p[k_f]`` is then
@@ -225,7 +245,7 @@ def solve_nonrecursive(
     """
     sysq, k_f = prob.sys, prob.k_f
     n = sysq.n
-    P, K, W, PW_I = ric.P, ric.K, gram.W, gram.Vbar2[n:]
+    P, K, W = ric.P, ric.K, gram.W
 
     # An overflow here ends in the not-finite verdict below, not in a warning:
     # an overflowing square makes the last square, and so phi, non-finite.
@@ -233,22 +253,22 @@ def solve_nonrecursive(
         squares, phi = _squares(ric.A_K, k_f)
         # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
         # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
-        x0, M12 = prob.x0, W @ phi.T
+        x0, M12 = prob.x0, W.dot(phi.T)
         if prob.free_terminal:
-            M21, M22, end = P @ phi, PW_I, np.zeros(n)
+            M21, M22, norm_M22, end = P.dot(phi), gram.Vbar2[n:], gram.norm_PW_I, np.zeros(n)
         else:
-            M21, M22, end = phi, W, prob.xf
-        beta = np.linalg.lstsq(M22 - M21 @ M12, end - M21 @ x0, rcond=cfg.rank_tol_factor * n)[0]
-        M12_beta = M12 @ beta
+            M21, M22, norm_M22, end = phi, W, gram.norm_W, prob.xf
+        beta = np.linalg.lstsq(M22 - M21.dot(M12), end - M21.dot(x0), rcond=cfg.rank_tol_factor * n)[0]
+        M12_beta = M12.dot(beta)
         alpha = x0 - M12_beta
         # the full system's residual and scale, one block row at a time; at a
         # free end the bottom row's left side is the costate p_{k_f}
-        end_row = M21 @ alpha + M22 @ beta
-        top, bottom = fro_norm(alpha + M12_beta - x0), fro_norm(end_row - end)
-        norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), fro_norm(M22))
-        norm_z = math.hypot(fro_norm(alpha), fro_norm(beta))
+        end_row = M21.dot(alpha) + M22.dot(beta)
+        top, bottom = _vec_norm(alpha + M12_beta - x0), _vec_norm(end_row - end)
+        norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), norm_M22)
+        norm_z = math.hypot(_vec_norm(alpha), _vec_norm(beta))
         residual = math.hypot(top, bottom)
-        scale = 1.0 + math.hypot(fro_norm(x0), fro_norm(end)) + norm_M * norm_z
+        scale = 1.0 + math.hypot(_vec_norm(x0), _vec_norm(end)) + norm_M * norm_z
         if not (math.isfinite(residual) and math.isfinite(scale)):
             raise BoundaryInconsistent(
                 f"boundary system residual {residual:.3e} or its scale {scale:.3e} "
@@ -263,12 +283,12 @@ def solve_nonrecursive(
 
     fwd, bwd = _propagate(squares, phi, alpha, beta, k_f)
     del squares, phi
-    u = fwd[:-1] @ K.T
-    u += bwd[1:] @ gram.u_gain.T
-    x = bwd @ W.T
+    u = fwd[:-1].dot(K.T)
+    u += bwd[1:].dot(gram.u_gain.T)
+    x = bwd.dot(W.T)
     x += fwd
     del fwd
-    p = x @ P.T
+    p = x.dot(P.T)
     p -= bwd
     del bwd  # free before the cost adds its own arrays
     if prob.free_terminal:

@@ -129,13 +129,17 @@ class ClosedLoopGramian(GramianSolution):
 
     ``Vbar2 = [W; P W - I]`` is one ``(2n, n)`` array and ``W`` is a view of
     its top half, so no second copy of ``W`` exists. ``u_gain = K W A_K' +
-    Rw^{-1} B'`` is the input row of the backward family. Both depend only
-    on the system, so ``analyze`` and every trajectory solve read them
-    instead of forming them again.
+    Rw^{-1} B'`` is the input row of the backward family. ``norm_W`` and
+    ``norm_PW_I`` are the Frobenius norms ``fro_norm`` gives of ``W`` and of
+    ``P W - I``, the two blocks a trajectory solve's boundary verdict scales
+    by. All of these depend only on the system, so ``analyze`` and every
+    trajectory solve read them instead of forming them again.
     """
 
     Vbar2: np.ndarray
     u_gain: np.ndarray
+    norm_W: float
+    norm_PW_I: float
 
 
 def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedLoopGramian:
@@ -149,8 +153,8 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     ``W`` is copied into the top half of ``Vbar2 = [W; P W - I]`` and the
     returned ``W`` is a view of it; the bottom half is ``P W`` formed in
     place with one subtracted on its diagonal only, the same bits as
-    ``P @ W - np.eye(n)``. ``u_gain = K W A_K' + Rw^{-1} B'`` is formed once
-    here as well.
+    ``P @ W - np.eye(n)``. ``u_gain = K W A_K' + Rw^{-1} B'`` and the norms
+    of both halves of ``Vbar2`` are formed once here as well.
     """
     sol = solve_dlyap_stable(ric.A_K, sys.B @ ric.Rw_inv_Bt, cfg)
     n = sol.W.shape[0]
@@ -160,7 +164,10 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     np.dot(ric.P, W, out=Vbar2[n:])
     Vbar2[n:].reshape(-1)[:: n + 1] -= 1.0  # the diagonal of P W
     u_gain = ric.K @ W @ ric.A_K.T + ric.Rw_inv_Bt
-    return ClosedLoopGramian(W=W, iterations=sol.iterations, Vbar2=Vbar2, u_gain=u_gain)
+    return ClosedLoopGramian(
+        W=W, iterations=sol.iterations, Vbar2=Vbar2, u_gain=u_gain,
+        norm_W=fro_norm(W), norm_PW_I=fro_norm(Vbar2[n:]),
+    )
 
 
 def stability_certificate(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:

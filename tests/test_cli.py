@@ -147,6 +147,7 @@ def test_analyze_singular_weight(tmp_path, capsys):
         (NotStabilizable, 3),
         (SingularWeight, 3),
         (BoundaryInconsistent, 5),
+        (MemoryError, 6),
         (ValueError, 2),
         (OSError, 2),
     ],
@@ -255,6 +256,17 @@ def test_trajectory_overflow_prints_one_error_line(drift_file):
     assert proc.returncode == 5
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_trajectory_oversized_horizon_is_out_of_memory(drift_file, capsys):
+    # The boundary solve succeeds; the (k_f + 1) x n outputs (14.2 PiB here)
+    # cannot be allocated, and the request fails before any page is touched.
+    rc = cli.main(["trajectory", drift_file, "--x0", "1,1", "--kf", "1000000000000000"])
+    assert rc == 6
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), captured.err
+    assert captured.out == ""
 
 
 def test_trajectory_bad_vector(golden_file, capsys):

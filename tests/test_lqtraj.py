@@ -604,6 +604,40 @@ def test_squares_match_matrix_power_bitwise(n, order):
     assert _squares(A_K, 1)[1] is A_K
 
 
+def layouts(rng, rows, cols):
+    """A ``rows x cols`` operand in each layout the solve meets: C- and
+    F-ordered arrays and the transposed views of both."""
+    M, T = rng.standard_normal((rows, cols)), rng.standard_normal((cols, rows))
+    return [M, np.asfortranarray(M), T.T, np.asfortranarray(T).T]
+
+
+def test_dot_matches_matmul_bitwise():
+    # The solver forms its products with ndarray.dot, which dispatches faster
+    # than @, and relies on the two giving the same bits on every operand kind
+    # it uses: squares, transposed views, row slices of a stacked sequence,
+    # vectors on either side, and rows written through out=. A BLAS build that
+    # rounds them differently fails here instead of moving the outputs.
+    rng = np.random.default_rng(52)
+    for n in range(1, 41):
+        squares = layouts(rng, n, n)
+        v = rng.standard_normal(n)
+        for a in squares:
+            assert same_bits(a.dot(v), a @ v), n
+            assert same_bits(v.dot(a), v @ a), n
+            assert same_bits(a.dot(v, out=np.empty((2, n))[1]), a @ v), n
+            for b in squares:
+                assert same_bits(a.dot(b), a @ b), n
+        for rows in (1, 2, 7, 33):
+            stack = rng.standard_normal((rows + 1, n))
+            for cols in (1, 3, n):
+                for b in layouts(rng, n, cols):
+                    for s in (stack[:-1], stack[1:]):
+                        want = s @ b
+                        assert same_bits(s.dot(b), want), (n, rows, cols)
+                        out = np.empty((rows + 1, cols))
+                        assert same_bits(s.dot(b, out=out[1:]), want), (n, rows, cols)
+
+
 def test_propagation_memory_is_linear_in_horizon():
     # a stored list of A_K powers would need (k_f + 1) n^2 doubles = 80 MB
     rng = np.random.default_rng(48)

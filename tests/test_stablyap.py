@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import is_psd, random_stabilizable, same_bits, stable_matrix, staircase_embedded
 from hamlq.errors import NotStable
-from hamlq.matcore import DEFAULT_TOL
+from hamlq.matcore import DEFAULT_TOL, fro_norm
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
 from hamlq import stablyap
@@ -193,7 +193,8 @@ def test_gramian_block_structure_dual_route():
 def test_closed_loop_gramian_backward_blocks_bitwise(which, golden_sys):
     # Vbar2 = [W; P W - I] and u_gain = K W A_K' + Rw^{-1} B' are the plain
     # expressions to the last bit and sign of zero, W is the Smith solution
-    # and a view of Vbar2's top half, not a second copy.
+    # and a view of Vbar2's top half, not a second copy, and the two block
+    # norms the boundary verdict reads are fro_norm's.
     rng = np.random.default_rng(63)
     sys = {
         "golden": lambda: golden_sys,
@@ -211,6 +212,7 @@ def test_closed_loop_gramian_backward_blocks_bitwise(which, golden_sys):
     assert W.flags.c_contiguous
     assert same_bits(gram.Vbar2, np.vstack([W, P @ W - np.eye(n)]))
     assert same_bits(gram.u_gain, K @ W @ A_K.T + ric.Rw_inv_Bt)
+    assert gram.norm_W == fro_norm(W) and gram.norm_PW_I == fro_norm(gram.Vbar2[n:])
 
 
 def test_restricted_gain_stabilizes_reachable_part(golden_sys):
