@@ -117,6 +117,18 @@ def fro_norm(X: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _sym_into(M: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``(M' + M) / 2`` written over ``M`` and returned, with ``buf`` as scratch.
+
+    ``M' + M``, not ``M + M'``: numpy's ufunc would buffer-copy the
+    transposed operand, while a copy assignment takes it by strides. IEEE
+    addition commutes, so the bits are those of ``0.5 * (M + M.T)``.
+    """
+    buf[:] = M.T
+    buf += M
+    return np.multiply(buf, 0.5, out=M)
+
+
 def residual_norms(products, minus: np.ndarray | None = None) -> tuple[float, float]:
     """Frobenius norm of ``t_0 + t_1 + ... - minus``, raw and over ``1 + max`` term norm.
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, NotStabilizable, NotStable, SingularMatrix, SingularWeight
-from .matcore import DEFAULT_TOL, EPS, ToleranceConfig, fro_norm, residual_norms, solve_linear
+from .matcore import DEFAULT_TOL, EPS, ToleranceConfig, _sym_into, fro_norm, residual_norms, solve_linear
 from .reachdecomp import SystemQuadruple
 from .stablyap import solve_dlyap_stable, stability_certificate
 
@@ -51,9 +51,7 @@ class RiccatiSolution:
 
     ``P`` is symmetric positive semidefinite, ``Rw = D'D + B'PB`` is strictly
     positive definite, and ``A_K = A + B K`` is discrete-stable (certified by
-    a power of norm below one). ``Rw_inv_Bt = Rw^{-1} B'`` is solved once
-    here for the Gramian forcing, the ``V2`` input row and the trajectory
-    input gain.
+    a power of norm below one).
     """
 
     P: np.ndarray
@@ -61,11 +59,6 @@ class RiccatiSolution:
     Rw: np.ndarray
     A_K: np.ndarray
     iterations: int
-    Rw_inv_Bt: np.ndarray
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
 
 
 def _settled(change: float, prev_change: float, scale: float) -> bool:
@@ -77,16 +70,6 @@ def _settled(change: float, prev_change: float, scale: float) -> bool:
     if change <= 64.0 * EPS * scale:
         return True
     return change >= prev_change and change <= np.sqrt(EPS) * scale
-
-
-def _sym_into(M: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``_sym(M)`` written over ``M``, with ``buf`` as scratch.
-
-    The same sums ``M_ij + M_ji`` and halvings, so the same bits.
-    """
-    buf[:] = M.T
-    buf += M
-    return np.multiply(buf, 0.5, out=M)
 
 
 def _doubling_gain(A, B, cfg: ToleranceConfig):
@@ -223,7 +206,7 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
             ) from exc
         P_new = gram.W
         BtP = B.T @ P_new
-        Rw = _sym(R + BtP @ B)
+        Rw = _sym_into(R + BtP @ B, np.empty_like(R))
         L = BtP @ A + S.T
         try:
             K = -solve_linear(Rw, L, cfg)
@@ -267,5 +250,4 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         Rw=Rw,
         A_K=A_K,
         iterations=boot_iters + newton_iters,
-        Rw_inv_Bt=solve_linear(Rw, B.T, cfg),
     )

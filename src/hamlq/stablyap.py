@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotStable
-from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, fro_norm
-from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
+from .matcore import DEFAULT_TOL, ToleranceConfig, _sym_into, as_matrix, fro_norm, solve_linear
 
 __all__ = [
     "GramianSolution",
@@ -100,11 +99,7 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
             update_norm = fro_norm(update)
             trace.append(update_norm)
             W += update
-            # W' + W, not W + W': numpy's ufunc would buffer-copy the
-            # transposed operand; a copy assignment takes it by strides.
-            EW[:] = W.T
-            EW += W
-            np.multiply(EW, 0.5, out=W)
+            _sym_into(W, EW)
             w_norm = fro_norm(W)
             # A non-finite entry of W makes w_norm non-finite at once; one of
             # E makes the next update, and so its norm, non-finite.
@@ -148,6 +143,8 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     Solves ``A_K W A_K' + B Rw^{-1} B' = W`` for the feedback data in
     ``ric``. In the reachability basis the solution has the block form
     ``diag(W_c, 0)`` with a positive definite reachable block.
+    ``Rw^{-1} B'`` is solved here, its only use; ``solve_dare``'s last
+    Newton step has already solved ``Rw`` under the same ``cfg``.
     ``solve_dlyap_stable`` symmetrizes the forcing ``B Rw^{-1} B'``.
 
     ``W`` is copied into the top half of ``Vbar2 = [W; P W - I]`` and the
@@ -156,14 +153,15 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     ``P @ W - np.eye(n)``. ``u_gain = K W A_K' + Rw^{-1} B'`` and the norms
     of both halves of ``Vbar2`` are formed once here as well.
     """
-    sol = solve_dlyap_stable(ric.A_K, sys.B @ ric.Rw_inv_Bt, cfg)
+    Rw_inv_Bt = solve_linear(ric.Rw, sys.B.T, cfg)
+    sol = solve_dlyap_stable(ric.A_K, sys.B @ Rw_inv_Bt, cfg)
     n = sol.W.shape[0]
     Vbar2 = np.empty((2 * n, n))
     W = Vbar2[:n]
     W[:] = sol.W
     np.dot(ric.P, W, out=Vbar2[n:])
     Vbar2[n:].reshape(-1)[:: n + 1] -= 1.0  # the diagonal of P W
-    u_gain = ric.K @ W @ ric.A_K.T + ric.Rw_inv_Bt
+    u_gain = ric.K @ W @ ric.A_K.T + Rw_inv_Bt
     return ClosedLoopGramian(
         W=W, iterations=sol.iterations, Vbar2=Vbar2, u_gain=u_gain,
         norm_W=fro_norm(W), norm_PW_I=fro_norm(Vbar2[n:]),

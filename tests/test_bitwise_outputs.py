@@ -1,13 +1,18 @@
 """``tools/bitwise_outputs.py compare`` and ``compare --oracle`` on small hand-written captures."""
 
+import importlib.util
+import os
 import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hamlq import SystemQuadruple, solve_dare
+from hamlq.errors import HamlqError
 from oracle import sqrt_riccati_cost
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +32,21 @@ def free_record(request):
     t = workloads.execute(item, workloads.solve_systems({item.sys_key: item.sys}))
     record = {"x": t.x, "p": t.p, "u": t.u, "J": t.J}
     return ("traj", 1, item.id), record, sqrt_riccati_cost(item.prob)
+
+
+@pytest.fixture(scope="module")
+def dare_record():
+    """Key and record of the first seed-7 Riccati sweep system that ``solve_dare`` solves."""
+    spec = importlib.util.spec_from_file_location("bitwise_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # the tool pins the BLAS thread count on import
+        spec.loader.exec_module(tool)
+    for index, system in enumerate(tool.sweep(7)):
+        try:
+            return ("dare", 7, index), tool._ric_record(solve_dare(SystemQuadruple(*system)))
+        except HamlqError:
+            continue
+    raise AssertionError("no seed-7 sweep system solves")
 
 
 def oracle_compare(tmp_path, rec_a, rec_b):
@@ -51,6 +71,18 @@ def test_oracle_compare_fails_when_a_free_end_J_leaves_the_band(tmp_path, free_r
     flip = f"flip {' '.join(map(str, key))} inside -> outside"
     assert (flip in res.stdout) == bool(code)
     assert ("(left the band)" in res.stdout) == bool(code)
+
+
+@pytest.mark.parametrize("solved_in, code", [("A", 1), ("B", 0)])
+def test_oracle_compare_fails_when_a_riccati_sweep_solve_is_lost(tmp_path, dare_record, solved_in, code):
+    key, rec = dare_record
+    raised = ("raised", "SingularWeight", "innovation weight D'D + B'PB is singular to working tolerance")
+    a, b = (rec, raised) if solved_in == "A" else (raised, rec)
+    res = oracle_compare(tmp_path, {key: a}, {key: b})
+    assert res.returncode == code, res.stdout + res.stderr
+    verdicts = "solved -> SingularWeight" if solved_in == "A" else "SingularWeight -> solved"
+    assert f"flip {' '.join(map(str, key))} {verdicts}" in res.stdout
+    assert f"dare verdicts in {solved_in}: seed 7: solved 1" in res.stdout
 
 
 def test_compare_ends_with_one_line_per_field_name(tmp_path, free_record):

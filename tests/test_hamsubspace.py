@@ -16,7 +16,7 @@ from hamlq.hamsubspace import (
     residuals_v1,
     residuals_v2,
 )
-from hamlq.matcore import fro_norm, rank
+from hamlq.matcore import fro_norm, rank, solve_linear
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive
 from hamlq.riccati import solve_dare
@@ -181,7 +181,7 @@ def test_dimensions_match_hidden_null_space(case):
     # size of its zero singular values (measured up to 2e3 eps times it,
     # against nonzero ones of at least 1e9 eps times it).
     ric, W = bundle.riccati, bundle.gramian.W
-    terms = (W @ ric.A_K.T, ric.P @ W @ ric.A_K.T, ric.K @ W @ ric.A_K.T, ric.Rw_inv_Bt)
+    terms = (W @ ric.A_K.T, ric.P @ W @ ric.A_K.T, ric.K @ W @ ric.A_K.T, solve_linear(ric.Rw, sys.B.T))
     cutoff = 1e-10 * max(np.linalg.norm(t, 2) for t in terms)
     assert np.count_nonzero(np.linalg.svd(bundle.bases.V2, compute_uv=False) > cutoff) == n - d
 
@@ -315,7 +315,7 @@ def test_bases_and_residuals_equal_plain_expressions_bitwise(which, golden_sys):
     V2 = assemble_v2(ric, gram)
     assert np.array_equal(Vbar2, np.vstack([W, P @ W - eye]))
     assert np.array_equal(
-        V2, np.vstack([np.vstack([W, P @ W - eye]) @ A_K.T, K @ W @ A_K.T + ric.Rw_inv_Bt])
+        V2, np.vstack([np.vstack([W, P @ W - eye]) @ A_K.T, K @ W @ A_K.T + solve_linear(ric.Rw, sys.B.T)])
     )
 
     def plain(residual, terms):

@@ -555,7 +555,7 @@ def test_outputs_are_plain_sums_bitwise(golden_sys, n):
     ric, gram = solve_all(sys)
     P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
     PW_I = P @ W - np.eye(sys.n)
-    u_gain = K @ W @ A_K.T + ric.Rw_inv_Bt
+    u_gain = K @ W @ A_K.T + solve_linear(ric.Rw, sys.B.T)
     solved = 0
     for k_f in (1, 2, 63, 199):
         x0 = rng.standard_normal(sys.n)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import is_psd, random_stabilizable, same_bits, stable_matrix, staircase_embedded
 from hamlq.errors import NotStable
-from hamlq.matcore import DEFAULT_TOL, fro_norm
+from hamlq.matcore import DEFAULT_TOL, fro_norm, solve_linear
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
 from hamlq import stablyap
@@ -205,13 +205,14 @@ def test_closed_loop_gramian_backward_blocks_bitwise(which, golden_sys):
     gram = closed_loop_gramian(sys, ric)
     n = sys.n
     P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
-    smith = solve_dlyap_stable(A_K, sys.B @ ric.Rw_inv_Bt)
+    Rw_inv_Bt = solve_linear(ric.Rw, sys.B.T)
+    smith = solve_dlyap_stable(A_K, sys.B @ Rw_inv_Bt)
 
     assert same_bits(W, smith.W) and gram.iterations == smith.iterations
     assert np.shares_memory(gram.W, gram.Vbar2)
     assert W.flags.c_contiguous
     assert same_bits(gram.Vbar2, np.vstack([W, P @ W - np.eye(n)]))
-    assert same_bits(gram.u_gain, K @ W @ A_K.T + ric.Rw_inv_Bt)
+    assert same_bits(gram.u_gain, K @ W @ A_K.T + Rw_inv_Bt)
     assert gram.norm_W == fro_norm(W) and gram.norm_PW_I == fro_norm(gram.Vbar2[n:])
 
 

@@ -9,17 +9,24 @@ compare two captures for bitwise equality or against the optimal cost.
 ``capture`` imports ``hamlq`` from ``SRC_DIR`` and runs, for each seed
 (default 1-10), every ``analyze-mix`` item and every ``traj-many`` set-up and
 trajectory, built by this checkout's ``perfbench/workloads.py``. It records
-``P``, ``K``, ``Rw``, ``A_K``, ``Rw_inv_Bt``, ``W``, the iteration counts,
-the ``StaircaseForm`` (``T``, ``n_c`` and the six blocks ``A_c``, ``A_cu``,
+``P``, ``K``, ``Rw``, ``A_K``, ``W``, ``u_gain``, the iteration counts, the
+``StaircaseForm`` (``T``, ``n_c`` and the six blocks ``A_c``, ``A_cu``,
 ``A_u``, ``B_c``, ``C_c``, ``C_u``), the three bases, both residual triples
-and every ``DimensionReport`` field of each analysis; the same Riccati and Gramian data of each trajectory
-system; ``x``, ``p``, ``u``, ``J``, ``alpha`` and ``beta`` of each
-trajectory; the type and message of every error raised; and the exit code
-and stdout bytes of the benchmark's four ``cli_items`` (``golden --report``,
-``analyze --full``, and ``trajectory --kf 5000`` as CSV and as JSON), run
-in-process on files written to a temporary directory. Run it once per tree,
-each in its own process, with the same BLAS build and thread count (it pins
-one thread, as the benchmark does).
+and every ``DimensionReport`` field of each analysis; the same Riccati and
+Gramian data of each trajectory system; ``x``, ``p``, ``u``, ``J``,
+``alpha`` and ``beta`` of each trajectory; the type and message of every
+error raised; and the exit code and stdout bytes of the benchmark's four
+``cli_items`` (``golden --report``, ``analyze --full``, and ``trajectory
+--kf 5000`` as CSV and as JSON), run in-process on files written to a
+temporary directory. Whatever the seeds, it also records the Riccati data of
+the Riccati sweep as ``("dare", seed, index)`` records: ``SWEEP_COUNT``
+unstable plants per seed of ``SWEEPS`` (seed 7: n 2..12, spectral radius of
+``A`` 1.05..1.6; seed 8: n 2..20, radius 1.05..3.0), with m 1..3, p 1..4,
+standard normal ``B``, ``C``, ``D`` and the last column of ``D`` zeroed with
+probability 0.3. Each sweep solve turns warnings into errors, so a warning
+is recorded as the error it raised. Run ``capture`` once per tree, each in
+its own process, with the same BLAS build and thread count (it pins one
+thread, as the benchmark does).
 
 ``compare`` requires the same records, ``np.array_equal`` arrays, equal
 scalars and identical errors, and exits non-zero if one differs. It prints
@@ -32,8 +39,8 @@ sign). The last line gives, for each field name, how many records differ
 and the largest move, then the names that never differ, for example
 ``p: 2183 differ, largest 2.8e-08; ric.*, x, u, J, alpha, beta: 0``.
 
-``compare --oracle`` judges a change that moves trajectory bits on purpose.
-It rebuilds each ``traj`` record's problem from this checkout's
+``compare --oracle`` judges a change that moves bits on purpose. It
+rebuilds each ``traj`` record's problem from this checkout's
 ``perfbench/workloads.py`` and computes the free-end optimum ``J*`` with
 ``tests/oracle.py``'s ``sqrt_riccati_cost``, from the problem data alone.
 For every free-end record it prints ``|J - J*| / (1 + J*)`` of both files
@@ -44,10 +51,15 @@ or failed ``perfbench/checks.py``'s ``trajectory_failures``). It lists every
 record whose verdict (inside or outside the band, or returned for a fixed
 end; raised; failing the checks) flips, marking those that leave the band
 from A to B and those that enter it, and the largest move
-``|J_B - J_A| / (1 + |J_A|)`` of a fixed-end ``J``. It exits non-zero if a
-record leaves the band or a seed's raised or failed count rises in B. Other
-records are not judged: plain ``compare`` checks those. Both modes unpickle
-their arguments, so give them only files ``capture`` wrote.
+``|J_B - J_A| / (1 + |J_A|)`` of a fixed-end ``J``. Each ``dare`` record
+present gets a verdict: ``solved`` when ``|P - P_ref|_F / (1 + |P_ref|_F)
+<= AGREE`` for SciPy's ``P_ref`` (``perfbench/checks.py``'s
+``dare_reference``) or SciPy fails, else ``solved-off``, or the name of the
+error raised; it prints each file's counts per seed and every verdict that
+flips. It exits non-zero if a record leaves the band, a seed's raised or
+failed ``traj`` count rises in B, or a sweep seed's ``solved`` count falls.
+Other records are not judged: plain ``compare`` checks those. Both modes
+unpickle their arguments, so give them only files ``capture`` wrote.
 """
 
 import math
@@ -55,6 +67,8 @@ import os
 import pickle
 import sys
 import tempfile
+import warnings
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -66,14 +80,38 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 BAND = 1e-8  # a free-end J within BAND * (1 + J*) of J* counts as optimal
-RIC_FIELDS = ("P", "K", "Rw", "A_K", "Rw_inv_Bt", "iterations")
+AGREE = 1e-8  # a solved sweep system whose P is this close to SciPy's counts as solved
+RIC_FIELDS = ("P", "K", "Rw", "A_K", "iterations")
 SHOWN = 5  # differing records printed per field name; the last line counts them all
+SWEEP_COUNT = 300  # systems per sweep seed
+SWEEPS = {7: (12, 1.05, 1.6), 8: (20, 1.05, 3.0)}  # seed: (n_max, spectral radius range)
+
+
+def sweep(seed: int):
+    """The ``SWEEP_COUNT`` systems ``(A, B, C, D)`` of one sweep seed, in order."""
+    rng = np.random.default_rng(seed)
+    n_max, r_lo, r_hi = SWEEPS[seed]
+    for _ in range(SWEEP_COUNT):
+        n = int(rng.integers(2, n_max + 1))
+        m = int(rng.integers(1, 4))
+        p = int(rng.integers(1, 5))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(r_lo, r_hi) / float(np.max(np.abs(np.linalg.eigvals(A))))
+        B = rng.standard_normal((n, m))
+        C = rng.standard_normal((p, n))
+        D = rng.standard_normal((p, m))
+        if rng.uniform() < 0.3:
+            D[:, -1] = 0.0
+        yield A, B, C, D
+
+
+def _ric_record(ric) -> dict:
+    return {f"ric.{k}": getattr(ric, k) for k in RIC_FIELDS}
 
 
 def _setup_record(ric, gram) -> dict:
-    rec = {f"ric.{k}": getattr(ric, k) for k in RIC_FIELDS}
-    rec.update({"gram.W": gram.W, "gram.iterations": gram.iterations})
-    return rec
+    return {**_ric_record(ric), "gram.W": gram.W, "gram.u_gain": gram.u_gain,
+            "gram.iterations": gram.iterations}
 
 
 def _error(exc) -> tuple:
@@ -123,9 +161,19 @@ def capture(src: str, out: str, seeds) -> None:
             for item in workloads.cli_items(seed, Path(workdir)):
                 res = workloads.cli_inprocess(item.argv)
                 records[("cli", seed, item.id)] = {"code": res.code, "stdout": res.stdout.encode("utf-8")}
+    for seed in SWEEPS:
+        for index, (A, B, C, D) in enumerate(sweep(seed)):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rec = _ric_record(hamlq.solve_dare(hamlq.SystemQuadruple(A, B, C, D)))
+            except (HamlqError, Warning) as exc:
+                rec = _error(exc)
+            records[("dare", seed, index)] = rec
     with open(out, "wb") as fh:
         pickle.dump(records, fh)
-    print(f"captured {len(records)} records for seeds {list(seeds)} from {src_dir}")
+    print(f"captured {len(records)} records for seeds {list(seeds)} and sweep seeds "
+          f"{list(SWEEPS)} from {src_dir}")
 
 
 def _same(a, b) -> bool:
@@ -280,7 +328,54 @@ def compare_oracle(path_a: str, path_b: str) -> int:
     if rose:
         print("raised or failed count rose on seeds", *rose)
     print(f"largest fixed-end J move {largest[0]:.3e} at", *(largest[1] or ["none"]))
-    return 1 if left or rose else 0
+    fell = _judge_dare(a, b)
+    return 1 if left or rose or fell else 0
+
+
+def _dare_verdict(rec, P_ref) -> str:
+    if isinstance(rec, tuple):
+        return rec[1]
+    if P_ref is None:
+        return "solved"
+    err = np.linalg.norm(rec["ric.P"] - P_ref) / (1.0 + np.linalg.norm(P_ref))
+    return "solved" if err <= AGREE else "solved-off"
+
+
+def _judge_dare(a, b) -> list:
+    """Print both files' verdicts of the ``dare`` records present, per seed,
+    and every verdict that flips; return the seeds whose ``solved`` count
+    falls from A to B."""
+    from checks import dare_reference
+    from hamlq import SystemQuadruple
+
+    keys = {key for key in a if key[0] == "dare"}
+    seeds = sorted({seed for _, seed, _ in keys})
+    counts = {side: {seed: Counter() for seed in seeds} for side in "AB"}
+    flips = []
+    for seed in seeds:
+        for index, system in enumerate(sweep(seed)):
+            key = ("dare", seed, index)
+            if key not in keys:
+                continue
+            P_ref = dare_reference(SystemQuadruple(*system))
+            verdicts = {side: _dare_verdict(rec[key], P_ref) for side, rec in (("A", a), ("B", b))}
+            for side, verdict in verdicts.items():
+                counts[side][seed][verdict] += 1
+            if verdicts["A"] != verdicts["B"]:
+                flips.append((key, verdicts["A"], verdicts["B"]))
+    print(f"{len(keys)} dare records, {len(flips)} verdicts flip")
+    for side in "AB":
+        per_seed = "; ".join(
+            f"seed {seed}: " + ", ".join(f"{v} {c}" for v, c in sorted(count.items()))
+            for seed, count in counts[side].items()
+        )
+        print(f"dare verdicts in {side}: {per_seed or 'none'}")
+    for key, va, vb in flips:
+        print("flip", *key, f"{va} -> {vb}")
+    fell = [s for s in seeds if counts["B"][s]["solved"] < counts["A"][s]["solved"]]
+    if fell:
+        print("solved count of the Riccati sweep fell on seeds", *fell)
+    return fell
 
 
 def main(argv) -> int:
