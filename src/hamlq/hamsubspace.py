@@ -78,11 +78,18 @@ class ResidualNorms:
 def assemble_v1(ric: RiccatiSolution) -> np.ndarray:
     """Forward-family basis ``[I; P; K]``, shape (2n + m, n).
 
-    Returns a new C-ordered array and leaves ``ric`` as it is; ``analyze``
-    then rebinds ``ric.P`` to the rows ``n:2n`` of the result.
+    Writes the three blocks into one new C-ordered array, the bits of
+    ``np.vstack([np.eye(n), P, K])`` without the identity's own array, and
+    leaves ``ric`` as it is. ``analyze`` calls it twice: once for the
+    residual check, whose copy it then drops, and once last, when it
+    rebinds ``ric.P`` to the rows ``n:2n`` of the result.
     """
-    n = ric.P.shape[0]
-    return np.vstack([np.eye(n), ric.P, ric.K])
+    n, m = ric.P.shape[0], ric.K.shape[0]
+    V1 = np.zeros((2 * n + m, n))
+    V1[:n].reshape(-1)[:: n + 1] = 1.0  # the identity's diagonal
+    V1[n : 2 * n] = ric.P
+    V1[2 * n :] = ric.K
+    return V1
 
 
 def assemble_vbar2(ric: RiccatiSolution, gram: ClosedLoopGramian) -> np.ndarray:
@@ -186,7 +193,9 @@ class AnalysisBundle:
     Two outputs are views into a basis, so each ``n x n`` block is held once:
     ``riccati.P`` is the rows ``n:2n`` of ``bases.V1`` and ``gramian.W`` the
     top half of ``bases.Vbar2`` (``bases.Vbar2 is gramian.Vbar2``). Writing
-    into ``V1`` or ``Vbar2`` changes ``P`` or ``W``.
+    into ``V1`` or ``Vbar2`` changes ``P`` or ``W``. ``residuals_v1`` was
+    taken from an equal copy of ``V1``, formed right after the Riccati solve
+    and dropped before the Gramian; ``bases.V1`` is assembled last.
     """
 
     sys: SystemQuadruple
@@ -203,17 +212,25 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     """Full structural analysis of one system.
 
     Runs the reachability decomposition, solves the Riccati equation,
-    computes the closed-loop Gramian with ``Vbar2``, assembles ``V1`` and
-    ``V2``, evaluates both residual triples and fills in the dimension
+    checks ``V1 = [I; P; K]`` against it, computes the closed-loop Gramian
+    with ``Vbar2``, assembles ``V2``, checks it and fills in the dimension
     report. ``bases.Vbar2`` is ``gramian.Vbar2`` itself, so ``P W`` is
-    formed once. Once ``V1 = [I; P; K]`` exists, ``riccati.P`` is rebound to
-    its C-contiguous view ``V1[n:2n]`` (the same bits) and the solver's own
-    ``P`` is freed, as ``W`` is a view of ``Vbar2``. ``K`` stays its own
+    formed once.
+
+    Each residual triple is taken while the fewest outputs are held: the
+    first from a ``V1`` that is dropped at once, before the Gramian exists,
+    the second before the returned ``V1`` exists. That ``V1`` is assembled
+    last, with the same bits, and ``riccati.P`` is rebound to its
+    C-contiguous view ``V1[n:2n]`` (the same bits), so the solver's own
+    ``P`` is freed, as ``W`` is a view of ``Vbar2``. Holding one ``V1``
+    throughout would put its ``(2n + m) x n`` under both residual checks'
+    temporaries and under the Gramian's Smith solve. ``K`` stays its own
     Fortran-ordered array: a C-ordered view would round later products with
     it differently.
     """
     st = staircase(sys, cfg)
     ric = solve_dare(sys, cfg)
+    res1 = residuals_v1(sys, assemble_v1(ric), ric.A_K)
     gram = closed_loop_gramian(sys, ric, cfg)
 
     # V1 and Vbar2 have rank n by construction, and ker V2 = ker [A B]' (see
@@ -221,10 +238,6 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     # not depend on the scale of the cost.
     rank_v2 = rank(np.hstack([sys.A, sys.B]), cfg)
 
-    # each residual triple is taken before the next basis adds to the peak
-    V1 = assemble_v1(ric)
-    ric.P = V1[sys.n : 2 * sys.n]  # P is held once, inside V1
-    res1 = residuals_v1(sys, V1, ric.A_K)
     V2 = assemble_v2(ric, gram)
     Vbar2 = assemble_vbar2(ric, gram)  # gram's own array, not a copy
     res2 = residuals_v2(sys, V2, Vbar2)
@@ -242,6 +255,8 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
         rank_deficiency_v2=sys.n - rank_v2,
         tolerances=cfg,
     )
+    V1 = assemble_v1(ric)
+    ric.P = V1[sys.n : 2 * sys.n]  # P is held once, inside V1
     return AnalysisBundle(
         sys=sys,
         staircase=st,

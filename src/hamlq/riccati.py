@@ -72,6 +72,16 @@ def _settled(change: float, prev_change: float, scale: float) -> bool:
     return change >= prev_change and change <= np.sqrt(EPS) * scale
 
 
+def _finite_product(M: np.ndarray, name: str) -> np.ndarray:
+    """``M``, a product formed from finite cost data under ``np.errstate``,
+    or ``ConvergenceFailure`` when it overflowed float64."""
+    if not np.isfinite(M).all():
+        raise ConvergenceFailure(
+            f"{name} overflows float64: the cost data (C, D) are too large to solve with"
+        )
+    return M
+
+
 def _doubling_gain(A, B, cfg: ToleranceConfig):
     """Gain of the auxiliary DARE ``(A, B, Q = I, R = I, S = 0)``; returns (K, steps).
 
@@ -163,12 +173,16 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
     SingularWeight
         ``D'D + B'PB`` is singular at the solution.
     ConvergenceFailure
-        Iteration budget exhausted or residual above tolerance.
+        Iteration budget exhausted, residual above tolerance, or ``C'D``,
+        ``D'D`` or a Newton step's forcing ``(C + D K)'(C + D K)`` overflows.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = A.shape[0]
-    S = C.T @ D
-    R = D.T @ D
+    # Finite cost data can still overflow in these products; the overflow is
+    # reported once, as a typed error, not as numpy warnings first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _finite_product(C.T @ D, "C'D")
+        R = _finite_product(D.T @ D, "D'D")
 
     # Phase 1: find any certified stabilizing gain. K = 0 works whenever A
     # is already stable (and keeps the Newton weights maximal, since policy
@@ -197,8 +211,10 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         newton_iters = it
         CK = C + D @ K
         A_K = A + B @ K
+        with np.errstate(over="ignore", invalid="ignore"):
+            forcing = _finite_product(CK.T @ CK, "the Newton forcing (C + D K)'(C + D K)")
         try:
-            gram = solve_dlyap_stable(A_K.T, CK.T @ CK, cfg)
+            gram = solve_dlyap_stable(A_K.T, forcing, cfg)
         except NotStable as exc:
             raise NotStabilizable(
                 "Newton iterate lost closed-loop stability; system violates "

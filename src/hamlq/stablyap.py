@@ -48,9 +48,11 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
     starting from ``W = Q``, ``E = A_K``, which converges quadratically for
     discrete-stable ``A_K`` and symmetric positive semidefinite ``Q``.
 
-    The loop holds five ``n x n`` arrays: ``E`` (the one copy of ``A_K``,
-    C-ordered), ``W``, and buffers for ``E W``, ``E W E'`` and the next
-    ``E``. The copy of ``Q`` is dropped once ``W`` is formed.
+    The loop holds four ``n x n`` arrays: ``E`` (the one copy of ``A_K``,
+    C-ordered), ``W``, and buffers for ``E W`` and ``E W E'``. Each next
+    ``E`` is formed in the ``E W E'`` buffer, free once the update is added
+    to ``W``, and the old ``E`` becomes that buffer. The copy of ``Q`` is
+    dropped once ``W`` is formed.
 
     Parameters
     ----------
@@ -91,7 +93,7 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
     EW = np.add(Qm, Qm.T, out=np.empty((n, n)))
     W = np.multiply(EW, 0.5)
     del Qm
-    E_next, update = np.empty((n, n)), np.empty((n, n))
+    update = np.empty((n, n))
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iter + 1):
@@ -111,7 +113,7 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
                 )
             if update_norm <= cfg.residual_tol * w_norm:
                 return GramianSolution(W=W, iterations=it)
-            E, E_next = E.dot(E, out=E_next), E
+            E, update = E.dot(E, out=update), E
     raise NotStable(
         f"Smith update norms did not decay within {cfg.max_iter} doublings",
         trace=trace,

@@ -244,18 +244,35 @@ def test_trajectory_unattainable_endpoint(drift_file, capsys):
     assert "endpoint not attainable" in capsys.readouterr().err
 
 
-def test_trajectory_overflow_prints_one_error_line(drift_file):
-    # A fresh interpreter with numpy's default warning filters, as the
-    # installed script runs: the typed error must be all that reaches stderr.
+def run_fresh(*args):
+    """``hamlq ARGS`` in a fresh interpreter with numpy's default warning
+    filters, as the installed script runs; returns the exit code and the
+    stderr lines."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    args = ["trajectory", drift_file, "--x0=1e308,1e308", "--kf", "4"]
     proc = subprocess.run(
         [sys.executable, "-c", "from hamlq.cli import run; run()", *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 5
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    return proc.returncode, proc.stderr.splitlines()
+
+
+def test_trajectory_overflow_prints_one_error_line(drift_file):
+    # the typed error must be all that reaches stderr
+    code, lines = run_fresh("trajectory", drift_file, "--x0=1e308,1e308", "--kf", "4")
+    assert code == 5
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_analyze_overflowing_cost_prints_one_error_line(tmp_path):
+    # Finite (C, D) x 1e155, whose products C'D, D'D and (C + D K)'(C + D K)
+    # overflow: one typed error (exit 4), no numpy warning and no "invalid
+    # input" (exit 2) from the Smith solver's check of its forcing.
+    g = golden_system()
+    path = write_system(tmp_path, "golden-1e155.json", A=g.A.tolist(), B=g.B.tolist(),
+                        C=(1e155 * g.C).tolist(), D=(1e155 * g.D).tolist())
+    code, lines = run_fresh("analyze", path)
+    assert code == 4
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0], lines
 
 
 def test_trajectory_oversized_horizon_is_out_of_memory(drift_file, capsys):

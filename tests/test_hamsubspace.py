@@ -187,10 +187,18 @@ def test_dimensions_match_hidden_null_space(case):
 
 
 def test_analyze_residuals_check_reported_bases(golden_sys):
-    bundle = analyze(golden_sys)
-    b = bundle.bases
-    assert bundle.residuals_v1 == residuals_v1(golden_sys, b.V1, bundle.riccati.A_K)
-    assert bundle.residuals_v2 == residuals_v2(golden_sys, b.V2, b.Vbar2)
+    # analyze checks a V1 it drops and returns one assembled later; both must
+    # be [I; P; K] with the solver's bits, and each triple must be the one
+    # its returned bases give. At n = 100 OpenBLAS rounds the rows n:2n of
+    # V1[:2n] @ A_K otherwise than P @ A_K, so a product of another shape
+    # would show there.
+    for sys in (golden_sys, random_stabilizable(np.random.default_rng(61), 100, 3, 3)):
+        bundle = analyze(sys)
+        b = bundle.bases
+        ric = solve_dare(sys)
+        assert same_bits(b.V1, np.vstack([np.eye(sys.n), ric.P, ric.K])), sys.n
+        assert bundle.residuals_v1 == residuals_v1(sys, b.V1, bundle.riccati.A_K), sys.n
+        assert bundle.residuals_v2 == residuals_v2(sys, b.V2, b.Vbar2), sys.n
 
 
 @pytest.mark.parametrize("which", ["golden", "singular_dd"])
@@ -286,7 +294,9 @@ def test_analyze_peak_memory():
     # at a time or in place: with every residual term held on top of all
     # three bases the peak was about 20 n x n matrices. With P W formed
     # once, in the Gramian's Vbar2, it read 12.3 (13.3 when analyze
-    # formed Vbar2 twice); with P a view of V1 it reads 11.3.
+    # formed Vbar2 twice); with P a view of V1, 11.3. With the checked V1
+    # dropped before the Gramian, the returned V1 assembled last and a
+    # four-buffer Smith loop it reads 10.25.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
     analyze(sys)
@@ -296,7 +306,7 @@ def test_analyze_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 11.8 * n * n * 8, peak / (n * n * 8)
+    assert peak < 10.8 * n * n * 8, peak / (n * n * 8)
 
 
 def singular_dd_n30():

@@ -8,7 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "memory_phases.py"
 PHASES = [
-    "staircase", "DARE", "Gramian", "rank", "V1", "res1", "V2", "res2", "bootstrap", "Newton",
+    "staircase", "DARE", "res1", "Gramian", "rank", "V2", "res2", "V1", "bootstrap", "Newton",
     "boundary", "propagation", "outputs", "cost",
 ]
 
@@ -29,9 +29,10 @@ def test_memory_phases_reports_every_phase():
         assert peak >= max(held, after)
     peaks = [line.split()[0] for line in res.stdout.splitlines() if line.endswith("<- peak")]
     assert len(peaks) == 3 and peaks[-1] == "outputs", peaks
-    # analyze rebinds P to a view of V1 once V1 exists, so the solver's own
-    # P, one n x n array, is gone before the first residual check starts
-    assert rows["V1"][2] - rows["res1"][0] > 0.9
+    # the returned V1 is assembled last, while the solver's own P is held;
+    # analyze then rebinds P to a view of V1, so by the return that n x n
+    # array is gone (less the bundle's small objects, about 0.1 n x n here)
+    assert rows["V1"][1] - rows["V1"][2] > 0.5
     # the trajectory phases follow one another: each starts where the one
     # before ended, and x, p and u, about 2.2 (k_f + 1) x n arrays, outlive
     # the outputs phase, whose peak (three such arrays) is the solve's

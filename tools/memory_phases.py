@@ -7,8 +7,10 @@ Imports ``hamlq`` from ``SRC_DIR`` and builds the ``analyze-mix`` and
 ``traj-many`` items of seed 1 with this checkout's ``perfbench/workloads.py``.
 For ``ITEM`` (default ``stable-n200``) it runs ``hamsubspace.analyze`` once
 untraced, then once under tracemalloc with each phase's function wrapped in
-the ``hamsubspace`` namespace: staircase, DARE, Gramian, rank, ``V1``,
-``res1``, ``V2`` and ``res2``. For ``UNSTABLE_ITEM`` (default
+the ``hamsubspace`` namespace. The phases follow ``analyze``: staircase,
+DARE, ``res1`` (the checked ``V1``, assembled and dropped, and its residual
+triple), Gramian, rank, ``V2``, ``res2`` and ``V1`` (the returned basis,
+assembled last, up to the return). For ``UNSTABLE_ITEM`` (default
 ``unstable-n50-0``) it splits ``riccati.solve_dare`` into the
 structured-doubling bootstrap (``riccati._doubling_gain``) and the Newton
 phase that follows it, up to the return. For the ``traj-many`` item with
@@ -42,16 +44,23 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 SEED = 1
 
-# (phase label, module attribute wrapped) in the order analyze calls them
+# (phase label, first mark, last mark) in the order analyze reaches them:
+# the first V1 is assembled for the residual check and dropped, the returned
+# one is assembled last, and its phase ends at the return, after analyze has
+# rebound P to a view of it
 ANALYZE_PHASES = (
-    ("staircase", "staircase"),
-    ("DARE", "solve_dare"),
-    ("Gramian", "closed_loop_gramian"),
-    ("rank", "rank"),
-    ("V1", "assemble_v1"),
-    ("res1", "residuals_v1"),
-    ("V2", "assemble_v2"),
-    ("res2", "residuals_v2"),
+    ("staircase", "staircase>", "staircase<"),
+    ("DARE", "solve_dare>", "solve_dare<"),
+    ("res1", "assemble_v1>", "residuals_v1<"),
+    ("Gramian", "closed_loop_gramian>", "closed_loop_gramian<"),
+    ("rank", "rank>", "rank<"),
+    ("V2", "assemble_v2>", "assemble_v2<"),
+    ("res2", "residuals_v2>", "residuals_v2<"),
+    ("V1", "assemble_v1>", "return"),
+)
+ANALYZE_WRAPPED = (
+    "staircase", "solve_dare", "assemble_v1", "residuals_v1", "closed_loop_gramian", "rank",
+    "assemble_v2", "residuals_v2",
 )
 # (phase label, first mark, last mark): a phase runs from one mark to another
 DARE_PHASES = (
@@ -71,9 +80,10 @@ def _marked(call, module, attrs):
     ``module`` wrapped to mark its entry (``attr>``) and return (``attr<``).
 
     Returns the marks, ``(name, traced, peak since the mark before)`` in
-    bytes, from ``call`` at the start to ``return`` at the end. They are
-    stored in buffers made before tracing starts, so keeping them allocates
-    nothing the marks would count."""
+    bytes, from ``call`` at the start to ``return`` at the end, which is
+    taken while ``call``'s result is still held. They are stored in buffers
+    made before tracing starts, so keeping them allocates nothing the marks
+    would count."""
     names, figures, count = [None] * 256, np.zeros((256, 2), dtype=np.int64), [0]
 
     def mark(name):
@@ -99,8 +109,9 @@ def _marked(call, module, attrs):
     tracemalloc.start()
     try:
         mark("call")
-        call()
+        result = call()
         mark("return")
+        del result
     finally:
         tracemalloc.stop()
         for attr, fn in originals.items():
@@ -110,12 +121,18 @@ def _marked(call, module, attrs):
 
 def _rows(marks, phases):
     """``(label, held, peak, after)`` of each ``(label, first mark, last mark)``
-    in ``phases`` (the last mark of each name), and the whole call's peak."""
-    index = {name: i for i, (name, _, _) in enumerate(marks)}
-    rows = []
+    in ``phases``, and the whole call's peak. Marks are matched in order: a
+    phase's first mark is the next one of that name from where the phase
+    before ended, and its last mark the next one of that name after it."""
+
+    def find(name, start):
+        return next(i for i in range(start, len(marks)) if marks[i][0] == name)
+
+    rows, end = [], 0
     for label, first, last in phases:
-        i, j = index[first], index[last]
-        rows.append((label, marks[i][1], max(m[2] for m in marks[i + 1 : j + 1]), marks[j][1]))
+        i = find(first, end)
+        end = find(last, i + 1)
+        rows.append((label, marks[i][1], max(m[2] for m in marks[i + 1 : end + 1]), marks[end][1]))
     return rows, max(m[2] for m in marks)
 
 
@@ -167,8 +184,7 @@ def main(argv) -> None:
 
     sysq = items[item_id].sys
     hamsubspace.analyze(sysq)  # warm-up: first-call allocations are not the program's
-    marks = _marked(lambda: hamsubspace.analyze(sysq), hamsubspace, [attr for _, attr in ANALYZE_PHASES])
-    rows, peak = _rows(marks, [(label, f"{attr}>", f"{attr}<") for label, attr in ANALYZE_PHASES])
+    rows, peak = _rows(_marked(lambda: hamsubspace.analyze(sysq), hamsubspace, ANALYZE_WRAPPED), ANALYZE_PHASES)
     _print(f"analyze {item_id}: n = {sysq.n}", sysq.n**2 * 8, "n x n", rows, peak)
 
     sysq = items[unstable_id].sys
