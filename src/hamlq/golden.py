@@ -144,12 +144,12 @@ def golden_check(
     fallback verdict is reported distinctly.
     """
     bundle = analyze(golden_system() if sys is None else sys, cfg)
+    # the residual checks first, so neither runs with the bases held
+    max_residual = max(bundle.residuals_v1.max_rel, bundle.residuals_v2.max_rel)
 
     dev2, loc2 = _max_deviation(bundle.bases.V2, REFERENCE_V2)
     devb, locb = _max_deviation(bundle.bases.Vbar2, REFERENCE_VBAR2)
     entrywise = dev2 <= ENTRYWISE_TOL and devb <= ENTRYWISE_TOL
-
-    max_residual = max(bundle.residuals_v1.max_rel, bundle.residuals_v2.max_rel)
 
     fallback = None
     ang2 = angb = None

@@ -23,13 +23,15 @@ closed-loop Gramian ``W``:
 system; ``closed_loop_gramian`` forms them once, next to ``W``, and both
 this module and the trajectory solver read them from there.
 
-``analyze`` bundles the decomposition, Riccati solution, Gramian, bases,
-the residual checks of those same bases and a dimension report in one pass.
+``analyze`` bundles the decomposition, Riccati solution, Gramian and a
+dimension report whose ranks read no basis; the bases and their residual
+checks are formed when a caller first reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,9 +82,7 @@ def assemble_v1(ric: RiccatiSolution) -> np.ndarray:
 
     Writes the three blocks into one new C-ordered array, the bits of
     ``np.vstack([np.eye(n), P, K])`` without the identity's own array, and
-    leaves ``ric`` as it is. ``analyze`` calls it twice: once for the
-    residual check, whose copy it then drops, and once last, when it
-    rebinds ``ric.P`` to the rows ``n:2n`` of the result.
+    leaves ``ric`` as it is.
     """
     n, m = ric.P.shape[0], ric.K.shape[0]
     V1 = np.zeros((2 * n + m, n))
@@ -114,23 +114,27 @@ def assemble_v2(ric: RiccatiSolution, gram: ClosedLoopGramian) -> np.ndarray:
     return out
 
 
-def _relation_residuals(sys: SystemQuadruple, V: np.ndarray, V_next: np.ndarray) -> ResidualNorms:
-    """Residuals of the three stacked relations for ``V = [X; L; U]``.
+def _relation_residuals(sys: SystemQuadruple, X, Lam, U, X_next, Lam_next) -> ResidualNorms:
+    """Residuals of the three stacked relations for the blocks of ``[X; L; U]``.
 
-    ``V_next = [X_+; L_+]`` holds the next-step state and costate blocks:
+    ``X_next`` and ``Lam_next`` are the next-step state and costate blocks:
 
         A X + B U              = X_+
         C'C X + A'L_+ + C'D U  = L
         D'C X + B'L_+ + D'D U  = 0
+
+    ``X = None`` stands for the identity, and each product with it is left
+    out: its other factor is that product exactly, up to the sign of zeros,
+    which no sum or norm here sees. ``A`` then enters C-ordered, the layout
+    of ``A @ I``, because a norm sums in memory order.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    n = sys.n
-    X, Lam, U = V[:n], V[n : 2 * n], V[2 * n :]
-    X_next, Lam_next = V_next[:n], V_next[n:]
+    x = () if X is None else (X,)
+    A_X = (np.ascontiguousarray(A),) if X is None else (A, X)
 
-    d, dr = residual_norms(((A, X), (B, U)), X_next)
-    c, cr = residual_norms(((C.T, C, X), (A.T, Lam_next), (C.T, D, U)), Lam)
-    s, sr = residual_norms(((D.T, C, X), (B.T, Lam_next), (D.T, D, U)))
+    d, dr = residual_norms((A_X, (B, U)), X_next)
+    c, cr = residual_norms(((C.T, C, *x), (A.T, Lam_next), (C.T, D, U)), Lam)
+    s, sr = residual_norms(((D.T, C, *x), (B.T, Lam_next), (D.T, D, U)))
     return ResidualNorms(d, c, s, dr, cr, sr)
 
 
@@ -139,12 +143,15 @@ def residuals_v1(sys: SystemQuadruple, V1: np.ndarray, A_K: np.ndarray) -> Resid
 
     The next-step blocks are ``V1[:2n] @ A_K = [A_K; P A_K]``.
     """
-    return _relation_residuals(sys, V1, V1[: 2 * sys.n] @ A_K)
+    n = sys.n
+    V_next = V1[: 2 * n] @ A_K
+    return _relation_residuals(sys, V1[:n], V1[n : 2 * n], V1[2 * n :], V_next[:n], V_next[n:])
 
 
 def residuals_v2(sys: SystemQuadruple, V2: np.ndarray, Vbar2: np.ndarray) -> ResidualNorms:
     """Check that ``V2`` steps backward onto ``Vbar2 = [W; P W - I]``."""
-    return _relation_residuals(sys, V2, Vbar2)
+    n = sys.n
+    return _relation_residuals(sys, V2[:n], V2[n : 2 * n], V2[2 * n :], Vbar2[:n], Vbar2[n:])
 
 
 @dataclass
@@ -188,60 +195,69 @@ class DimensionReport:
 
 @dataclass
 class AnalysisBundle:
-    """Everything ``analyze`` computed for one system.
+    """Everything ``analyze`` computed for one system, and what follows from it.
 
-    Two outputs are views into a basis, so each ``n x n`` block is held once:
-    ``riccati.P`` is the rows ``n:2n`` of ``bases.V1`` and ``gramian.W`` the
-    top half of ``bases.Vbar2`` (``bases.Vbar2 is gramian.Vbar2``). Writing
-    into ``V1`` or ``Vbar2`` changes ``P`` or ``W``. ``residuals_v1`` was
-    taken from an equal copy of ``V1``, formed right after the Riccati solve
-    and dropped before the Gramian; ``bases.V1`` is assembled last.
+    ``bases``, ``residuals_v1`` and ``residuals_v2`` are formed when first
+    read and kept. ``bases.V1`` and ``bases.V2`` are new arrays;
+    ``bases.Vbar2`` is ``gramian.Vbar2``, with ``gramian.W`` its top half.
+    Read before ``bases``, as ``hamlq analyze`` and ``golden_check`` read
+    them, the residual checks hold no basis, so each adds about four
+    ``n x n`` arrays to what the bundle holds.
     """
 
     sys: SystemQuadruple
     staircase: StaircaseForm
     riccati: RiccatiSolution
     gramian: ClosedLoopGramian
-    bases: InvariantBases
-    residuals_v1: ResidualNorms
-    residuals_v2: ResidualNorms
     report: DimensionReport
+
+    @cached_property
+    def bases(self) -> InvariantBases:
+        ric, gram = self.riccati, self.gramian
+        return InvariantBases(assemble_v1(ric), assemble_v2(ric, gram), assemble_vbar2(ric, gram))
+
+    @cached_property
+    def residuals_v1(self) -> ResidualNorms:
+        # residuals_v1(sys, assemble_v1(ric), A_K), bit for bit, holding no
+        # V1: V1[:2n] @ A_K is formed as is (a product of another shape rounds
+        # otherwise) and only its costate rows P A_K are kept. Its state rows
+        # I A_K are A_K exactly, up to the sign of zeros; the checks read A_K,
+        # P and K C-ordered, as in V1, and leave the identity block out.
+        ric, n = self.riccati, self.sys.n
+        Lam_next = (assemble_v1(ric)[: 2 * n] @ ric.A_K)[n:].copy()
+        P, K, A_K = (np.ascontiguousarray(M) for M in (ric.P, ric.K, ric.A_K))
+        return _relation_residuals(self.sys, None, P, K, A_K, Lam_next)
+
+    @cached_property
+    def residuals_v2(self) -> ResidualNorms:
+        # residuals_v2(sys, assemble_v2(ric, gram), Vbar2), bit for bit: that
+        # call once bases exists; before, only V2's product Vbar2 A_K', with
+        # the input row read from u_gain (C-ordered, as in V2), not copied.
+        sys, Vbar2, n = self.sys, self.gramian.Vbar2, self.sys.n
+        if "bases" in self.__dict__:
+            return residuals_v2(sys, self.bases.V2, Vbar2)
+        XL = np.dot(Vbar2, self.riccati.A_K.T)
+        U = np.ascontiguousarray(self.gramian.u_gain)
+        return _relation_residuals(sys, XL[:n], XL[n:], U, Vbar2[:n], Vbar2[n:])
 
 
 def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> AnalysisBundle:
     """Full structural analysis of one system.
 
-    Runs the reachability decomposition, solves the Riccati equation,
-    checks ``V1 = [I; P; K]`` against it, computes the closed-loop Gramian
-    with ``Vbar2``, assembles ``V2``, checks it and fills in the dimension
-    report. ``bases.Vbar2`` is ``gramian.Vbar2`` itself, so ``P W`` is
-    formed once.
-
-    Each residual triple is taken while the fewest outputs are held: the
-    first from a ``V1`` that is dropped at once, before the Gramian exists,
-    the second before the returned ``V1`` exists. That ``V1`` is assembled
-    last, with the same bits, and ``riccati.P`` is rebound to its
-    C-contiguous view ``V1[n:2n]`` (the same bits), so the solver's own
-    ``P`` is freed, as ``W`` is a view of ``Vbar2``. Holding one ``V1``
-    throughout would put its ``(2n + m) x n`` under both residual checks'
-    temporaries and under the Gramian's Smith solve. ``K`` stays its own
-    Fortran-ordered array: a C-ordered view would round later products with
-    it differently.
+    Runs the reachability decomposition, decides ``rank [A B]``, solves the
+    Riccati equation, computes the closed-loop Gramian with ``Vbar2`` and
+    fills in the dimension report. The bases and their residual checks are
+    left to the bundle, which forms them when they are first read. The rank
+    reads plant data only, so it runs before the Riccati solve, whose Newton
+    steps set the call's peak memory, on top of the held staircase.
     """
     st = staircase(sys, cfg)
-    ric = solve_dare(sys, cfg)
-    res1 = residuals_v1(sys, assemble_v1(ric), ric.A_K)
-    gram = closed_loop_gramian(sys, ric, cfg)
-
     # V1 and Vbar2 have rank n by construction, and ker V2 = ker [A B]' (see
     # DimensionReport), so the only rank decision is on plant data and does
     # not depend on the scale of the cost.
     rank_v2 = rank(np.hstack([sys.A, sys.B]), cfg)
-
-    V2 = assemble_v2(ric, gram)
-    Vbar2 = assemble_vbar2(ric, gram)  # gram's own array, not a copy
-    res2 = residuals_v2(sys, V2, Vbar2)
-
+    ric = solve_dare(sys, cfg)
+    gram = closed_loop_gramian(sys, ric, cfg)
     report = DimensionReport(
         n=sys.n,
         m=sys.m,
@@ -255,16 +271,4 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
         rank_deficiency_v2=sys.n - rank_v2,
         tolerances=cfg,
     )
-    V1 = assemble_v1(ric)
-    ric.P = V1[sys.n : 2 * sys.n]  # P is held once, inside V1
-    return AnalysisBundle(
-        sys=sys,
-        staircase=st,
-        riccati=ric,
-        gramian=gram,
-        bases=InvariantBases(V1=V1, V2=V2, Vbar2=Vbar2),
-        residuals_v1=res1,
-        residuals_v2=res2,
-        report=report,
-    )
-
+    return AnalysisBundle(sys=sys, staircase=st, riccati=ric, gramian=gram, report=report)

@@ -95,13 +95,19 @@ def _float_array(a, name: str) -> np.ndarray:
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D float64 array or raise ``ValueError``."""
-    m = _float_array(a, name)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got ndim={m.ndim}")
-    if m.size and not np.isfinite(m).all():
+    """Coerce ``a`` to a new finite 2-D float64 array or raise ``ValueError``."""
+    return _checked_matrix(_float_array(a, name), name)
+
+
+def _checked_matrix(a, name: str) -> np.ndarray:
+    """``a`` itself, checked as ``as_matrix`` checks, when a float64 array, else ``as_matrix(a)``."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64):
+        return as_matrix(a, name)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be two-dimensional, got ndim={a.ndim}")
+    if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return m
+    return a
 
 
 def fro_norm(X: np.ndarray) -> float:

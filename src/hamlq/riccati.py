@@ -213,14 +213,13 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         A_K = A + B @ K
         with np.errstate(over="ignore", invalid="ignore"):
             forcing = _finite_product(CK.T @ CK, "the Newton forcing (C + D K)'(C + D K)")
-        try:
-            gram = solve_dlyap_stable(A_K.T, forcing, cfg)
+        try:  # the forcing serves this solve alone: W is written over it
+            P_new = solve_dlyap_stable(A_K.T, forcing, cfg, overwrite_q=True).W
         except NotStable as exc:
             raise NotStabilizable(
                 "Newton iterate lost closed-loop stability; system violates "
                 "the operational assumptions"
             ) from exc
-        P_new = gram.W
         BtP = B.T @ P_new
         Rw = _sym_into(R + BtP @ B, np.empty_like(R))
         L = BtP @ A + S.T

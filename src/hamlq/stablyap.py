@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotStable
-from .matcore import DEFAULT_TOL, ToleranceConfig, _sym_into, as_matrix, fro_norm, solve_linear
+from .matcore import DEFAULT_TOL, ToleranceConfig, _checked_matrix, _sym_into, as_matrix
+from .matcore import fro_norm, solve_linear
 
 __all__ = [
     "GramianSolution",
@@ -29,7 +30,8 @@ __all__ = [
 class GramianSolution:
     """Solution of ``A_K W A_K' + Q = W`` with convergence diagnostics.
 
-    ``solve_dlyap_stable`` returns ``W`` as its own array.
+    ``solve_dlyap_stable`` returns ``W`` as its own array, or as the
+    forcing itself when the caller lets it be overwritten.
     ``closed_loop_gramian`` returns the subclass ``ClosedLoopGramian``,
     whose ``W`` is a view of the top half of its ``Vbar2``.
     """
@@ -38,7 +40,7 @@ class GramianSolution:
     iterations: int
 
 
-def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSolution:
+def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=False) -> GramianSolution:
     """Solve the discrete Lyapunov equation ``A_K W A_K' + Q = W``.
 
     Uses the Smith doubling recurrence
@@ -51,8 +53,8 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
     The loop holds four ``n x n`` arrays: ``E`` (the one copy of ``A_K``,
     C-ordered), ``W``, and buffers for ``E W`` and ``E W E'``. Each next
     ``E`` is formed in the ``E W E'`` buffer, free once the update is added
-    to ``W``, and the old ``E`` becomes that buffer. The copy of ``Q`` is
-    dropped once ``W`` is formed.
+    to ``W``, and the old ``E`` becomes that buffer. ``Q`` is checked in
+    place, not copied.
 
     Parameters
     ----------
@@ -64,6 +66,10 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
     cfg : ToleranceConfig
         ``residual_tol`` controls the stopping test (update norm relative to
         the current iterate); ``max_iter`` bounds the number of doublings.
+    overwrite_q : bool
+        Let ``W`` be formed over ``Q`` when ``Q`` is a C-contiguous float64
+        array, so a caller that formed the forcing for this solve alone does
+        not hold it beside ``W``. By default ``Q`` is left unchanged.
 
     Returns
     -------
@@ -79,20 +85,20 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL) -> GramianSol
     # Each product keeps the operand layouts of the plain expression
     # ``E @ W @ E.T`` (C-ordered E and W), whose rounding depends on them;
     # only the allocations are gone.
-    E = np.ascontiguousarray(as_matrix(A_K, "A_K"))
+    E = np.array(_checked_matrix(A_K, "A_K"), order="C")
     n, nc = E.shape
     if n != nc:
         raise ValueError(f"A_K must be square, got {E.shape}")
-    Qm = as_matrix(Q, "Q")
+    Qm = _checked_matrix(Q, "Q")
     if Qm.shape != (n, n):
         raise ValueError(f"Q must be {n}x{n}, got {Qm.shape}")
 
-    # W = (Q + Q') / 2 is formed through the EW buffer into a fresh C-ordered
-    # array, the layout the plain expression gives for either layout of Q,
-    # and the copy of Q goes before the loop's buffers exist.
-    EW = np.add(Qm, Qm.T, out=np.empty((n, n)))
-    W = np.multiply(EW, 0.5)
+    # W = (Q' + Q) / 2 in a C-ordered array, the bits of 0.5 * (Q + Q.T)
+    # for either layout of Q, with the EW buffer as scratch.
+    W = Qm if overwrite_q and Qm.flags.c_contiguous else np.array(Qm, order="C")
     del Qm
+    EW = np.empty((n, n))
+    _sym_into(W, EW)
     update = np.empty((n, n))
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -146,8 +152,9 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     ``ric``. In the reachability basis the solution has the block form
     ``diag(W_c, 0)`` with a positive definite reachable block.
     ``Rw^{-1} B'`` is solved here, its only use; ``solve_dare``'s last
-    Newton step has already solved ``Rw`` under the same ``cfg``.
-    ``solve_dlyap_stable`` symmetrizes the forcing ``B Rw^{-1} B'``.
+    Newton step has already solved ``Rw`` under the same ``cfg``. The
+    forcing ``B Rw^{-1} B'`` serves the Smith solve alone, which forms
+    ``W`` over it.
 
     ``W`` is copied into the top half of ``Vbar2 = [W; P W - I]`` and the
     returned ``W`` is a view of it; the bottom half is ``P W`` formed in
@@ -156,7 +163,7 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     of both halves of ``Vbar2`` are formed once here as well.
     """
     Rw_inv_Bt = solve_linear(ric.Rw, sys.B.T, cfg)
-    sol = solve_dlyap_stable(ric.A_K, sys.B @ Rw_inv_Bt, cfg)
+    sol = solve_dlyap_stable(ric.A_K, sys.B @ Rw_inv_Bt, cfg, overwrite_q=True)
     n = sol.W.shape[0]
     Vbar2 = np.empty((2 * n, n))
     W = Vbar2[:n]

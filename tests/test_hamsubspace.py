@@ -290,13 +290,14 @@ def test_residuals_hold_on_random_systems():
 
 
 def test_analyze_peak_memory():
-    # The residual terms, the bases and the staircase factor are formed one
-    # at a time or in place: with every residual term held on top of all
-    # three bases the peak was about 20 n x n matrices. With P W formed
-    # once, in the Gramian's Vbar2, it read 12.3 (13.3 when analyze
-    # formed Vbar2 twice); with P a view of V1, 11.3. With the checked V1
-    # dropped before the Gramian, the returned V1 assembled last and a
-    # four-buffer Smith loop it reads 10.25.
+    # The staircase factor is formed in place and no basis or residual term
+    # at all: with every residual term held on top of all three bases the
+    # peak was about 20 n x n matrices. With P W formed once, in the
+    # Gramian's Vbar2, it read 12.3 (13.3 when analyze formed Vbar2 twice);
+    # with P a view of V1, 11.3; with both residual checks and V1 assembled
+    # inside analyze and a four-buffer Smith loop, 10.25. With the bases and
+    # checks left to the bundle and each Smith solve writing W over its
+    # forcing, the Newton steps on top of the held staircase set it: 8.26.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
     analyze(sys)
@@ -306,7 +307,110 @@ def test_analyze_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10.8 * n * n * 8, peak / (n * n * 8)
+    assert peak < 8.6 * n * n * 8, peak / (n * n * 8)
+
+
+LAZY = ("assemble_v1", "assemble_v2", "residuals_v1", "residuals_v2", "_relation_residuals")
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each function ``names`` lists in the ``hamsubspace`` namespace
+    to count its calls; returns the counts by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(hamsubspace, name, counting(name, getattr(hamsubspace, name)))
+    return calls
+
+
+def test_analyze_forms_no_basis_or_residual_until_one_is_read(golden_sys, monkeypatch):
+    calls = count_calls(monkeypatch, LAZY)
+    bundle = analyze(golden_sys)
+    assert calls == dict.fromkeys(LAZY, 0)
+    bundle.report, bundle.riccati.P, bundle.gramian.Vbar2
+    assert calls == dict.fromkeys(LAZY, 0)
+    bundle.residuals_v1
+    assert calls == dict(dict.fromkeys(LAZY, 0), assemble_v1=1, _relation_residuals=1)
+
+
+@pytest.mark.parametrize("order", ["residuals_first", "bases_first"])
+@pytest.mark.parametrize("which", ["golden", "singular_dd_n30"])
+def test_lazy_fields_are_formed_once_with_the_explicit_calls_bits(which, order, golden_sys, monkeypatch):
+    sys = golden_sys if which == "golden" else singular_dd_n30()
+    calls = count_calls(monkeypatch, LAZY)
+    bundle = analyze(sys)
+    ric, gram = bundle.riccati, bundle.gramian
+    names = ("residuals_v1", "residuals_v2", "bases")
+    names = names if order == "residuals_first" else names[::-1]
+    fields = [(name, getattr(bundle, name)) for name in names]
+    # residuals_v1 assembles its own V1 and drops it; residuals_v2 forms only
+    # V2's product, or checks bases.V2 once bases exists
+    once = dict(dict.fromkeys(LAZY, 0), assemble_v1=2, assemble_v2=1, _relation_residuals=2)
+    once["residuals_v2"] = int(order == "bases_first")
+    assert calls == once
+    for name, value in fields:
+        assert getattr(bundle, name) is value
+    assert calls == once
+
+    b = bundle.bases
+    assert same_bits(b.V1, assemble_v1(ric))
+    assert same_bits(b.V2, assemble_v2(ric, gram))
+    assert b.Vbar2 is gram.Vbar2
+    assert bundle.residuals_v1 == residuals_v1(sys, assemble_v1(ric), ric.A_K)
+    assert bundle.residuals_v2 == residuals_v2(sys, assemble_v2(ric, gram), assemble_vbar2(ric, gram))
+    # the same bits again from a fresh solve
+    ric2, gram2 = solve_all(sys)
+    assert same_bits(b.V1, assemble_v1(ric2))
+    assert same_bits(b.V2, assemble_v2(ric2, gram2))
+
+
+def test_bundle_residuals_equal_the_explicit_checks_for_any_plant_layout():
+    # The bundle's checks leave out the identity block of V1 and read A_K
+    # for its state rows I A_K, exact up to the sign of zeros; a norm sums
+    # in memory order, so they must read A, P, K and A_K C-ordered as V1
+    # does. An F-ordered plant, one input (a K that is both C- and
+    # F-contiguous) and exact zeros in A_K and in the residual sums all keep
+    # the explicit checks' bits.
+    rng = np.random.default_rng(66)
+    cases = [random_stabilizable(rng, n, m, 3) for n, m in ((1, 1), (7, 1), (12, 3), (100, 3))]
+    cases.append(staircase_embedded(rng, 3, 3, zero_row=2))
+    A = np.diag([0.5, -0.0, 0.25])
+    cases.append(SystemQuadruple(A=A, B=np.eye(3)[:, :2], C=np.eye(3), D=np.zeros((3, 2))))
+    for base in cases:
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            sys = SystemQuadruple(*(layout(M) for M in (base.A, base.B, base.C, base.D)))
+            if sys.n > 1 and layout is np.asfortranarray:
+                assert sys.A.flags.f_contiguous and not sys.A.flags.c_contiguous
+            bundle = analyze(sys)
+            ric, gram = bundle.riccati, bundle.gramian
+            assert bundle.residuals_v1 == residuals_v1(sys, assemble_v1(ric), ric.A_K), sys.n
+            assert bundle.residuals_v2 == residuals_v2(sys, assemble_v2(ric, gram), gram.Vbar2), sys.n
+
+
+def test_residual_reading_peak_memory():
+    # analyze, then both residual checks, as hamlq analyze reads them. Each
+    # check holds one 2n x n product and two residual terms on top of the
+    # bundle: 10.23 n x n matrices, where analyze read 10.25 when it formed
+    # both checks itself; checking a whole assembled V1 with the Gramian
+    # held read 12.1.
+    n = 100
+    sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
+    analyze(sys).residuals_v2
+    tracemalloc.start()
+    try:
+        bundle = analyze(sys)
+        bundle.residuals_v1, bundle.residuals_v2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.25 * n * n * 8, peak / (n * n * 8)
 
 
 def singular_dd_n30():
@@ -373,10 +477,10 @@ def test_analyze_and_residuals_leave_their_inputs_unchanged(which, golden_sys):
 
 
 @pytest.mark.parametrize("which", ["golden", "n12", "singular_dd_n30"])
-def test_analyze_holds_p_as_a_view_of_v1(which, golden_sys):
-    # P is the rows n:2n of V1, not a second copy, with the solver's bits and
-    # C layout: trajectories solved from the bundle round as those solved
-    # from a fresh solve_dare, at either endpoint.
+def test_analyze_holds_the_solvers_own_p(which, golden_sys):
+    # P is the Riccati solver's own C-ordered array, and V1 a new array
+    # assembled from it when first read: trajectories solved from the bundle
+    # round as those solved from a fresh solve_dare, at either endpoint.
     sys = {
         "golden": lambda: golden_sys,
         "n12": lambda: random_stabilizable(np.random.default_rng(63), 12, 3, 4),
@@ -384,8 +488,9 @@ def test_analyze_holds_p_as_a_view_of_v1(which, golden_sys):
     }[which]()
     bundle = analyze(sys)
     P = bundle.riccati.P
-    assert np.shares_memory(P, bundle.bases.V1)
-    assert P.flags.c_contiguous
+    assert P.flags.c_contiguous and P.flags.owndata
+    assert not np.shares_memory(P, bundle.bases.V1)
+    assert same_bits(bundle.bases.V1[sys.n : 2 * sys.n], P)
     ric, gram = solve_all(sys)
     assert same_bits(P, ric.P)
 

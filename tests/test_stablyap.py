@@ -135,11 +135,12 @@ def test_residual_contract_random_stable():
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_smith_peak_memory(transposed):
-    # E, W and two loop buffers, 4.01-4.07 n x n matrices; a separate
+    # E, W and two loop buffers, 4.01-4.06 n x n matrices; a separate
     # buffer for the next E made it 5.0. Holding the copy of Q through the
     # loop, and a transposed A_K's copy next to E, made it 6.8 and 7.8 n x n
     # matrices at n = 100; symmetrizing by np.add(W, W.T) added numpy's
-    # buffer copy of W.T, 1.1 n x n at n = 50 and 0.8 at n = 100.
+    # buffer copy of W.T, 1.1 n x n at n = 50 and 0.8 at n = 100. Q is
+    # checked in place, not copied.
     for n in (50, 100):
         rng = np.random.default_rng(63)
         A_K = stable_matrix(rng, n, radius=0.9)
@@ -154,6 +155,50 @@ def test_smith_peak_memory(transposed):
         finally:
             tracemalloc.stop()
         assert peak < 4.2 * n * n * 8, (n, peak / (n * n * 8))
+
+
+def test_smith_peak_memory_with_the_forcing_overwritten():
+    # W is formed over the caller's forcing, so the solve's own arrays are
+    # E and the two loop buffers, 3.02-3.08 n x n matrices
+    for n in (50, 100):
+        rng = np.random.default_rng(63)
+        A_K = stable_matrix(rng, n, radius=0.9)
+        G = rng.standard_normal((n, n + 1))
+        Q = G @ G.T
+        tracemalloc.start()
+        try:
+            W = solve_dlyap_stable(A_K.T, Q, overwrite_q=True).W
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert W is Q
+        assert peak < 3.2 * n * n * 8, (n, peak / (n * n * 8))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_overwriting_the_forcing_gives_the_same_bits(layout):
+    # an F-ordered forcing is not overwritten: W is always C-ordered
+    rng = np.random.default_rng(64)
+    for n in (1, 3, 20):
+        A_K = stable_matrix(rng, n, radius=0.9)
+        G = rng.standard_normal((n, n))
+        Q = np.asarray(G @ G.T + rng.standard_normal((n, n)), order=layout)  # not symmetric
+        plain = solve_dlyap_stable(A_K, Q)
+        forcing = Q.copy(order="K")
+        over = solve_dlyap_stable(A_K, forcing, overwrite_q=True)
+        assert (over.W is forcing) == forcing.flags.c_contiguous
+        assert over.W.flags.c_contiguous
+        assert same_bits(over.W, plain.W) and over.iterations == plain.iterations
+
+
+def test_plain_call_leaves_q_unchanged():
+    rng = np.random.default_rng(65)
+    A_K = stable_matrix(rng, 6, radius=0.9)
+    Q = np.asfortranarray(rng.standard_normal((6, 6)))
+    for q in (Q, np.ascontiguousarray(Q), Q.tolist()):
+        before = np.array(q)
+        solve_dlyap_stable(A_K, q)
+        assert same_bits(np.array(q), before)
 
 
 def test_golden_gramian_matches_reference_block(golden_sys):

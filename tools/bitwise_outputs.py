@@ -12,7 +12,8 @@ trajectory, built by this checkout's ``perfbench/workloads.py``. It records
 ``P``, ``K``, ``Rw``, ``A_K``, ``W``, ``u_gain``, the iteration counts, the
 ``StaircaseForm`` (``T``, ``n_c`` and the six blocks ``A_c``, ``A_cu``,
 ``A_u``, ``B_c``, ``C_c``, ``C_u``), the three bases, both residual triples
-and every ``DimensionReport`` field of each analysis; the same Riccati and
+(fields the bundle forms when first read; capture reads them) and every
+``DimensionReport`` field of each analysis; the same Riccati and
 Gramian data of each trajectory system; ``x``, ``p``, ``u``, ``J``,
 ``alpha`` and ``beta`` of each trajectory; the type and message of every
 error raised; and the exit code and stdout bytes of the benchmark's four

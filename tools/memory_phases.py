@@ -8,9 +8,11 @@ Imports ``hamlq`` from ``SRC_DIR`` and builds the ``analyze-mix`` and
 For ``ITEM`` (default ``stable-n200``) it runs ``hamsubspace.analyze`` once
 untraced, then once under tracemalloc with each phase's function wrapped in
 the ``hamsubspace`` namespace. The phases follow ``analyze``: staircase,
-DARE, ``res1`` (the checked ``V1``, assembled and dropped, and its residual
-triple), Gramian, rank, ``V2``, ``res2`` and ``V1`` (the returned basis,
-assembled last, up to the return). For ``UNSTABLE_ITEM`` (default
+rank, DARE and Gramian. A last row, ``on-read``, runs from ``analyze``'s
+return, with the bundle held, to the end of the fields the bundle forms on
+first read: ``residuals_v1``, ``residuals_v2`` and then ``bases``, the
+order in which ``hamlq analyze --full`` and ``golden_check`` read them.
+For ``UNSTABLE_ITEM`` (default
 ``unstable-n50-0``) it splits ``riccati.solve_dare`` into the
 structured-doubling bootstrap (``riccati._doubling_gain``) and the Newton
 phase that follows it, up to the return. For the ``traj-many`` item with
@@ -26,8 +28,10 @@ units of one ``n x n`` float64 array for ``analyze`` and ``solve_dare`` and
 of one ``(k_f + 1) x n`` array, the size of a trajectory's state sequence,
 for ``solve_nonrecursive``. The phase with the largest peak sets the item's
 ``peak_alloc_mb``; that figure, in MB, is printed for the whole call, as the
-benchmark measures it. Run each tree in its own process; one BLAS thread is
-pinned, as in the benchmark.
+benchmark measures it. The benchmark reads no field of the bundle, so the
+``on-read`` row is not part of that call and its peak may exceed it. Run
+each tree in its own process; one BLAS thread is pinned, as in the
+benchmark.
 """
 
 import os
@@ -44,24 +48,16 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 SEED = 1
 
-# (phase label, first mark, last mark) in the order analyze reaches them:
-# the first V1 is assembled for the residual check and dropped, the returned
-# one is assembled last, and its phase ends at the return, after analyze has
-# rebound P to a view of it
+# (phase label, first mark, last mark) in the order analyze reaches them,
+# then the fields the bundle forms on first read, up to the return
 ANALYZE_PHASES = (
     ("staircase", "staircase>", "staircase<"),
-    ("DARE", "solve_dare>", "solve_dare<"),
-    ("res1", "assemble_v1>", "residuals_v1<"),
-    ("Gramian", "closed_loop_gramian>", "closed_loop_gramian<"),
     ("rank", "rank>", "rank<"),
-    ("V2", "assemble_v2>", "assemble_v2<"),
-    ("res2", "residuals_v2>", "residuals_v2<"),
-    ("V1", "assemble_v1>", "return"),
+    ("DARE", "solve_dare>", "solve_dare<"),
+    ("Gramian", "closed_loop_gramian>", "closed_loop_gramian<"),
+    ("on-read", "analyze<", "return"),
 )
-ANALYZE_WRAPPED = (
-    "staircase", "solve_dare", "assemble_v1", "residuals_v1", "closed_loop_gramian", "rank",
-    "assemble_v2", "residuals_v2",
-)
+ANALYZE_WRAPPED = ("analyze", "staircase", "rank", "solve_dare", "closed_loop_gramian")
 # (phase label, first mark, last mark): a phase runs from one mark to another
 DARE_PHASES = (
     ("bootstrap", "_doubling_gain>", "_doubling_gain<"),
@@ -119,11 +115,12 @@ def _marked(call, module, attrs):
     return [(name, int(held), int(peak)) for name, (held, peak) in zip(names[: count[0]], figures)]
 
 
-def _rows(marks, phases):
+def _rows(marks, phases, end_mark="return"):
     """``(label, held, peak, after)`` of each ``(label, first mark, last mark)``
-    in ``phases``, and the whole call's peak. Marks are matched in order: a
-    phase's first mark is the next one of that name from where the phase
-    before ended, and its last mark the next one of that name after it."""
+    in ``phases``, and the peak of the call up to the first ``end_mark``.
+    Marks are matched in order: a phase's first mark is the next one of that
+    name from where the phase before ended, and its last mark the next one
+    of that name after it."""
 
     def find(name, start):
         return next(i for i in range(start, len(marks)) if marks[i][0] == name)
@@ -133,7 +130,7 @@ def _rows(marks, phases):
         i = find(first, end)
         end = find(last, i + 1)
         rows.append((label, marks[i][1], max(m[2] for m in marks[i + 1 : end + 1]), marks[end][1]))
-    return rows, max(m[2] for m in marks)
+    return rows, max(m[2] for m in marks[: find(end_mark, 0) + 1])
 
 
 def _print(title, unit, unit_name, rows, peak):
@@ -182,9 +179,15 @@ def main(argv) -> None:
     solved = workloads.solve_systems({it.sys_key: it.sys for it in traj.values()})
     traj_id = _largest_peak(traj.values(), solved, workloads.execute, HamlqError)
 
+    def analyze_and_read(sysq):
+        bundle = hamsubspace.analyze(sysq)
+        bundle.residuals_v1, bundle.residuals_v2, bundle.bases
+        return bundle
+
     sysq = items[item_id].sys
-    hamsubspace.analyze(sysq)  # warm-up: first-call allocations are not the program's
-    rows, peak = _rows(_marked(lambda: hamsubspace.analyze(sysq), hamsubspace, ANALYZE_WRAPPED), ANALYZE_PHASES)
+    analyze_and_read(sysq)  # warm-up: first-call allocations are not the program's
+    marks = _marked(lambda: analyze_and_read(sysq), hamsubspace, ANALYZE_WRAPPED)
+    rows, peak = _rows(marks, ANALYZE_PHASES, "analyze<")
     _print(f"analyze {item_id}: n = {sysq.n}", sysq.n**2 * 8, "n x n", rows, peak)
 
     sysq = items[unstable_id].sys
