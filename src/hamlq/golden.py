@@ -137,13 +137,17 @@ def golden_check(
 ) -> GoldenResult:
     """Recompute V2 and Vbar2 for the reference system and compare.
 
-    Passing a perturbed ``sys`` exercises the failure path; by default the
-    embedded quadruple is used. Entrywise agreement within ``ENTRYWISE_TOL``
-    passes directly. Otherwise column spans are compared through the largest
+    Passing a perturbed ``sys`` exercises the failure path (one not of the
+    reference's shape raises ``ValueError``); by default the embedded
+    quadruple is used. Entrywise agreement within ``ENTRYWISE_TOL`` passes
+    directly. Otherwise column spans are compared through the largest
     principal angle and all six residual identities must hold, and that
     fallback verdict is reported distinctly.
     """
-    bundle = analyze(golden_system() if sys is None else sys, cfg)
+    sys = golden_system() if sys is None else sys
+    if (2 * sys.n + sys.m, sys.n) != REFERENCE_V2.shape:
+        raise ValueError(f"golden_check needs the reference's 4 states and 2 inputs, got {sys.n} and {sys.m}")
+    bundle = analyze(sys, cfg)
     # the residual checks first, so neither runs with the bases held
     max_residual = max(bundle.residuals_v1.max_rel, bundle.residuals_v2.max_rel)
 

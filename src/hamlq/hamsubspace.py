@@ -25,7 +25,7 @@ this module and the trajectory solver read them from there.
 
 ``analyze`` bundles the decomposition, Riccati solution, Gramian and a
 dimension report whose ranks read no basis; the bases and their residual
-checks are formed when a caller first reads them.
+checks, which hold no basis, are formed when a caller first reads them.
 """
 
 from __future__ import annotations
@@ -138,20 +138,30 @@ def _relation_residuals(sys: SystemQuadruple, X, Lam, U, X_next, Lam_next) -> Re
     return ResidualNorms(d, c, s, dr, cr, sr)
 
 
-def residuals_v1(sys: SystemQuadruple, V1: np.ndarray, A_K: np.ndarray) -> ResidualNorms:
+def residuals_v1(sys: SystemQuadruple, ric: RiccatiSolution) -> ResidualNorms:
     """Check that ``V1 = [I; P; K]`` satisfies the relations with advance ``A_K``.
 
-    The next-step blocks are ``V1[:2n] @ A_K = [A_K; P A_K]``.
+    The next-step blocks ``V1[:2n] @ A_K = [A_K; P A_K]`` are formed in that
+    shape (``P @ A_K`` rounds otherwise) from a ``V1`` dropped at once, and
+    only ``P A_K`` is kept; the identity block is left out. ``P``, ``K`` and
+    ``A_K`` are read C-ordered, as in ``V1``: a norm sums in memory order.
     """
     n = sys.n
-    V_next = V1[: 2 * n] @ A_K
-    return _relation_residuals(sys, V1[:n], V1[n : 2 * n], V1[2 * n :], V_next[:n], V_next[n:])
+    Lam_next = (assemble_v1(ric)[: 2 * n] @ ric.A_K)[n:].copy()
+    P, K, A_K = (np.ascontiguousarray(M) for M in (ric.P, ric.K, ric.A_K))
+    return _relation_residuals(sys, None, P, K, A_K, Lam_next)
 
 
-def residuals_v2(sys: SystemQuadruple, V2: np.ndarray, Vbar2: np.ndarray) -> ResidualNorms:
-    """Check that ``V2`` steps backward onto ``Vbar2 = [W; P W - I]``."""
-    n = sys.n
-    return _relation_residuals(sys, V2[:n], V2[n : 2 * n], V2[2 * n :], Vbar2[:n], Vbar2[n:])
+def residuals_v2(sys: SystemQuadruple, ric: RiccatiSolution, gram: ClosedLoopGramian) -> ResidualNorms:
+    """Check that ``V2`` steps backward onto ``Vbar2 = [W; P W - I]``.
+
+    Forms ``Vbar2 A_K'`` and reads the input row from ``gram.u_gain``,
+    C-ordered as in ``V2``, so no ``V2`` is held.
+    """
+    Vbar2, n = gram.Vbar2, sys.n
+    XL = np.dot(Vbar2, ric.A_K.T)
+    U = np.ascontiguousarray(gram.u_gain)
+    return _relation_residuals(sys, XL[:n], XL[n:], U, Vbar2[:n], Vbar2[n:])
 
 
 @dataclass
@@ -200,9 +210,9 @@ class AnalysisBundle:
     ``bases``, ``residuals_v1`` and ``residuals_v2`` are formed when first
     read and kept. ``bases.V1`` and ``bases.V2`` are new arrays;
     ``bases.Vbar2`` is ``gramian.Vbar2``, with ``gramian.W`` its top half.
-    Read before ``bases``, as ``hamlq analyze`` and ``golden_check`` read
-    them, the residual checks hold no basis, so each adds about four
-    ``n x n`` arrays to what the bundle holds.
+    The residual checks hold no basis: read before ``bases``, as ``hamlq
+    analyze`` and ``golden_check`` read them, each adds about four ``n x n``
+    arrays to what the bundle holds.
     """
 
     sys: SystemQuadruple
@@ -218,27 +228,11 @@ class AnalysisBundle:
 
     @cached_property
     def residuals_v1(self) -> ResidualNorms:
-        # residuals_v1(sys, assemble_v1(ric), A_K), bit for bit, holding no
-        # V1: V1[:2n] @ A_K is formed as is (a product of another shape rounds
-        # otherwise) and only its costate rows P A_K are kept. Its state rows
-        # I A_K are A_K exactly, up to the sign of zeros; the checks read A_K,
-        # P and K C-ordered, as in V1, and leave the identity block out.
-        ric, n = self.riccati, self.sys.n
-        Lam_next = (assemble_v1(ric)[: 2 * n] @ ric.A_K)[n:].copy()
-        P, K, A_K = (np.ascontiguousarray(M) for M in (ric.P, ric.K, ric.A_K))
-        return _relation_residuals(self.sys, None, P, K, A_K, Lam_next)
+        return residuals_v1(self.sys, self.riccati)
 
     @cached_property
     def residuals_v2(self) -> ResidualNorms:
-        # residuals_v2(sys, assemble_v2(ric, gram), Vbar2), bit for bit: that
-        # call once bases exists; before, only V2's product Vbar2 A_K', with
-        # the input row read from u_gain (C-ordered, as in V2), not copied.
-        sys, Vbar2, n = self.sys, self.gramian.Vbar2, self.sys.n
-        if "bases" in self.__dict__:
-            return residuals_v2(sys, self.bases.V2, Vbar2)
-        XL = np.dot(Vbar2, self.riccati.A_K.T)
-        U = np.ascontiguousarray(self.gramian.u_gain)
-        return _relation_residuals(sys, XL[:n], XL[n:], U, Vbar2[:n], Vbar2[n:])
+        return residuals_v2(self.sys, self.riccati, self.gramian)
 
 
 def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> AnalysisBundle:

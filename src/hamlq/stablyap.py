@@ -67,9 +67,10 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=F
         ``residual_tol`` controls the stopping test (update norm relative to
         the current iterate); ``max_iter`` bounds the number of doublings.
     overwrite_q : bool
-        Let ``W`` be formed over ``Q`` when ``Q`` is a C-contiguous float64
-        array, so a caller that formed the forcing for this solve alone does
-        not hold it beside ``W``. By default ``Q`` is left unchanged.
+        Let ``W`` be formed over ``Q`` when ``Q`` is a writable C-contiguous
+        float64 array, so a caller that formed the forcing for this solve
+        alone does not hold it beside ``W``. Otherwise, and by default, ``Q``
+        is left unchanged.
 
     Returns
     -------
@@ -95,7 +96,7 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=F
 
     # W = (Q' + Q) / 2 in a C-ordered array, the bits of 0.5 * (Q + Q.T)
     # for either layout of Q, with the EW buffer as scratch.
-    W = Qm if overwrite_q and Qm.flags.c_contiguous else np.array(Qm, order="C")
+    W = Qm if overwrite_q and Qm.flags.c_contiguous and Qm.flags.writeable else np.array(Qm, order="C")
     del Qm
     EW = np.empty((n, n))
     _sym_into(W, EW)

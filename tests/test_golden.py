@@ -40,6 +40,18 @@ def test_reference_matrices():
     assert rank(REFERENCE_VBAR2) == 4
 
 
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2)])
+def test_golden_check_rejects_another_shape_before_analysis(n, m, monkeypatch):
+    def no_analysis(*args):
+        raise AssertionError("analyze ran")
+
+    monkeypatch.setattr("hamlq.golden.analyze", no_analysis)
+    rng = np.random.default_rng(67)
+    sys = SystemQuadruple(*(rng.standard_normal(shape) for shape in ((n, n), (n, m), (2, n), (2, m))))
+    with pytest.raises(ValueError, match="4 states and 2 inputs"):
+        golden_check(sys)
+
+
 def test_golden_check_passes():
     res = golden_check()
     assert res.passed

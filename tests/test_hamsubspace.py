@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -96,15 +98,30 @@ def test_degenerate_no_reachable_modes():
     np.testing.assert_allclose(V2[2:4], -sys.A.T, atol=1e-10)
 
 
-def both_residuals(sys, ric, gram):
-    V2, Vbar2 = assemble_v2(ric, gram), assemble_vbar2(ric, gram)
-    return residuals_v1(sys, assemble_v1(ric), ric.A_K), residuals_v2(sys, V2, Vbar2)
+def plain(residual, terms):
+    raw = fro_norm(residual)
+    return raw, raw / (1.0 + max(fro_norm(t) for t in terms))
+
+
+def plain_triple(sys, V, V_next):
+    """The three relation residuals of a whole basis ``V = [X; L; U]`` stepping
+    onto ``V_next = [X_+; L_+]``, each summed as its plain expression."""
+    n = sys.n
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    X, Lam, U = V[:n], V[n : 2 * n], V[2 * n :]
+    X_next, Lam_next = V_next[:n], V_next[n:]
+    t_dyn = (A @ X, B @ U, X_next)
+    t_cos = (C.T @ C @ X, A.T @ Lam_next, C.T @ D @ U, Lam)
+    t_sta = (D.T @ C @ X, B.T @ Lam_next, D.T @ D @ U)
+    d = plain(t_dyn[0] + t_dyn[1] - X_next, t_dyn)
+    c = plain(t_cos[0] + t_cos[1] + t_cos[2] - Lam, t_cos)
+    s = plain(t_sta[0] + t_sta[1] + t_sta[2], t_sta)
+    return ResidualNorms(d[0], c[0], s[0], d[1], c[1], s[1])
 
 
 def test_residual_identities(golden_sys):
     ric, gram = solve_all(golden_sys)
-    r1, r2 = both_residuals(golden_sys, ric, gram)
-    for r in (r1, r2):
+    for r in (residuals_v1(golden_sys, ric), residuals_v2(golden_sys, ric, gram)):
         assert r.dynamics_rel <= 1e-12
         assert r.costate_rel <= 1e-12
         assert r.stationarity_rel <= 1e-12
@@ -187,18 +204,18 @@ def test_dimensions_match_hidden_null_space(case):
 
 
 def test_analyze_residuals_check_reported_bases(golden_sys):
-    # analyze checks a V1 it drops and returns one assembled later; both must
-    # be [I; P; K] with the solver's bits, and each triple must be the one
-    # its returned bases give. At n = 100 OpenBLAS rounds the rows n:2n of
-    # V1[:2n] @ A_K otherwise than P @ A_K, so a product of another shape
-    # would show there.
+    # The checks hold no basis, yet each triple must be the plain one of the
+    # bases the bundle reports, V1 = [I; P; K] with the solver's bits. At
+    # n = 100 OpenBLAS rounds the rows n:2n of V1[:2n] @ A_K otherwise than
+    # P @ A_K, so a product of another shape would show there.
     for sys in (golden_sys, random_stabilizable(np.random.default_rng(61), 100, 3, 3)):
         bundle = analyze(sys)
+        r1, r2 = bundle.residuals_v1, bundle.residuals_v2
         b = bundle.bases
         ric = solve_dare(sys)
         assert same_bits(b.V1, np.vstack([np.eye(sys.n), ric.P, ric.K])), sys.n
-        assert bundle.residuals_v1 == residuals_v1(sys, b.V1, bundle.riccati.A_K), sys.n
-        assert bundle.residuals_v2 == residuals_v2(sys, b.V2, b.Vbar2), sys.n
+        assert r1 == plain_triple(sys, b.V1, b.V1[: 2 * sys.n] @ ric.A_K), sys.n
+        assert r2 == plain_triple(sys, b.V2, b.Vbar2), sys.n
 
 
 @pytest.mark.parametrize("which", ["golden", "singular_dd"])
@@ -210,28 +227,25 @@ def test_residuals_detect_perturbed_blocks(which, golden_sys):
         assert np.linalg.matrix_rank(sys.D.T @ sys.D) < sys.m
     ric, gram = solve_all(sys)
     n = sys.n
-    V1, V2, Vbar2 = assemble_v1(ric), assemble_v2(ric, gram), assemble_vbar2(ric, gram)
     rng = np.random.default_rng(35)
 
-    def bumped(M, rows):
+    def bumped(M, rows=slice(None)):
         out = M.copy()
         block = out[rows]
         out[rows] += 1e-3 * (1.0 + np.max(np.abs(block))) * rng.standard_normal(block.shape)
         return out
 
-    # V1 advances by A_K, which sets both of its next-step blocks; V2 steps
-    # onto the state and costate blocks of Vbar2
-    state, costate, inputs = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
-    cases = [
-        (residuals_v1, V1, ric.A_K, [slice(None)]),
-        (residuals_v2, V2, Vbar2, [state, costate]),
-    ]
-    for fn, V, nxt, next_blocks in cases:
-        assert fn(sys, V, nxt).max_rel <= 1e-10
-        for rows in (state, costate, inputs):
-            assert fn(sys, bumped(V, rows), nxt).max_rel > 1e-6
-        for rows in next_blocks:
-            assert fn(sys, V, bumped(nxt, rows)).max_rel > 1e-6
+    assert residuals_v1(sys, ric).max_rel <= 1e-10
+    assert residuals_v2(sys, ric, gram).max_rel <= 1e-10
+    # V1 = [I; P; K] advances by A_K; V2 = [Vbar2 A_K'; u_gain] steps onto
+    # the state and costate blocks of Vbar2
+    for name in ("P", "K", "A_K"):
+        bad = dataclasses.replace(ric, **{name: bumped(getattr(ric, name))})
+        assert residuals_v1(sys, bad).max_rel > 1e-6, name
+    assert residuals_v2(sys, dataclasses.replace(ric, A_K=bumped(ric.A_K)), gram).max_rel > 1e-6
+    for name, rows in (("Vbar2", slice(0, n)), ("Vbar2", slice(n, 2 * n)), ("u_gain", slice(None))):
+        bad = dataclasses.replace(gram, **{name: bumped(getattr(gram, name), rows)})
+        assert residuals_v2(sys, ric, bad).max_rel > 1e-6, (name, rows)
 
 
 def test_block_structure_in_staircase_basis():
@@ -284,9 +298,8 @@ def test_residuals_hold_on_random_systems():
         except Exception:
             continue
         checked += 1
-        r1, r2 = both_residuals(sys, ric, gram)
-        assert r1.max_rel <= 1e-10
-        assert r2.max_rel <= 1e-10
+        assert residuals_v1(sys, ric).max_rel <= 1e-10
+        assert residuals_v2(sys, ric, gram).max_rel <= 1e-10
 
 
 def test_analyze_peak_memory():
@@ -310,7 +323,13 @@ def test_analyze_peak_memory():
     assert peak < 8.6 * n * n * 8, peak / (n * n * 8)
 
 
-LAZY = ("assemble_v1", "assemble_v2", "residuals_v1", "residuals_v2", "_relation_residuals")
+# The names a bundle field calls, each once, when it is first read
+FIELD_CALLS = {
+    "residuals_v1": ("residuals_v1", "assemble_v1", "_relation_residuals"),
+    "residuals_v2": ("residuals_v2", "_relation_residuals"),
+    "bases": ("assemble_v1", "assemble_v2", "assemble_vbar2"),
+}
+LAZY = ("assemble_v1", "assemble_v2", "assemble_vbar2", "residuals_v1", "residuals_v2", "_relation_residuals")
 
 
 def count_calls(monkeypatch, names):
@@ -337,61 +356,41 @@ def test_analyze_forms_no_basis_or_residual_until_one_is_read(golden_sys, monkey
     bundle.report, bundle.riccati.P, bundle.gramian.Vbar2
     assert calls == dict.fromkeys(LAZY, 0)
     bundle.residuals_v1
-    assert calls == dict(dict.fromkeys(LAZY, 0), assemble_v1=1, _relation_residuals=1)
+    assert calls == dict(dict.fromkeys(LAZY, 0), residuals_v1=1, assemble_v1=1, _relation_residuals=1)
 
 
 @pytest.mark.parametrize("order", ["residuals_first", "bases_first"])
 @pytest.mark.parametrize("which", ["golden", "singular_dd_n30"])
 def test_lazy_fields_are_formed_once_with_the_explicit_calls_bits(which, order, golden_sys, monkeypatch):
+    # Each field calls the module's own names, so a caller that wraps them
+    # (as the benchmark's tracer does) sees every check and basis formed.
     sys = golden_sys if which == "golden" else singular_dd_n30()
     calls = count_calls(monkeypatch, LAZY)
     bundle = analyze(sys)
     ric, gram = bundle.riccati, bundle.gramian
     names = ("residuals_v1", "residuals_v2", "bases")
     names = names if order == "residuals_first" else names[::-1]
-    fields = [(name, getattr(bundle, name)) for name in names]
-    # residuals_v1 assembles its own V1 and drops it; residuals_v2 forms only
-    # V2's product, or checks bases.V2 once bases exists
-    once = dict(dict.fromkeys(LAZY, 0), assemble_v1=2, assemble_v2=1, _relation_residuals=2)
-    once["residuals_v2"] = int(order == "bases_first")
-    assert calls == once
+    want, fields = Counter(dict.fromkeys(LAZY, 0)), []
+    for name in names:
+        fields.append((name, getattr(bundle, name)))
+        want.update(FIELD_CALLS[name])
+        assert calls == want, name
     for name, value in fields:
         assert getattr(bundle, name) is value
-    assert calls == once
+    assert calls == want
 
     b = bundle.bases
     assert same_bits(b.V1, assemble_v1(ric))
     assert same_bits(b.V2, assemble_v2(ric, gram))
     assert b.Vbar2 is gram.Vbar2
-    assert bundle.residuals_v1 == residuals_v1(sys, assemble_v1(ric), ric.A_K)
-    assert bundle.residuals_v2 == residuals_v2(sys, assemble_v2(ric, gram), assemble_vbar2(ric, gram))
+    assert bundle.residuals_v1 == plain_triple(sys, b.V1, b.V1[: 2 * sys.n] @ ric.A_K)
+    assert bundle.residuals_v2 == plain_triple(sys, b.V2, b.Vbar2)
     # the same bits again from a fresh solve
     ric2, gram2 = solve_all(sys)
     assert same_bits(b.V1, assemble_v1(ric2))
     assert same_bits(b.V2, assemble_v2(ric2, gram2))
-
-
-def test_bundle_residuals_equal_the_explicit_checks_for_any_plant_layout():
-    # The bundle's checks leave out the identity block of V1 and read A_K
-    # for its state rows I A_K, exact up to the sign of zeros; a norm sums
-    # in memory order, so they must read A, P, K and A_K C-ordered as V1
-    # does. An F-ordered plant, one input (a K that is both C- and
-    # F-contiguous) and exact zeros in A_K and in the residual sums all keep
-    # the explicit checks' bits.
-    rng = np.random.default_rng(66)
-    cases = [random_stabilizable(rng, n, m, 3) for n, m in ((1, 1), (7, 1), (12, 3), (100, 3))]
-    cases.append(staircase_embedded(rng, 3, 3, zero_row=2))
-    A = np.diag([0.5, -0.0, 0.25])
-    cases.append(SystemQuadruple(A=A, B=np.eye(3)[:, :2], C=np.eye(3), D=np.zeros((3, 2))))
-    for base in cases:
-        for layout in (np.ascontiguousarray, np.asfortranarray):
-            sys = SystemQuadruple(*(layout(M) for M in (base.A, base.B, base.C, base.D)))
-            if sys.n > 1 and layout is np.asfortranarray:
-                assert sys.A.flags.f_contiguous and not sys.A.flags.c_contiguous
-            bundle = analyze(sys)
-            ric, gram = bundle.riccati, bundle.gramian
-            assert bundle.residuals_v1 == residuals_v1(sys, assemble_v1(ric), ric.A_K), sys.n
-            assert bundle.residuals_v2 == residuals_v2(sys, assemble_v2(ric, gram), gram.Vbar2), sys.n
+    assert bundle.residuals_v1 == residuals_v1(sys, ric2)
+    assert bundle.residuals_v2 == residuals_v2(sys, ric2, gram2)
 
 
 def test_residual_reading_peak_memory():
@@ -399,7 +398,7 @@ def test_residual_reading_peak_memory():
     # check holds one 2n x n product and two residual terms on top of the
     # bundle: 10.23 n x n matrices, where analyze read 10.25 when it formed
     # both checks itself; checking a whole assembled V1 with the Gramian
-    # held read 12.1.
+    # held read 12.1, and routing residuals_v2 through a whole V2 10.26.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
     analyze(sys).residuals_v2
@@ -419,9 +418,37 @@ def singular_dd_n30():
     return sys
 
 
-@pytest.mark.parametrize("which", ["golden", "singular_dd_n30"])
+def layout_plants():
+    rng = np.random.default_rng(66)
+    plants = {f"n{n}": random_stabilizable(rng, n, m, 3) for n, m in ((1, 1), (7, 1), (12, 3), (100, 3))}
+    plants["zero_row"] = staircase_embedded(rng, 3, 3, zero_row=2)
+    A = np.diag([0.5, -0.0, 0.25])
+    plants["exact_zeros"] = SystemQuadruple(A=A, B=np.eye(3)[:, :2], C=np.eye(3), D=np.zeros((3, 2)))
+    return plants
+
+
+LAYOUT_CASES = [
+    f"{name}-{order}" for name in ("n1", "n7", "n12", "n100", "zero_row", "exact_zeros") for order in "CF"
+]
+
+
+# The checks leave out the identity block of V1 and read A_K for its state
+# rows I A_K, exact up to the sign of zeros; a norm sums in memory order, so
+# they must read A, P, K and A_K C-ordered as V1 does. C- and F-ordered
+# plants, one input (a K that is both C- and F-contiguous) and exact zeros
+# in A_K and in the residual sums all keep the plain expressions' bits.
+@pytest.mark.parametrize("which", ["golden", "singular_dd_n30", *LAYOUT_CASES])
 def test_bases_and_residuals_equal_plain_expressions_bitwise(which, golden_sys):
-    sys = golden_sys if which == "golden" else singular_dd_n30()
+    if which == "golden":
+        sys = golden_sys
+    elif which == "singular_dd_n30":
+        sys = singular_dd_n30()
+    else:
+        name, order = which.rsplit("-", 1)
+        base = layout_plants()[name]
+        sys = SystemQuadruple(*(np.asarray(M, order=order) for M in (base.A, base.B, base.C, base.D)))
+        if sys.n > 1 and order == "F":
+            assert sys.A.flags.f_contiguous and not sys.A.flags.c_contiguous
     ric, gram = solve_all(sys)
     n, eye = sys.n, np.eye(sys.n)
     P, K, W, A_K = ric.P, ric.K, gram.W, ric.A_K
@@ -431,26 +458,9 @@ def test_bases_and_residuals_equal_plain_expressions_bitwise(which, golden_sys):
     assert np.array_equal(
         V2, np.vstack([np.vstack([W, P @ W - eye]) @ A_K.T, K @ W @ A_K.T + solve_linear(ric.Rw, sys.B.T)])
     )
-
-    def plain(residual, terms):
-        raw = fro_norm(residual)
-        return raw, raw / (1.0 + max(fro_norm(t) for t in terms))
-
-    def plain_triple(V, V_next):
-        A, B, C, D = sys.A, sys.B, sys.C, sys.D
-        X, Lam, U = V[:n], V[n : 2 * n], V[2 * n :]
-        X_next, Lam_next = V_next[:n], V_next[n:]
-        t_dyn = (A @ X, B @ U, X_next)
-        t_cos = (C.T @ C @ X, A.T @ Lam_next, C.T @ D @ U, Lam)
-        t_sta = (D.T @ C @ X, B.T @ Lam_next, D.T @ D @ U)
-        d = plain(t_dyn[0] + t_dyn[1] - X_next, t_dyn)
-        c = plain(t_cos[0] + t_cos[1] + t_cos[2] - Lam, t_cos)
-        s = plain(t_sta[0] + t_sta[1] + t_sta[2], t_sta)
-        return ResidualNorms(d[0], c[0], s[0], d[1], c[1], s[1])
-
     V1 = assemble_v1(ric)
-    assert residuals_v1(sys, V1, A_K) == plain_triple(V1, V1[: 2 * n] @ A_K)
-    assert residuals_v2(sys, V2, Vbar2) == plain_triple(V2, Vbar2)
+    assert residuals_v1(sys, ric) == plain_triple(sys, V1, V1[: 2 * n] @ A_K)
+    assert residuals_v2(sys, ric, gram) == plain_triple(sys, V2, Vbar2)
 
 
 @pytest.mark.parametrize("which", ["golden", "singular_dd_n30"])
@@ -458,22 +468,19 @@ def test_analyze_and_residuals_leave_their_inputs_unchanged(which, golden_sys):
     sys = golden_sys if which == "golden" else singular_dd_n30()
     plant = [M.copy() for M in (sys.A, sys.B, sys.C, sys.D)]
     bundle = analyze(sys)
-    ric, b, A_K = bundle.riccati, bundle.bases, bundle.riccati.A_K
+    ric, gram, b = bundle.riccati, bundle.gramian, bundle.bases
     # Vbar2 is the Gramian's own array and V2's input row its u_gain
-    n, gram = sys.n, bundle.gramian
+    n = sys.n
     assert b.Vbar2 is gram.Vbar2
     assert same_bits(b.V2[2 * n :], gram.u_gain)
-    # analyze's own residual checks ran on the bases it returns
     assert np.array_equal(b.V1, assemble_v1(ric))
-    assert np.array_equal(b.V2, assemble_v2(ric, bundle.gramian))
-    assert np.array_equal(b.Vbar2, assemble_vbar2(ric, bundle.gramian))
-    held = [M.copy() for M in (b.V1, b.V2, b.Vbar2, A_K)]
-    residuals_v1(sys, b.V1, A_K)
-    residuals_v2(sys, b.V2, b.Vbar2)
-    for before, after in zip(plant, (sys.A, sys.B, sys.C, sys.D)):
-        assert np.array_equal(before, after)
-    for before, after in zip(held, (b.V1, b.V2, b.Vbar2, A_K)):
-        assert np.array_equal(before, after)
+    assert np.array_equal(b.V2, assemble_v2(ric, gram))
+    read = (ric.P, ric.K, ric.A_K, gram.Vbar2, gram.u_gain, b.V1, b.V2)
+    held = [M.copy() for M in read]
+    bundle.residuals_v1, bundle.residuals_v2
+    residuals_v1(sys, ric), residuals_v2(sys, ric, gram)
+    for before, after in zip(plant + held, (sys.A, sys.B, sys.C, sys.D, *read)):
+        assert same_bits(before, after)
 
 
 @pytest.mark.parametrize("which", ["golden", "n12", "singular_dd_n30"])

@@ -201,6 +201,19 @@ def test_plain_call_leaves_q_unchanged():
         assert same_bits(np.array(q), before)
 
 
+def test_read_only_forcing_is_copied_not_overwritten():
+    rng = np.random.default_rng(66)
+    A_K = stable_matrix(rng, 5, radius=0.9)
+    Q = rng.standard_normal((5, 5))
+    plain = solve_dlyap_stable(A_K, Q)
+    before = Q.copy()
+    Q.flags.writeable = False
+    over = solve_dlyap_stable(A_K, Q, overwrite_q=True)
+    assert over.W is not Q and over.W.flags.c_contiguous
+    assert same_bits(over.W, plain.W) and over.iterations == plain.iterations
+    assert same_bits(Q, before)
+
+
 def test_golden_gramian_matches_reference_block(golden_sys):
     ric = solve_dare(golden_sys)
     gram = closed_loop_gramian(golden_sys, ric)

@@ -11,8 +11,9 @@ compare two captures for bitwise equality or against the optimal cost.
 trajectory, built by this checkout's ``perfbench/workloads.py``. It records
 ``P``, ``K``, ``Rw``, ``A_K``, ``W``, ``u_gain``, the iteration counts, the
 ``StaircaseForm`` (``T``, ``n_c`` and the six blocks ``A_c``, ``A_cu``,
-``A_u``, ``B_c``, ``C_c``, ``C_u``), the three bases, both residual triples
-(fields the bundle forms when first read; capture reads them) and every
+``A_u``, ``B_c``, ``C_c``, ``C_u``), both residual triples and the three
+bases (fields the bundle forms when first read; capture reads the residuals
+first, as ``hamlq analyze`` and ``golden_check`` do) and every
 ``DimensionReport`` field of each analysis; the same Riccati and
 Gramian data of each trajectory system; ``x``, ``p``, ``u``, ``J``,
 ``alpha`` and ``beta`` of each trajectory; the type and message of every
@@ -138,10 +139,10 @@ def capture(src: str, out: str, seeds) -> None:
                 continue
             rec = _setup_record(b.riccati, b.gramian)
             rec.update({f"staircase.{k}": v for k, v in asdict(b.staircase).items()})
-            rec.update({f"bases.{k}": v for k, v in asdict(b.bases).items()})
-            rec.update({f"report.{k}": v for k, v in asdict(b.report).items() if k != "tolerances"})
             rec.update({f"residuals_v1.{k}": v for k, v in asdict(b.residuals_v1).items()})
             rec.update({f"residuals_v2.{k}": v for k, v in asdict(b.residuals_v2).items()})
+            rec.update({f"bases.{k}": v for k, v in asdict(b.bases).items()})
+            rec.update({f"report.{k}": v for k, v in asdict(b.report).items() if k != "tolerances"})
             records[("analyze", seed, item.id)] = rec
         items = workloads.build("traj-many", seed)
         solved = workloads.solve_systems({it.sys_key: it.sys for it in items})
