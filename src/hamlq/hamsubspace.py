@@ -23,8 +23,8 @@ closed-loop Gramian ``W``:
 system; ``closed_loop_gramian`` forms them once, next to ``W``, and both
 this module and the trajectory solver read them from there.
 
-``analyze`` bundles the decomposition, Riccati solution, Gramian and a
-dimension report whose ranks read no basis; the bases and their residual
+``analyze`` bundles the Riccati solution, Gramian and a dimension report
+whose ranks read no basis; the staircase form, the bases and their residual
 checks, which hold no basis, are formed when a caller first reads them.
 """
 
@@ -143,23 +143,27 @@ def residuals_v1(sys: SystemQuadruple, ric: RiccatiSolution) -> ResidualNorms:
 
     The next-step blocks ``V1[:2n] @ A_K = [A_K; P A_K]`` are formed in that
     shape (``P @ A_K`` rounds otherwise) from a ``V1`` dropped at once, and
-    only ``P A_K`` is kept; the identity block is left out. ``P``, ``K`` and
-    ``A_K`` are read C-ordered, as in ``V1``: a norm sums in memory order.
+    only ``P A_K`` is kept; the identity block is left out. ``P``, ``K``
+    and ``A_K`` are read C-ordered, as the solver returns them, before any
+    product: a norm sums in memory order, and a product with an F-ordered
+    factor may round otherwise, so a caller's solution in another layout
+    gets the same bits.
     """
     n = sys.n
-    Lam_next = (assemble_v1(ric)[: 2 * n] @ ric.A_K)[n:].copy()
     P, K, A_K = (np.ascontiguousarray(M) for M in (ric.P, ric.K, ric.A_K))
+    Lam_next = (assemble_v1(ric)[: 2 * n] @ A_K)[n:].copy()
     return _relation_residuals(sys, None, P, K, A_K, Lam_next)
 
 
 def residuals_v2(sys: SystemQuadruple, ric: RiccatiSolution, gram: ClosedLoopGramian) -> ResidualNorms:
     """Check that ``V2`` steps backward onto ``Vbar2 = [W; P W - I]``.
 
-    Forms ``Vbar2 A_K'`` and reads the input row from ``gram.u_gain``,
-    C-ordered as in ``V2``, so no ``V2`` is held.
+    Forms ``Vbar2 A_K'`` and reads the input row from ``gram.u_gain``, so no
+    ``V2`` is held. ``A_K`` and ``u_gain`` are read C-ordered, as in
+    ``residuals_v1``.
     """
     Vbar2, n = gram.Vbar2, sys.n
-    XL = np.dot(Vbar2, ric.A_K.T)
+    XL = np.dot(Vbar2, np.ascontiguousarray(ric.A_K).T)
     U = np.ascontiguousarray(gram.u_gain)
     return _relation_residuals(sys, XL[:n], XL[n:], U, Vbar2[:n], Vbar2[n:])
 
@@ -207,19 +211,24 @@ class DimensionReport:
 class AnalysisBundle:
     """Everything ``analyze`` computed for one system, and what follows from it.
 
-    ``bases``, ``residuals_v1`` and ``residuals_v2`` are formed when first
-    read and kept. ``bases.V1`` and ``bases.V2`` are new arrays;
-    ``bases.Vbar2`` is ``gramian.Vbar2``, with ``gramian.W`` its top half.
-    The residual checks hold no basis: read before ``bases``, as ``hamlq
-    analyze`` and ``golden_check`` read them, each adds about four ``n x n``
-    arrays to what the bundle holds.
+    ``staircase``, ``bases``, ``residuals_v1`` and ``residuals_v2`` are
+    formed when first read and kept. ``staircase`` is formed again, with
+    ``report.tolerances``, from the plant: ``analyze`` drops the form once
+    it has read ``n_c`` and the zero rows of ``A_u`` off it. ``bases.V1``
+    and ``bases.V2`` are new arrays; ``bases.Vbar2`` is ``gramian.Vbar2``,
+    with ``gramian.W`` its top half. The residual checks hold no basis:
+    read before ``bases``, as ``hamlq analyze`` and ``golden_check`` read
+    them, each adds about four ``n x n`` arrays to what the bundle holds.
     """
 
     sys: SystemQuadruple
-    staircase: StaircaseForm
     riccati: RiccatiSolution
     gramian: ClosedLoopGramian
     report: DimensionReport
+
+    @cached_property
+    def staircase(self) -> StaircaseForm:
+        return staircase(self.sys, self.report.tolerances)
 
     @cached_property
     def bases(self) -> InvariantBases:
@@ -240,12 +249,17 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
 
     Runs the reachability decomposition, decides ``rank [A B]``, solves the
     Riccati equation, computes the closed-loop Gramian with ``Vbar2`` and
-    fills in the dimension report. The bases and their residual checks are
-    left to the bundle, which forms them when they are first read. The rank
-    reads plant data only, so it runs before the Riccati solve, whose Newton
-    steps set the call's peak memory, on top of the held staircase.
+    fills in the dimension report. The staircase form is dropped once
+    ``n_c`` and the zero rows of ``A_u`` are read off it; it, the bases and
+    their residual checks are left to the bundle, which forms them when they
+    are first read. The rank reads plant data only, so it runs before the
+    Riccati solve, which runs with no staircase held. On a stable plant the
+    staircase's Krylov QR sets the call's peak memory, above the Newton
+    steps' Smith loop; on an unstable one the Riccati bootstrap may.
     """
     st = staircase(sys, cfg)
+    n_c, zero_rows_Au = st.n_c, zero_row_indices(st.A_u, cfg)
+    del st
     # V1 and Vbar2 have rank n by construction, and ker V2 = ker [A B]' (see
     # DimensionReport), so the only rank decision is on plant data and does
     # not depend on the scale of the cost.
@@ -256,13 +270,13 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
         n=sys.n,
         m=sys.m,
         p=sys.p,
-        n_c=st.n_c,
-        n_u=st.n_u,
+        n_c=n_c,
+        n_u=sys.n - n_c,
         rank_v1=sys.n,
         rank_v2=rank_v2,
         rank_vbar2=sys.n,
-        zero_rows_Au=zero_row_indices(st.A_u, cfg),
+        zero_rows_Au=zero_rows_Au,
         rank_deficiency_v2=sys.n - rank_v2,
         tolerances=cfg,
     )
-    return AnalysisBundle(sys=sys, staircase=st, riccati=ric, gramian=gram, report=report)
+    return AnalysisBundle(sys=sys, riccati=ric, gramian=gram, report=report)

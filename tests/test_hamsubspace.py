@@ -18,8 +18,8 @@ from hamlq.hamsubspace import (
     residuals_v1,
     residuals_v2,
 )
-from hamlq.matcore import fro_norm, rank, solve_linear
-from hamlq.reachdecomp import SystemQuadruple, staircase
+from hamlq.matcore import ToleranceConfig, fro_norm, rank, solve_linear
+from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
 from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
@@ -311,6 +311,8 @@ def test_analyze_peak_memory():
     # inside analyze and a four-buffer Smith loop, 10.25. With the bases and
     # checks left to the bundle and each Smith solve writing W over its
     # forcing, the Newton steps on top of the held staircase set it: 8.26.
+    # With the staircase form dropped once n_c and the zero rows of A_u are
+    # read off it, the staircase's own Krylov QR sets it: 7.98.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
     analyze(sys)
@@ -320,7 +322,7 @@ def test_analyze_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8.6 * n * n * 8, peak / (n * n * 8)
+    assert peak < 8.1 * n * n * 8, peak / (n * n * 8)
 
 
 # The names a bundle field calls, each once, when it is first read
@@ -328,8 +330,14 @@ FIELD_CALLS = {
     "residuals_v1": ("residuals_v1", "assemble_v1", "_relation_residuals"),
     "residuals_v2": ("residuals_v2", "_relation_residuals"),
     "bases": ("assemble_v1", "assemble_v2", "assemble_vbar2"),
+    "staircase": ("staircase",),
 }
-LAZY = ("assemble_v1", "assemble_v2", "assemble_vbar2", "residuals_v1", "residuals_v2", "_relation_residuals")
+LAZY = (
+    "assemble_v1", "assemble_v2", "assemble_vbar2", "residuals_v1", "residuals_v2", "_relation_residuals",
+    "staircase",
+)
+# analyze itself calls only the staircase among them, once, and drops its form
+ANALYZE_CALLS = dict(dict.fromkeys(LAZY, 0), staircase=1)
 
 
 def count_calls(monkeypatch, names):
@@ -352,11 +360,58 @@ def count_calls(monkeypatch, names):
 def test_analyze_forms_no_basis_or_residual_until_one_is_read(golden_sys, monkeypatch):
     calls = count_calls(monkeypatch, LAZY)
     bundle = analyze(golden_sys)
-    assert calls == dict.fromkeys(LAZY, 0)
+    assert calls == ANALYZE_CALLS
     bundle.report, bundle.riccati.P, bundle.gramian.Vbar2
-    assert calls == dict.fromkeys(LAZY, 0)
+    assert calls == ANALYZE_CALLS
     bundle.residuals_v1
-    assert calls == dict(dict.fromkeys(LAZY, 0), residuals_v1=1, assemble_v1=1, _relation_residuals=1)
+    assert calls == dict(ANALYZE_CALLS, residuals_v1=1, assemble_v1=1, _relation_residuals=1)
+
+
+def same_staircase(a, b):
+    """Equal ``n_c`` and every block of the two forms bit for bit."""
+    return a.n_c == b.n_c and all(
+        same_bits(getattr(a, name), getattr(b, name)) for name in ("T", "A_c", "A_cu", "A_u", "B_c", "C_c", "C_u")
+    )
+
+
+@pytest.mark.parametrize("which", ["golden", "rotated", "n100"])
+def test_analyze_drops_the_staircase_and_forms_it_on_read(which, golden_sys, monkeypatch):
+    # analyze reads n_c and the zero rows of A_u off the form and holds it
+    # no longer; the bundle forms it again, from the module's own name, when
+    # it is first read.
+    sys = {
+        "golden": lambda: golden_sys,
+        "rotated": lambda: staircase_embedded(np.random.default_rng(5), 3, 2, rotate=True),
+        "n100": lambda: random_stabilizable(np.random.default_rng(61), 100, 3, 3),
+    }[which]()
+    calls = count_calls(monkeypatch, ("staircase",))
+    bundle = analyze(sys)
+    assert calls == {"staircase": 1}
+    assert "staircase" not in bundle.__dict__
+    form = bundle.staircase
+    assert calls == {"staircase": 2}
+    assert bundle.staircase is form
+    assert calls == {"staircase": 2}
+    assert same_staircase(form, staircase(sys))
+    rep = bundle.report
+    assert (rep.n_c, rep.n_u, rep.zero_rows_Au) == (form.n_c, form.n_u, zero_row_indices(form.A_u))
+    if which == "golden":
+        assert (rep.n_c, rep.n_u, rep.zero_rows_Au) == (2, 2, [2])
+    elif which == "rotated":
+        assert not np.array_equal(form.T, np.eye(sys.n))
+
+
+def test_staircase_read_uses_the_tolerances_analyze_ran_with():
+    # A coarser rank cutoff drops the weakest reachable directions: 8 of 12
+    # instead of 12. The form read from the bundle is the one of that cutoff.
+    sys = random_stabilizable(np.random.default_rng(0), 12, 1, 2)
+    cfg = ToleranceConfig(rank_tol_factor=1e-4)
+    assert staircase(sys).n_c == 12
+    bundle = analyze(sys, cfg)
+    assert bundle.report.tolerances is cfg
+    assert (bundle.report.n_c, bundle.report.n_u) == (8, 4)
+    assert same_staircase(bundle.staircase, staircase(sys, cfg))
+    assert bundle.staircase.n_c == 8
 
 
 @pytest.mark.parametrize("order", ["residuals_first", "bases_first"])
@@ -368,9 +423,9 @@ def test_lazy_fields_are_formed_once_with_the_explicit_calls_bits(which, order, 
     calls = count_calls(monkeypatch, LAZY)
     bundle = analyze(sys)
     ric, gram = bundle.riccati, bundle.gramian
-    names = ("residuals_v1", "residuals_v2", "bases")
+    names = ("residuals_v1", "residuals_v2", "bases", "staircase")
     names = names if order == "residuals_first" else names[::-1]
-    want, fields = Counter(dict.fromkeys(LAZY, 0)), []
+    want, fields = Counter(ANALYZE_CALLS), []
     for name in names:
         fields.append((name, getattr(bundle, name)))
         want.update(FIELD_CALLS[name])
@@ -396,9 +451,10 @@ def test_lazy_fields_are_formed_once_with_the_explicit_calls_bits(which, order, 
 def test_residual_reading_peak_memory():
     # analyze, then both residual checks, as hamlq analyze reads them. Each
     # check holds one 2n x n product and two residual terms on top of the
-    # bundle: 10.23 n x n matrices, where analyze read 10.25 when it formed
-    # both checks itself; checking a whole assembled V1 with the Gramian
-    # held read 12.1, and routing residuals_v2 through a whole V2 10.26.
+    # bundle: 8.15 n x n matrices. With the staircase form held by the
+    # bundle it read 10.23, where analyze read 10.25 when it formed both
+    # checks itself; checking a whole assembled V1 with the Gramian held
+    # read 12.1, and routing residuals_v2 through a whole V2 10.26.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
     analyze(sys).residuals_v2
@@ -409,7 +465,7 @@ def test_residual_reading_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10.25 * n * n * 8, peak / (n * n * 8)
+    assert peak < 8.5 * n * n * 8, peak / (n * n * 8)
 
 
 def singular_dd_n30():
@@ -461,6 +517,33 @@ def test_bases_and_residuals_equal_plain_expressions_bitwise(which, golden_sys):
     V1 = assemble_v1(ric)
     assert residuals_v1(sys, ric) == plain_triple(sys, V1, V1[: 2 * n] @ A_K)
     assert residuals_v2(sys, ric, gram) == plain_triple(sys, V2, Vbar2)
+
+
+@pytest.mark.parametrize("n", [12, 50, 100])
+def test_residuals_do_not_depend_on_the_layout_of_a_callers_solution(n):
+    # A caller may check a solution of its own, in any layout. On the
+    # solver's outputs the layout shows in no bit: the dynamics residual is
+    # exactly 0 and P exactly symmetric, and with m = 3 the products with K
+    # and u_gain round alike. So the blocks are perturbed, and m = 20 is
+    # tried too. Without the C-ordered reads of P, K, A_K (before V1[:2n]
+    # A_K and Vbar2 A_K' are formed) and u_gain, F-ordered copies of the
+    # same values give other bits on some of these plants.
+    rng = np.random.default_rng(3000 + n)
+    for m in (3, 3, 20, 20):
+        sys = random_stabilizable(rng, n, m, m)
+        ric, gram = solve_all(sys)
+
+        def bumped(M):
+            return M + 1e-3 * (1.0 + np.max(np.abs(M))) * rng.standard_normal(M.shape)
+
+        ric = dataclasses.replace(ric, P=bumped(ric.P), K=bumped(ric.K), A_K=bumped(ric.A_K))
+        gram = dataclasses.replace(gram, u_gain=bumped(gram.u_gain))
+        F = np.asfortranarray
+        f_ric = dataclasses.replace(ric, P=F(ric.P), K=F(ric.K), A_K=F(ric.A_K))
+        f_gram = dataclasses.replace(gram, u_gain=F(gram.u_gain))
+        assert not f_ric.K.flags.c_contiguous and not f_gram.u_gain.flags.c_contiguous
+        assert residuals_v1(sys, f_ric) == residuals_v1(sys, ric), m
+        assert residuals_v2(sys, f_ric, f_gram) == residuals_v2(sys, ric, gram), m
 
 
 @pytest.mark.parametrize("which", ["golden", "singular_dd_n30"])

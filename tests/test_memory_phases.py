@@ -8,8 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "memory_phases.py"
 PHASES = [
-    "staircase", "rank", "DARE", "Gramian", "on-read", "bootstrap", "Newton",
-    "boundary", "propagation", "outputs", "cost",
+    "staircase", "rank", "DARE", "Gramian", "on-read", "staircase-read", "bootstrap",
+    "Newton", "boundary", "propagation", "outputs", "cost",
 ]
 
 
@@ -29,13 +29,18 @@ def test_memory_phases_reports_every_phase():
         assert peak >= max(held, after)
     peaks = [line.split()[0] for line in res.stdout.splitlines() if line.endswith("<- peak")]
     assert len(peaks) == 3 and peaks[-1] == "outputs", peaks
-    # rank [A B] holds nothing once it returns, and no phase of analyze
-    # assembles a basis: the bundle forms V1 and V2, (2n + m) x n arrays,
-    # when they are first read, after analyze has returned
-    assert rows["staircase"][2] == rows["DARE"][0]
+    # analyze drops the staircase form, T and T'AT (one n x n array each),
+    # once it has read n_c and the zero rows of A_u off it, and rank [A B]
+    # holds nothing once it returns: the DARE starts with none of the form
+    # held. No phase of analyze assembles a basis: the bundle forms V1 and
+    # V2, (2n + m) x n arrays, and the form again when they are first read,
+    # after analyze has returned
+    assert rows["DARE"][0] < 0.5 < 2.0 < rows["staircase"][2]
     assert rows["DARE"][2] == rows["Gramian"][0]
     assert rows["on-read"][0] < rows["Gramian"][2] + 0.5
     assert rows["on-read"][2] - rows["on-read"][0] > 4.0
+    assert rows["on-read"][2] == rows["staircase-read"][0]
+    assert rows["staircase-read"][2] - rows["staircase-read"][0] > 2.0
     # the trajectory phases follow one another: each starts where the one
     # before ended, and x, p and u, about 2.2 (k_f + 1) x n arrays, outlive
     # the outputs phase, whose peak (three such arrays) is the solve's

@@ -12,8 +12,10 @@ trajectory, built by this checkout's ``perfbench/workloads.py``. It records
 ``P``, ``K``, ``Rw``, ``A_K``, ``W``, ``u_gain``, the iteration counts, the
 ``StaircaseForm`` (``T``, ``n_c`` and the six blocks ``A_c``, ``A_cu``,
 ``A_u``, ``B_c``, ``C_c``, ``C_u``), both residual triples and the three
-bases (fields the bundle forms when first read; capture reads the residuals
-first, as ``hamlq analyze`` and ``golden_check`` do) and every
+bases (fields the bundle forms when first read: ``analyze`` drops its own
+staircase form, and the bundle forms it again from the plant with the
+analysis's tolerances; capture reads the residuals before the bases, as
+``hamlq analyze`` and ``golden_check`` do) and every
 ``DimensionReport`` field of each analysis; the same Riccati and
 Gramian data of each trajectory system; ``x``, ``p``, ``u``, ``J``,
 ``alpha`` and ``beta`` of each trajectory; the type and message of every

@@ -8,11 +8,13 @@ Imports ``hamlq`` from ``SRC_DIR`` and builds the ``analyze-mix`` and
 For ``ITEM`` (default ``stable-n200``) it runs ``hamsubspace.analyze`` once
 untraced, then once under tracemalloc with each phase's function wrapped in
 the ``hamsubspace`` namespace. The phases follow ``analyze``: staircase,
-rank, DARE and Gramian. A last row, ``on-read``, runs from ``analyze``'s
-return, with the bundle held, to the end of the fields the bundle forms on
-first read: ``residuals_v1``, ``residuals_v2`` and then ``bases``, the
-order in which ``hamlq analyze --full`` and ``golden_check`` read them.
-For ``UNSTABLE_ITEM`` (default
+rank, DARE and Gramian; ``analyze`` drops the staircase form before the
+rank. Two rows follow for the fields the bundle forms on first read, with
+the bundle held. ``on-read`` runs from ``analyze``'s return through
+``residuals_v1``, ``residuals_v2`` and then ``bases``, the order in which
+``hamlq analyze --full`` and ``golden_check`` read them.
+``staircase-read`` then reads ``bundle.staircase``, which forms the
+staircase again, on top of all that. For ``UNSTABLE_ITEM`` (default
 ``unstable-n50-0``) it splits ``riccati.solve_dare`` into the
 structured-doubling bootstrap (``riccati._doubling_gain``) and the Newton
 phase that follows it, up to the return. For the ``traj-many`` item with
@@ -29,7 +31,8 @@ of one ``(k_f + 1) x n`` array, the size of a trajectory's state sequence,
 for ``solve_nonrecursive``. The phase with the largest peak sets the item's
 ``peak_alloc_mb``; that figure, in MB, is printed for the whole call, as the
 benchmark measures it. The benchmark reads no field of the bundle, so the
-``on-read`` row is not part of that call and its peak may exceed it. Run
+``on-read`` and ``staircase-read`` rows are not part of that call and their
+peaks may exceed it. Run
 each tree in its own process; one BLAS thread is pinned, as in the
 benchmark.
 """
@@ -55,7 +58,8 @@ ANALYZE_PHASES = (
     ("rank", "rank>", "rank<"),
     ("DARE", "solve_dare>", "solve_dare<"),
     ("Gramian", "closed_loop_gramian>", "closed_loop_gramian<"),
-    ("on-read", "analyze<", "return"),
+    ("on-read", "analyze<", "staircase>"),
+    ("staircase-read", "staircase>", "return"),
 )
 ANALYZE_WRAPPED = ("analyze", "staircase", "rank", "solve_dare", "closed_loop_gramian")
 # (phase label, first mark, last mark): a phase runs from one mark to another
@@ -135,10 +139,10 @@ def _rows(marks, phases, end_mark="return"):
 
 def _print(title, unit, unit_name, rows, peak):
     print(f"{title}, peak {peak / unit:.2f} {unit_name} = {peak / 2**20:.3f} MB")
-    print(f"  {'phase':<12}{'held':>8}{'peak':>8}{'after':>8}")
+    print(f"  {'phase':<16}{'held':>8}{'peak':>8}{'after':>8}")
     for label, held, top, after in rows:
         mark = "  <- peak" if top == peak else ""
-        print(f"  {label:<12}{held / unit:8.2f}{top / unit:8.2f}{after / unit:8.2f}{mark}")
+        print(f"  {label:<16}{held / unit:8.2f}{top / unit:8.2f}{after / unit:8.2f}{mark}")
 
 
 def _largest_peak(items, solved, execute, errors):
@@ -181,7 +185,7 @@ def main(argv) -> None:
 
     def analyze_and_read(sysq):
         bundle = hamsubspace.analyze(sysq)
-        bundle.residuals_v1, bundle.residuals_v2, bundle.bases
+        bundle.residuals_v1, bundle.residuals_v2, bundle.bases, bundle.staircase
         return bundle
 
     sysq = items[item_id].sys
