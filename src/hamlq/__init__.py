@@ -24,7 +24,6 @@ from .golden import GoldenResult, golden_check, golden_system
 from .hamsubspace import (
     AnalysisBundle,
     DimensionReport,
-    InvariantBases,
     ResidualNorms,
     analyze,
     assemble_v1,
@@ -81,7 +80,6 @@ __all__ = [
     "RiccatiSolution",
     "solve_dare",
     "ResidualNorms",
-    "InvariantBases",
     "DimensionReport",
     "AnalysisBundle",
     "assemble_v1",

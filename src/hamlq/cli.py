@@ -35,6 +35,7 @@ from .errors import (
     NotStable,
     SingularWeight,
 )
+from . import hamsubspace
 from .golden import golden_check
 from .hamsubspace import analyze
 from .lqtraj import TrajectoryProblem, solve_nonrecursive, stage_costs
@@ -71,13 +72,11 @@ def load_system(path: str) -> SystemQuadruple:
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
+    """Comma-separated numbers; an empty field is an entry left out."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
-        raise ValueError(f"{name} must be a comma-separated list of numbers") from exc
-    if not values:
-        raise ValueError(f"{name} must contain at least one number")
-    return np.array(values)
+        raise ValueError(f"{name} must be a comma-separated list of numbers with no empty field") from exc
 
 
 def _system_and_tolerances(args) -> tuple[SystemQuadruple, ToleranceConfig]:
@@ -99,29 +98,30 @@ def _residual_dict(res) -> dict:
 def cmd_analyze(args) -> int:
     sysq, cfg = _system_and_tolerances(args)
     bundle = analyze(sysq, cfg)
+    ric, gram = bundle.riccati, bundle.gramian
     doc = dataclasses.asdict(bundle.report)
     doc["residuals"] = {
-        "v1": _residual_dict(bundle.residuals_v1),
-        "v2": _residual_dict(bundle.residuals_v2),
+        "v1": _residual_dict(hamsubspace.residuals_v1(sysq, ric)),
+        "v2": _residual_dict(hamsubspace.residuals_v2(sysq, ric, gram)),
     }
     doc["iterations"] = {
-        "riccati": bundle.riccati.iterations,
-        "gramian": bundle.gramian.iterations,
+        "riccati": ric.iterations,
+        "gramian": gram.iterations,
     }
     if args.full:
         doc["system"] = {
-            "A": bundle.sys.A.tolist(),
-            "B": bundle.sys.B.tolist(),
-            "C": bundle.sys.C.tolist(),
-            "D": bundle.sys.D.tolist(),
+            "A": sysq.A.tolist(),
+            "B": sysq.B.tolist(),
+            "C": sysq.C.tolist(),
+            "D": sysq.D.tolist(),
         }
         doc["matrices"] = {
-            "P": bundle.riccati.P.tolist(),
-            "K": bundle.riccati.K.tolist(),
-            "W": bundle.gramian.W.tolist(),
-            "V1": bundle.bases.V1.tolist(),
-            "V2": bundle.bases.V2.tolist(),
-            "Vbar2": bundle.bases.Vbar2.tolist(),
+            "P": ric.P.tolist(),
+            "K": ric.K.tolist(),
+            "W": gram.W.tolist(),
+            "V1": hamsubspace.assemble_v1(ric).tolist(),
+            "V2": hamsubspace.assemble_v2(ric, gram).tolist(),
+            "Vbar2": hamsubspace.assemble_vbar2(ric, gram).tolist(),
         }
     print(json.dumps(doc, indent=2))
     return 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hamsubspace
 from .hamsubspace import AnalysisBundle, analyze
 from .matcore import DEFAULT_TOL, ToleranceConfig, range_basis
 from .reachdecomp import SystemQuadruple
@@ -148,18 +149,22 @@ def golden_check(
     if (2 * sys.n + sys.m, sys.n) != REFERENCE_V2.shape:
         raise ValueError(f"golden_check needs the reference's 4 states and 2 inputs, got {sys.n} and {sys.m}")
     bundle = analyze(sys, cfg)
-    # the residual checks first, so neither runs with the bases held
-    max_residual = max(bundle.residuals_v1.max_rel, bundle.residuals_v2.max_rel)
+    ric, gram = bundle.riccati, bundle.gramian
+    # the residual checks first, so neither runs with V2 held
+    max_residual = max(
+        hamsubspace.residuals_v1(sys, ric).max_rel, hamsubspace.residuals_v2(sys, ric, gram).max_rel
+    )
+    V2, Vbar2 = hamsubspace.assemble_v2(ric, gram), hamsubspace.assemble_vbar2(ric, gram)
 
-    dev2, loc2 = _max_deviation(bundle.bases.V2, REFERENCE_V2)
-    devb, locb = _max_deviation(bundle.bases.Vbar2, REFERENCE_VBAR2)
+    dev2, loc2 = _max_deviation(V2, REFERENCE_V2)
+    devb, locb = _max_deviation(Vbar2, REFERENCE_VBAR2)
     entrywise = dev2 <= ENTRYWISE_TOL and devb <= ENTRYWISE_TOL
 
     fallback = None
     ang2 = angb = None
     if not entrywise:
-        ang2 = _largest_angle(bundle.bases.V2, REFERENCE_V2, cfg)
-        angb = _largest_angle(bundle.bases.Vbar2, REFERENCE_VBAR2, cfg)
+        ang2 = _largest_angle(V2, REFERENCE_V2, cfg)
+        angb = _largest_angle(Vbar2, REFERENCE_VBAR2, cfg)
         fallback = (
             ang2 <= ANGLE_TOL and angb <= ANGLE_TOL and max_residual <= RESIDUAL_TOL
         )

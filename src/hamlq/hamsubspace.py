@@ -23,27 +23,25 @@ closed-loop Gramian ``W``:
 system; ``closed_loop_gramian`` forms them once, next to ``W``, and both
 this module and the trajectory solver read them from there.
 
-``analyze`` bundles the Riccati solution, Gramian and a dimension report
-whose ranks read no basis; the staircase form, the bases and their residual
-checks, which hold no basis, are formed when a caller first reads them.
+``analyze`` returns the Riccati solution, the Gramian and a dimension
+report whose ranks read no basis. A caller that wants a basis or a residual
+check calls ``assemble_*`` or ``residuals_*`` on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .matcore import DEFAULT_TOL, ToleranceConfig, rank, residual_norms
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
-from .reachdecomp import StaircaseForm, SystemQuadruple, staircase, zero_row_indices
+from .reachdecomp import SystemQuadruple, staircase, zero_row_indices
 from .riccati import RiccatiSolution, solve_dare
 from .stablyap import ClosedLoopGramian, closed_loop_gramian
 
 __all__ = [
     "ResidualNorms",
-    "InvariantBases",
     "DimensionReport",
     "AnalysisBundle",
     "assemble_v1",
@@ -169,13 +167,6 @@ def residuals_v2(sys: SystemQuadruple, ric: RiccatiSolution, gram: ClosedLoopGra
 
 
 @dataclass
-class InvariantBases:
-    V1: np.ndarray
-    V2: np.ndarray
-    Vbar2: np.ndarray
-
-
-@dataclass
 class DimensionReport:
     """Counts and ranks a caller needs to judge solvability and degeneracy.
 
@@ -191,7 +182,11 @@ class DimensionReport:
 
     ``zero_rows_Au`` lists the 1-based rows of the unreachable diagonal
     block that vanish. ``rank_deficiency_v2 = n - rank_v2`` equals their
-    count when the other rows of ``A_u`` are independent.
+    count when the other rows of ``A_u`` are independent. The rows are read
+    in the basis of the unreachable subspace that the staircase's SVD
+    returns, so they depend on that basis: a rotated plant whose ``A_u`` has
+    a zero row in another basis may report ``rank_deficiency_v2 = 1`` and
+    no zero row.
     """
 
     n: int
@@ -209,39 +204,13 @@ class DimensionReport:
 
 @dataclass
 class AnalysisBundle:
-    """Everything ``analyze`` computed for one system, and what follows from it.
-
-    ``staircase``, ``bases``, ``residuals_v1`` and ``residuals_v2`` are
-    formed when first read and kept. ``staircase`` is formed again, with
-    ``report.tolerances``, from the plant: ``analyze`` drops the form once
-    it has read ``n_c`` and the zero rows of ``A_u`` off it. ``bases.V1``
-    and ``bases.V2`` are new arrays; ``bases.Vbar2`` is ``gramian.Vbar2``,
-    with ``gramian.W`` its top half. The residual checks hold no basis:
-    read before ``bases``, as ``hamlq analyze`` and ``golden_check`` read
-    them, each adds about four ``n x n`` arrays to what the bundle holds.
-    """
+    """What ``analyze`` computed for one system: the plant, the Riccati
+    solution, the closed-loop Gramian (with ``Vbar2``) and the report."""
 
     sys: SystemQuadruple
     riccati: RiccatiSolution
     gramian: ClosedLoopGramian
     report: DimensionReport
-
-    @cached_property
-    def staircase(self) -> StaircaseForm:
-        return staircase(self.sys, self.report.tolerances)
-
-    @cached_property
-    def bases(self) -> InvariantBases:
-        ric, gram = self.riccati, self.gramian
-        return InvariantBases(assemble_v1(ric), assemble_v2(ric, gram), assemble_vbar2(ric, gram))
-
-    @cached_property
-    def residuals_v1(self) -> ResidualNorms:
-        return residuals_v1(self.sys, self.riccati)
-
-    @cached_property
-    def residuals_v2(self) -> ResidualNorms:
-        return residuals_v2(self.sys, self.riccati, self.gramian)
 
 
 def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> AnalysisBundle:
@@ -250,12 +219,12 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     Runs the reachability decomposition, decides ``rank [A B]``, solves the
     Riccati equation, computes the closed-loop Gramian with ``Vbar2`` and
     fills in the dimension report. The staircase form is dropped once
-    ``n_c`` and the zero rows of ``A_u`` are read off it; it, the bases and
-    their residual checks are left to the bundle, which forms them when they
-    are first read. The rank reads plant data only, so it runs before the
-    Riccati solve, which runs with no staircase held. On a stable plant the
-    staircase's Krylov QR sets the call's peak memory, above the Newton
-    steps' Smith loop; on an unstable one the Riccati bootstrap may.
+    ``n_c`` and the zero rows of ``A_u`` are read off it, and no basis or
+    residual check is formed. The rank reads plant data only, so it runs
+    before the Riccati solve, which runs with no staircase held. On a
+    stable plant the staircase's Krylov QR sets the call's peak memory,
+    above the Newton steps' Smith loop; on an unstable one the Riccati
+    bootstrap may.
     """
     st = staircase(sys, cfg)
     n_c, zero_rows_Au = st.n_c, zero_row_indices(st.A_u, cfg)

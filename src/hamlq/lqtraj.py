@@ -238,6 +238,8 @@ def solve_nonrecursive(
 
     Raises
     ------
+    ValueError
+        ``prob``, ``ric`` and ``gram`` do not have the same number of states.
     BoundaryInconsistent
         The boundary residual exceeds tolerance (endpoint not attainable
         from ``x0`` in ``k_f`` steps, or the problem is degenerate), or it
@@ -246,6 +248,10 @@ def solve_nonrecursive(
     sysq, k_f = prob.sys, prob.k_f
     n = sysq.n
     P, K, W = ric.P, ric.K, gram.W
+    if not n == P.shape[0] == W.shape[0]:
+        raise ValueError(
+            f"prob has {n} states, ric {P.shape[0]} and gram {W.shape[0]}: not solved for prob.sys"
+        )
 
     # An overflow here ends in the not-finite verdict below, not in a warning:
     # an overflowing square makes the last square, and so phi, non-finite.

@@ -49,6 +49,32 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+# The public bases and checks, and the staircase, in the hamsubspace
+# namespace; a caller reaches them as attributes of that module, so wrapping
+# one there (as the benchmark's tracer does) sees every call
+CHECKERS = (
+    "assemble_v1", "assemble_v2", "assemble_vbar2", "residuals_v1", "residuals_v2", "_relation_residuals",
+    "staircase",
+)
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap each function ``names`` lists in ``module`` to count its calls;
+    returns the counts by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
 def is_psd(M, tol=1e-12):
     """Whether ``M`` is symmetric positive semidefinite up to ``tol * max|M|``.
 

@@ -16,8 +16,10 @@ from hamlq.errors import (
     NotStable,
     SingularWeight,
 )
+from conftest import CHECKERS, count_calls
+from hamlq import hamsubspace
 from hamlq.golden import golden_system
-from hamlq.hamsubspace import DimensionReport
+from hamlq.hamsubspace import DimensionReport, analyze, assemble_v2, assemble_vbar2
 from hamlq.lqtraj import TrajectoryProblem
 from hamlq.matcore import DEFAULT_TOL
 from hamlq.reachdecomp import SystemQuadruple
@@ -81,12 +83,21 @@ def test_analyze_full_round_trip(golden_file, capsys):
     sys2 = SystemQuadruple(
         A=doc["system"]["A"], B=doc["system"]["B"], C=doc["system"]["C"], D=doc["system"]["D"]
     )
-    from hamlq.hamsubspace import analyze
-
     bundle = analyze(sys2)
-    assert np.array_equal(bundle.bases.V2, np.array(doc["matrices"]["V2"]))
-    assert np.array_equal(bundle.bases.Vbar2, np.array(doc["matrices"]["Vbar2"]))
-    assert np.array_equal(bundle.riccati.P, np.array(doc["matrices"]["P"]))
+    ric, gram = bundle.riccati, bundle.gramian
+    assert np.array_equal(assemble_v2(ric, gram), np.array(doc["matrices"]["V2"]))
+    assert np.array_equal(assemble_vbar2(ric, gram), np.array(doc["matrices"]["Vbar2"]))
+    assert np.array_equal(ric.P, np.array(doc["matrices"]["P"]))
+
+
+def test_analyze_full_forms_each_check_and_basis_once(golden_file, capsys, monkeypatch):
+    # Through the hamsubspace module's own names, so a tracer that wraps
+    # them sees every call; the staircase is formed once, inside analyze,
+    # and V1 twice: once inside residuals_v1, once for the report.
+    calls = count_calls(monkeypatch, hamsubspace, CHECKERS)
+    assert cli.main(["analyze", golden_file, "--full"]) == 0
+    assert calls == dict(dict.fromkeys(CHECKERS, 1), assemble_v1=2, _relation_residuals=2)
+    assert {"V1", "V2", "Vbar2"} <= json.loads(capsys.readouterr().out)["matrices"].keys()
 
 
 def test_analyze_missing_matrix(tmp_path, capsys):
@@ -289,6 +300,26 @@ def test_trajectory_oversized_horizon_is_out_of_memory(drift_file, capsys):
 def test_trajectory_bad_vector(golden_file, capsys):
     assert cli.main(["trajectory", golden_file, "--x0", "1,zzz", "--kf", "3"]) == 2
     assert "--x0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [["--x0", "1,,0"], ["--x0", "1,0,"], ["--x0", "1,0", "--xf", "0,,1"]],
+    ids=["x0-inner", "x0-trailing", "xf"],
+)
+def test_trajectory_rejects_an_empty_field(drift_file, capsys, vectors):
+    # an empty field is an entry left out: skipping it would solve from a
+    # shorter vector than the one written
+    assert cli.main(["trajectory", drift_file, "--kf", "4", *vectors]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {vectors[-2]} ") and "empty field" in err
+
+
+def test_trajectory_vector_allows_spaces(drift_file, capsys):
+    assert cli.main(["trajectory", drift_file, "--x0", " 1 , 0 ", "--kf", "2"]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(["trajectory", drift_file, "--x0", "1,0", "--kf", "2"]) == 0
+    assert capsys.readouterr().out == spaced
 
 
 def test_golden_command(capsys):

@@ -22,7 +22,7 @@ sys.modules["scipy"] = None  # every scipy import now raises ImportError
 
 import numpy as np
 from conftest import staircase_embedded
-from hamlq import TrajectoryProblem, analyze, cli, golden_check, solve_nonrecursive
+from hamlq import TrajectoryProblem, analyze, cli, golden_check, solve_nonrecursive, staircase
 
 assert golden_check().passed
 assert cli.main(["golden", "--report"]) == 0
@@ -30,7 +30,7 @@ assert cli.main(["golden", "--report"]) == 0
 sysq = staircase_embedded(np.random.default_rng(5), 3, 2, rotate=True)
 bundle = analyze(sysq)
 assert bundle.report.n_c == 3
-assert not np.array_equal(bundle.staircase.T, np.eye(sysq.n))
+assert not np.array_equal(staircase(sysq).T, np.eye(sysq.n))
 
 x0 = np.ones(sysq.n)
 xf = np.linalg.matrix_power(sysq.A, 6) @ x0  # reached with zero input

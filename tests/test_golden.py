@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import CHECKERS, count_calls
+from hamlq import hamsubspace
 from hamlq.golden import (
     ANGLE_TOL,
     ENTRYWISE_TOL,
@@ -13,6 +15,7 @@ from hamlq.golden import (
     golden_check,
     golden_system,
 )
+from hamlq.hamsubspace import assemble_v2
 from hamlq.matcore import DEFAULT_TOL, rank
 from hamlq.reachdecomp import SystemQuadruple
 
@@ -66,6 +69,15 @@ def test_golden_check_passes():
     assert res.bundle.report.rank_vbar2 == 4
 
 
+def test_golden_check_forms_each_check_once_and_no_v1(monkeypatch):
+    # Through the hamsubspace module's own names, so a tracer that wraps
+    # them sees every call. V1 is never compared: its one assembly is the
+    # one residuals_v1 makes to form V1[:2n] A_K.
+    calls = count_calls(monkeypatch, hamsubspace, CHECKERS)
+    assert golden_check().passed
+    assert calls == dict(dict.fromkeys(CHECKERS, 1), _relation_residuals=2)
+
+
 def test_golden_check_reports_deviation_location():
     res = golden_check(bumped_golden())
     assert not res.entrywise_pass
@@ -93,7 +105,7 @@ def test_fallback_rank_cutoff_follows_cfg():
     for factor, r in ((DEFAULT_TOL.rank_tol_factor, 3), (0.01, 2)):
         res = golden_check(sys, dataclasses.replace(DEFAULT_TOL, rank_tol_factor=factor))
         assert res.fallback_pass is not None
-        V2 = res.bundle.bases.V2
+        V2 = assemble_v2(res.bundle.riccati, res.bundle.gramian)
         want = np.max(scipy.linalg.subspace_angles(span(V2, r), span(REFERENCE_V2, r)))
         assert res.max_angle_v2 == pytest.approx(want, rel=1e-9)
         angles.append(res.max_angle_v2)

@@ -1,13 +1,19 @@
 import dataclasses
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hidden_left_null_space, random_stabilizable, same_bits, staircase_embedded
+from conftest import (
+    CHECKERS,
+    count_calls,
+    hidden_left_null_space,
+    random_stabilizable,
+    same_bits,
+    staircase_embedded,
+)
 from hamlq import hamsubspace
 from hamlq.hamsubspace import (
     ResidualNorms,
@@ -200,22 +206,24 @@ def test_dimensions_match_hidden_null_space(case):
     ric, W = bundle.riccati, bundle.gramian.W
     terms = (W @ ric.A_K.T, ric.P @ W @ ric.A_K.T, ric.K @ W @ ric.A_K.T, solve_linear(ric.Rw, sys.B.T))
     cutoff = 1e-10 * max(np.linalg.norm(t, 2) for t in terms)
-    assert np.count_nonzero(np.linalg.svd(bundle.bases.V2, compute_uv=False) > cutoff) == n - d
+    V2 = assemble_v2(ric, bundle.gramian)
+    assert np.count_nonzero(np.linalg.svd(V2, compute_uv=False) > cutoff) == n - d
 
 
 def test_analyze_residuals_check_reported_bases(golden_sys):
     # The checks hold no basis, yet each triple must be the plain one of the
-    # bases the bundle reports, V1 = [I; P; K] with the solver's bits. At
-    # n = 100 OpenBLAS rounds the rows n:2n of V1[:2n] @ A_K otherwise than
-    # P @ A_K, so a product of another shape would show there.
+    # bases assembled from the bundle, V1 = [I; P; K] with the solver's
+    # bits. At n = 100 OpenBLAS rounds the rows n:2n of V1[:2n] @ A_K
+    # otherwise than P @ A_K, so a product of another shape would show there.
     for sys in (golden_sys, random_stabilizable(np.random.default_rng(61), 100, 3, 3)):
         bundle = analyze(sys)
-        r1, r2 = bundle.residuals_v1, bundle.residuals_v2
-        b = bundle.bases
-        ric = solve_dare(sys)
-        assert same_bits(b.V1, np.vstack([np.eye(sys.n), ric.P, ric.K])), sys.n
-        assert r1 == plain_triple(sys, b.V1, b.V1[: 2 * sys.n] @ ric.A_K), sys.n
-        assert r2 == plain_triple(sys, b.V2, b.Vbar2), sys.n
+        ric, gram = bundle.riccati, bundle.gramian
+        r1, r2 = residuals_v1(sys, ric), residuals_v2(sys, ric, gram)
+        V1, V2, Vbar2 = assemble_v1(ric), assemble_v2(ric, gram), assemble_vbar2(ric, gram)
+        fresh = solve_dare(sys)
+        assert same_bits(V1, np.vstack([np.eye(sys.n), fresh.P, fresh.K])), sys.n
+        assert r1 == plain_triple(sys, V1, V1[: 2 * sys.n] @ fresh.A_K), sys.n
+        assert r2 == plain_triple(sys, V2, Vbar2), sys.n
 
 
 @pytest.mark.parametrize("which", ["golden", "singular_dd"])
@@ -325,74 +333,21 @@ def test_analyze_peak_memory():
     assert peak < 8.1 * n * n * 8, peak / (n * n * 8)
 
 
-# The names a bundle field calls, each once, when it is first read
-FIELD_CALLS = {
-    "residuals_v1": ("residuals_v1", "assemble_v1", "_relation_residuals"),
-    "residuals_v2": ("residuals_v2", "_relation_residuals"),
-    "bases": ("assemble_v1", "assemble_v2", "assemble_vbar2"),
-    "staircase": ("staircase",),
-}
-LAZY = (
-    "assemble_v1", "assemble_v2", "assemble_vbar2", "residuals_v1", "residuals_v2", "_relation_residuals",
-    "staircase",
-)
-# analyze itself calls only the staircase among them, once, and drops its form
-ANALYZE_CALLS = dict(dict.fromkeys(LAZY, 0), staircase=1)
-
-
-def count_calls(monkeypatch, names):
-    """Wrap each function ``names`` lists in the ``hamsubspace`` namespace
-    to count its calls; returns the counts by name."""
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    for name in names:
-        monkeypatch.setattr(hamsubspace, name, counting(name, getattr(hamsubspace, name)))
-    return calls
-
-
-def test_analyze_forms_no_basis_or_residual_until_one_is_read(golden_sys, monkeypatch):
-    calls = count_calls(monkeypatch, LAZY)
-    bundle = analyze(golden_sys)
-    assert calls == ANALYZE_CALLS
-    bundle.report, bundle.riccati.P, bundle.gramian.Vbar2
-    assert calls == ANALYZE_CALLS
-    bundle.residuals_v1
-    assert calls == dict(ANALYZE_CALLS, residuals_v1=1, assemble_v1=1, _relation_residuals=1)
-
-
-def same_staircase(a, b):
-    """Equal ``n_c`` and every block of the two forms bit for bit."""
-    return a.n_c == b.n_c and all(
-        same_bits(getattr(a, name), getattr(b, name)) for name in ("T", "A_c", "A_cu", "A_u", "B_c", "C_c", "C_u")
-    )
-
-
 @pytest.mark.parametrize("which", ["golden", "rotated", "n100"])
-def test_analyze_drops_the_staircase_and_forms_it_on_read(which, golden_sys, monkeypatch):
-    # analyze reads n_c and the zero rows of A_u off the form and holds it
-    # no longer; the bundle forms it again, from the module's own name, when
-    # it is first read.
+def test_analyze_calls_only_the_staircase_and_returns_what_it_computed(which, golden_sys, monkeypatch):
+    # analyze reads n_c and the zero rows of A_u off one staircase form and
+    # holds it no longer; it forms no basis and no residual check, and the
+    # bundle is a plain record of what it computed.
     sys = {
         "golden": lambda: golden_sys,
         "rotated": lambda: staircase_embedded(np.random.default_rng(5), 3, 2, rotate=True),
         "n100": lambda: random_stabilizable(np.random.default_rng(61), 100, 3, 3),
     }[which]()
-    calls = count_calls(monkeypatch, ("staircase",))
+    calls = count_calls(monkeypatch, hamsubspace, CHECKERS)
     bundle = analyze(sys)
-    assert calls == {"staircase": 1}
-    assert "staircase" not in bundle.__dict__
-    form = bundle.staircase
-    assert calls == {"staircase": 2}
-    assert bundle.staircase is form
-    assert calls == {"staircase": 2}
-    assert same_staircase(form, staircase(sys))
+    assert calls == dict(dict.fromkeys(CHECKERS, 0), staircase=1)
+    assert list(vars(bundle)) == ["sys", "riccati", "gramian", "report"]
+    form = staircase(sys)
     rep = bundle.report
     assert (rep.n_c, rep.n_u, rep.zero_rows_Au) == (form.n_c, form.n_u, zero_row_indices(form.A_u))
     if which == "golden":
@@ -403,65 +358,39 @@ def test_analyze_drops_the_staircase_and_forms_it_on_read(which, golden_sys, mon
 
 def test_staircase_read_uses_the_tolerances_analyze_ran_with():
     # A coarser rank cutoff drops the weakest reachable directions: 8 of 12
-    # instead of 12. The form read from the bundle is the one of that cutoff.
+    # instead of 12. The form analyze reads the report off is the one of
+    # that cutoff.
     sys = random_stabilizable(np.random.default_rng(0), 12, 1, 2)
     cfg = ToleranceConfig(rank_tol_factor=1e-4)
     assert staircase(sys).n_c == 12
     bundle = analyze(sys, cfg)
     assert bundle.report.tolerances is cfg
-    assert (bundle.report.n_c, bundle.report.n_u) == (8, 4)
-    assert same_staircase(bundle.staircase, staircase(sys, cfg))
-    assert bundle.staircase.n_c == 8
-
-
-@pytest.mark.parametrize("order", ["residuals_first", "bases_first"])
-@pytest.mark.parametrize("which", ["golden", "singular_dd_n30"])
-def test_lazy_fields_are_formed_once_with_the_explicit_calls_bits(which, order, golden_sys, monkeypatch):
-    # Each field calls the module's own names, so a caller that wraps them
-    # (as the benchmark's tracer does) sees every check and basis formed.
-    sys = golden_sys if which == "golden" else singular_dd_n30()
-    calls = count_calls(monkeypatch, LAZY)
-    bundle = analyze(sys)
-    ric, gram = bundle.riccati, bundle.gramian
-    names = ("residuals_v1", "residuals_v2", "bases", "staircase")
-    names = names if order == "residuals_first" else names[::-1]
-    want, fields = Counter(ANALYZE_CALLS), []
-    for name in names:
-        fields.append((name, getattr(bundle, name)))
-        want.update(FIELD_CALLS[name])
-        assert calls == want, name
-    for name, value in fields:
-        assert getattr(bundle, name) is value
-    assert calls == want
-
-    b = bundle.bases
-    assert same_bits(b.V1, assemble_v1(ric))
-    assert same_bits(b.V2, assemble_v2(ric, gram))
-    assert b.Vbar2 is gram.Vbar2
-    assert bundle.residuals_v1 == plain_triple(sys, b.V1, b.V1[: 2 * sys.n] @ ric.A_K)
-    assert bundle.residuals_v2 == plain_triple(sys, b.V2, b.Vbar2)
-    # the same bits again from a fresh solve
-    ric2, gram2 = solve_all(sys)
-    assert same_bits(b.V1, assemble_v1(ric2))
-    assert same_bits(b.V2, assemble_v2(ric2, gram2))
-    assert bundle.residuals_v1 == residuals_v1(sys, ric2)
-    assert bundle.residuals_v2 == residuals_v2(sys, ric2, gram2)
+    form = staircase(sys, cfg)
+    assert (form.n_c, bundle.report.n_c, bundle.report.n_u) == (8, 8, 4)
+    assert bundle.report.zero_rows_Au == zero_row_indices(form.A_u, cfg)
 
 
 def test_residual_reading_peak_memory():
-    # analyze, then both residual checks, as hamlq analyze reads them. Each
-    # check holds one 2n x n product and two residual terms on top of the
-    # bundle: 8.15 n x n matrices. With the staircase form held by the
-    # bundle it read 10.23, where analyze read 10.25 when it formed both
-    # checks itself; checking a whole assembled V1 with the Gramian held
+    # analyze, then both residual checks and the three bases, as hamlq
+    # analyze --full forms them. Each check holds one 2n x n product and two
+    # residual terms on top of the bundle: 8.16 n x n matrices, and the bases
+    # formed after the checks stay below that. With the staircase form held
+    # by the bundle it read 10.23, where analyze read 10.25 when it formed
+    # both checks itself; checking a whole assembled V1 with the Gramian held
     # read 12.1, and routing residuals_v2 through a whole V2 10.26.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
-    analyze(sys).residuals_v2
+
+    def analyze_and_check():
+        bundle = analyze(sys)
+        ric, gram = bundle.riccati, bundle.gramian
+        residuals_v1(sys, ric), residuals_v2(sys, ric, gram)
+        return bundle, assemble_v1(ric), assemble_v2(ric, gram), assemble_vbar2(ric, gram)
+
+    analyze_and_check()
     tracemalloc.start()
     try:
-        bundle = analyze(sys)
-        bundle.residuals_v1, bundle.residuals_v2
+        analyze_and_check()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -551,16 +480,14 @@ def test_analyze_and_residuals_leave_their_inputs_unchanged(which, golden_sys):
     sys = golden_sys if which == "golden" else singular_dd_n30()
     plant = [M.copy() for M in (sys.A, sys.B, sys.C, sys.D)]
     bundle = analyze(sys)
-    ric, gram, b = bundle.riccati, bundle.gramian, bundle.bases
+    ric, gram = bundle.riccati, bundle.gramian
+    V1, V2 = assemble_v1(ric), assemble_v2(ric, gram)
     # Vbar2 is the Gramian's own array and V2's input row its u_gain
     n = sys.n
-    assert b.Vbar2 is gram.Vbar2
-    assert same_bits(b.V2[2 * n :], gram.u_gain)
-    assert np.array_equal(b.V1, assemble_v1(ric))
-    assert np.array_equal(b.V2, assemble_v2(ric, gram))
-    read = (ric.P, ric.K, ric.A_K, gram.Vbar2, gram.u_gain, b.V1, b.V2)
+    assert assemble_vbar2(ric, gram) is gram.Vbar2
+    assert same_bits(V2[2 * n :], gram.u_gain)
+    read = (ric.P, ric.K, ric.A_K, gram.Vbar2, gram.u_gain, V1, V2)
     held = [M.copy() for M in read]
-    bundle.residuals_v1, bundle.residuals_v2
     residuals_v1(sys, ric), residuals_v2(sys, ric, gram)
     for before, after in zip(plant + held, (sys.A, sys.B, sys.C, sys.D, *read)):
         assert same_bits(before, after)
@@ -569,8 +496,8 @@ def test_analyze_and_residuals_leave_their_inputs_unchanged(which, golden_sys):
 @pytest.mark.parametrize("which", ["golden", "n12", "singular_dd_n30"])
 def test_analyze_holds_the_solvers_own_p(which, golden_sys):
     # P is the Riccati solver's own C-ordered array, and V1 a new array
-    # assembled from it when first read: trajectories solved from the bundle
-    # round as those solved from a fresh solve_dare, at either endpoint.
+    # assembled from it: trajectories solved from the bundle round as those
+    # solved from a fresh solve_dare, at either endpoint.
     sys = {
         "golden": lambda: golden_sys,
         "n12": lambda: random_stabilizable(np.random.default_rng(63), 12, 3, 4),
@@ -579,8 +506,9 @@ def test_analyze_holds_the_solvers_own_p(which, golden_sys):
     bundle = analyze(sys)
     P = bundle.riccati.P
     assert P.flags.c_contiguous and P.flags.owndata
-    assert not np.shares_memory(P, bundle.bases.V1)
-    assert same_bits(bundle.bases.V1[sys.n : 2 * sys.n], P)
+    V1 = assemble_v1(bundle.riccati)
+    assert not np.shares_memory(P, V1)
+    assert same_bits(V1[sys.n : 2 * sys.n], P)
     ric, gram = solve_all(sys)
     assert same_bits(P, ric.P)
 

@@ -81,6 +81,16 @@ def test_problem_validation():
     assert not TrajectoryProblem(sys, np.zeros(2), 5, xf=np.ones(2)).free_terminal
 
 
+@pytest.mark.parametrize("xf", [None, [0.0]], ids=["free", "fixed"])
+def test_solve_rejects_a_solution_of_another_system(golden_sys, xf):
+    # golden's ric and gram have 4 states; the check comes before any
+    # product, where numpy would otherwise fail on a broadcast deep in the solve
+    ric, gram = solve_all(golden_sys)
+    one = SystemQuadruple(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+    with pytest.raises(ValueError, match="prob has 1 states, ric 4 and gram 4"):
+        solve_nonrecursive(TrajectoryProblem(one, [1.0], 3, xf=xf), ric, gram)
+
+
 def test_zero_start_free_endpoint_is_zero():
     sys = simple_system()
     ric, gram = solve_all(sys)

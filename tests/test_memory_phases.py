@@ -8,7 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "memory_phases.py"
 PHASES = [
-    "staircase", "rank", "DARE", "Gramian", "on-read", "staircase-read", "bootstrap",
+    "staircase", "rank", "DARE", "Gramian", "residuals", "bases", "bootstrap",
     "Newton", "boundary", "propagation", "outputs", "cost",
 ]
 
@@ -32,15 +32,16 @@ def test_memory_phases_reports_every_phase():
     # analyze drops the staircase form, T and T'AT (one n x n array each),
     # once it has read n_c and the zero rows of A_u off it, and rank [A B]
     # holds nothing once it returns: the DARE starts with none of the form
-    # held. No phase of analyze assembles a basis: the bundle forms V1 and
-    # V2, (2n + m) x n arrays, and the form again when they are first read,
-    # after analyze has returned
+    # held. No phase of analyze forms a basis or a residual check. After it
+    # returns, the checks hold nothing once they return, and the bases add
+    # V1 and V2, (2n + m) x n arrays each, but no copy of the Gramian's Vbar2
     assert rows["DARE"][0] < 0.5 < 2.0 < rows["staircase"][2]
     assert rows["DARE"][2] == rows["Gramian"][0]
-    assert rows["on-read"][0] < rows["Gramian"][2] + 0.5
-    assert rows["on-read"][2] - rows["on-read"][0] > 4.0
-    assert rows["on-read"][2] == rows["staircase-read"][0]
-    assert rows["staircase-read"][2] - rows["staircase-read"][0] > 2.0
+    assert rows["residuals"][0] < rows["Gramian"][2] + 0.5
+    assert rows["residuals"][1] - rows["residuals"][0] > 3.0
+    assert rows["residuals"][2] - rows["residuals"][0] < 0.5
+    assert rows["residuals"][2] == rows["bases"][0]
+    assert 4.0 < rows["bases"][2] - rows["bases"][0] < 5.0
     # the trajectory phases follow one another: each starts where the one
     # before ended, and x, p and u, about 2.2 (k_f + 1) x n arrays, outlive
     # the outputs phase, whose peak (three such arrays) is the solve's

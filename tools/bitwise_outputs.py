@@ -12,10 +12,10 @@ trajectory, built by this checkout's ``perfbench/workloads.py``. It records
 ``P``, ``K``, ``Rw``, ``A_K``, ``W``, ``u_gain``, the iteration counts, the
 ``StaircaseForm`` (``T``, ``n_c`` and the six blocks ``A_c``, ``A_cu``,
 ``A_u``, ``B_c``, ``C_c``, ``C_u``), both residual triples and the three
-bases (fields the bundle forms when first read: ``analyze`` drops its own
-staircase form, and the bundle forms it again from the plant with the
-analysis's tolerances; capture reads the residuals before the bases, as
-``hamlq analyze`` and ``golden_check`` do) and every
+bases (each from its public function after ``analyze`` returns:
+``staircase`` of the plant with the analysis's tolerances,
+``residuals_v1``/``residuals_v2``, then ``assemble_v1``/``assemble_v2``/
+``assemble_vbar2``) and every
 ``DimensionReport`` field of each analysis; the same Riccati and
 Gramian data of each trajectory system; ``x``, ``p``, ``u``, ``J``,
 ``alpha`` and ``beta`` of each trajectory; the type and message of every
@@ -127,6 +127,7 @@ def capture(src: str, out: str, seeds) -> None:
     sys.path[:0] = [str(src_dir), str(BENCH)]
     import hamlq
     import workloads
+    from hamlq import hamsubspace as hs
     from hamlq.errors import HamlqError
 
     if Path(hamlq.__file__).resolve().parent != src_dir / "hamlq":
@@ -139,11 +140,17 @@ def capture(src: str, out: str, seeds) -> None:
             except HamlqError as exc:
                 records[("analyze", seed, item.id)] = _error(exc)
                 continue
-            rec = _setup_record(b.riccati, b.gramian)
-            rec.update({f"staircase.{k}": v for k, v in asdict(b.staircase).items()})
-            rec.update({f"residuals_v1.{k}": v for k, v in asdict(b.residuals_v1).items()})
-            rec.update({f"residuals_v2.{k}": v for k, v in asdict(b.residuals_v2).items()})
-            rec.update({f"bases.{k}": v for k, v in asdict(b.bases).items()})
+            ric, gram = b.riccati, b.gramian
+            rec = _setup_record(ric, gram)
+            derived = {
+                "staircase": asdict(hs.staircase(b.sys, b.report.tolerances)),
+                "residuals_v1": asdict(hs.residuals_v1(b.sys, ric)),
+                "residuals_v2": asdict(hs.residuals_v2(b.sys, ric, gram)),
+                "bases": {"V1": hs.assemble_v1(ric), "V2": hs.assemble_v2(ric, gram),
+                          "Vbar2": hs.assemble_vbar2(ric, gram)},
+            }
+            for name, fields in derived.items():
+                rec.update({f"{name}.{k}": v for k, v in fields.items()})
             rec.update({f"report.{k}": v for k, v in asdict(b.report).items() if k != "tolerances"})
             records[("analyze", seed, item.id)] = rec
         items = workloads.build("traj-many", seed)

@@ -9,12 +9,12 @@ For ``ITEM`` (default ``stable-n200``) it runs ``hamsubspace.analyze`` once
 untraced, then once under tracemalloc with each phase's function wrapped in
 the ``hamsubspace`` namespace. The phases follow ``analyze``: staircase,
 rank, DARE and Gramian; ``analyze`` drops the staircase form before the
-rank. Two rows follow for the fields the bundle forms on first read, with
-the bundle held. ``on-read`` runs from ``analyze``'s return through
-``residuals_v1``, ``residuals_v2`` and then ``bases``, the order in which
-``hamlq analyze --full`` and ``golden_check`` read them.
-``staircase-read`` then reads ``bundle.staircase``, which forms the
-staircase again, on top of all that. For ``UNSTABLE_ITEM`` (default
+rank. Two rows follow for what a caller forms from the bundle after
+``analyze`` returns, with the bundle held, in the order ``hamlq analyze
+--full`` forms them: ``residuals`` calls ``residuals_v1`` and
+``residuals_v2``, and ``bases`` then calls ``assemble_v1``,
+``assemble_v2`` and ``assemble_vbar2`` and holds the three bases. For
+``UNSTABLE_ITEM`` (default
 ``unstable-n50-0``) it splits ``riccati.solve_dare`` into the
 structured-doubling bootstrap (``riccati._doubling_gain``) and the Newton
 phase that follows it, up to the return. For the ``traj-many`` item with
@@ -30,8 +30,8 @@ units of one ``n x n`` float64 array for ``analyze`` and ``solve_dare`` and
 of one ``(k_f + 1) x n`` array, the size of a trajectory's state sequence,
 for ``solve_nonrecursive``. The phase with the largest peak sets the item's
 ``peak_alloc_mb``; that figure, in MB, is printed for the whole call, as the
-benchmark measures it. The benchmark reads no field of the bundle, so the
-``on-read`` and ``staircase-read`` rows are not part of that call and their
+benchmark measures it. The benchmark forms no residual check and no basis,
+so the ``residuals`` and ``bases`` rows are not part of that call and their
 peaks may exceed it. Run
 each tree in its own process; one BLAS thread is pinned, as in the
 benchmark.
@@ -52,16 +52,16 @@ BENCH = ROOT / "perfbench"
 SEED = 1
 
 # (phase label, first mark, last mark) in the order analyze reaches them,
-# then the fields the bundle forms on first read, up to the return
+# then the checks and bases formed after it returns, up to the return
 ANALYZE_PHASES = (
     ("staircase", "staircase>", "staircase<"),
     ("rank", "rank>", "rank<"),
     ("DARE", "solve_dare>", "solve_dare<"),
     ("Gramian", "closed_loop_gramian>", "closed_loop_gramian<"),
-    ("on-read", "analyze<", "staircase>"),
-    ("staircase-read", "staircase>", "return"),
+    ("residuals", "analyze<", "residuals_v2<"),
+    ("bases", "residuals_v2<", "return"),
 )
-ANALYZE_WRAPPED = ("analyze", "staircase", "rank", "solve_dare", "closed_loop_gramian")
+ANALYZE_WRAPPED = ("analyze", "staircase", "rank", "solve_dare", "closed_loop_gramian", "residuals_v2")
 # (phase label, first mark, last mark): a phase runs from one mark to another
 DARE_PHASES = (
     ("bootstrap", "_doubling_gain>", "_doubling_gain<"),
@@ -185,8 +185,11 @@ def main(argv) -> None:
 
     def analyze_and_read(sysq):
         bundle = hamsubspace.analyze(sysq)
-        bundle.residuals_v1, bundle.residuals_v2, bundle.bases, bundle.staircase
-        return bundle
+        ric, gram = bundle.riccati, bundle.gramian
+        hamsubspace.residuals_v1(sysq, ric), hamsubspace.residuals_v2(sysq, ric, gram)
+        bases = (hamsubspace.assemble_v1(ric), hamsubspace.assemble_v2(ric, gram),
+                 hamsubspace.assemble_vbar2(ric, gram))
+        return bundle, bases
 
     sysq = items[item_id].sys
     analyze_and_read(sysq)  # warm-up: first-call allocations are not the program's
