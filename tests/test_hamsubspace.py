@@ -356,6 +356,19 @@ def test_analyze_calls_only_the_staircase_and_returns_what_it_computed(which, go
         assert not np.array_equal(form.T, np.eye(sys.n))
 
 
+def test_analyze_forms_no_basis_or_residual_until_one_is_read(golden_sys, monkeypatch):
+    # Reading the record's fields forms nothing; a basis or a residual
+    # check is formed only by the caller's own call, once per call.
+    calls = count_calls(monkeypatch, hamsubspace, CHECKERS)
+    bundle = analyze(golden_sys)
+    none = dict(dict.fromkeys(CHECKERS, 0), staircase=1)
+    assert calls == none
+    bundle.report, bundle.riccati.P, bundle.gramian.Vbar2
+    assert calls == none
+    hamsubspace.residuals_v1(golden_sys, bundle.riccati)
+    assert calls == dict(none, residuals_v1=1, assemble_v1=1, _relation_residuals=1)
+
+
 def test_staircase_read_uses_the_tolerances_analyze_ran_with():
     # A coarser rank cutoff drops the weakest reachable directions: 8 of 12
     # instead of 12. The form analyze reads the report off is the one of
