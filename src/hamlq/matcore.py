@@ -166,12 +166,13 @@ def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     smallest squared pivot falls below ``abs_zero_tol * max|M|``. The solve
     is ``np.linalg.solve``; a matrix result is returned Fortran-ordered,
     because the layout of a gain decides how later products with it round.
+    float64 arrays are checked in place, not copied; neither is written.
     """
-    M = as_matrix(M, "M")
+    M = _checked_matrix(M, "M")
     n, nc = M.shape
     if n != nc:
         raise ValueError(f"M must be square, got {M.shape}")
-    r = _float_array(rhs, "rhs")
+    r = rhs if isinstance(rhs, np.ndarray) and rhs.dtype == np.float64 else _float_array(rhs, "rhs")
     if r.ndim not in (1, 2) or r.shape[0] != n:
         raise ValueError(f"rhs row count {r.shape[0] if r.ndim else '?'} does not match M ({n})")
     if r.size and not np.isfinite(r).all():

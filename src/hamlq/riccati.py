@@ -9,17 +9,23 @@ and the stabilizing feedback uses the sign convention ``A_K = A + B K``
 with ``K = -(D'D + B'PB)^{-1} (B'PA + D'C)``.
 
 The solver first needs any stabilizing gain. ``K = 0`` serves when ``A`` is
-already stable. Otherwise the gain comes from the auxiliary equation with
-the same ``(A, B)`` and unit weights ``Q = I``, ``R = I``, ``S = 0``: it is
-detectable with ``R > 0`` by construction, so the structure-preserving
-doubling algorithm (Chu, Fan & Lin 2005) reaches its stabilizing solution
-quadratically whenever ``(A, B)`` is stabilizable, and the real cost
-(a singular ``D'D`` included) plays no part. The gain is certified once.
-Value iteration on the real equation from ``P = 0`` is not used: with a
-square invertible ``D`` the reduced state weight ``C'(I - D(D'D)^{-1}D')C``
-vanishes, ``P = 0`` is itself a (non-stabilizing) solution, and the
-iteration sits on it until rounding, amplified by the unstable modes,
-pushes it off.
+already stable, and is kept there: any other start moves the rounding of
+``P`` and ``K``, and some free-end trajectory outcomes hinge on that
+rounding until their boundary solve is made robust (ROADMAP item 2).
+Otherwise the gain comes from the plant's own cost, regularized: ``Q =
+C'C + DELTA s I``, ``R = D'D + DELTA s I`` and ``S = C'D``, with ``s`` the
+largest entry of ``C'C`` and ``D'D``. ``Q > 0`` makes that equation
+detectable and ``R > 0`` keeps its gain defined, the same guarantee unit
+weights ``(I, I, 0)`` give: the structure-preserving doubling algorithm
+(Chu, Fan & Lin 2005) reaches its stabilizing solution quadratically
+whenever ``(A, B)`` is stabilizable, a singular ``D'D`` included. Unlike
+the unit-weight gain, this one sits ``O(DELTA)`` from the real one, so
+Newton needs 2-5 steps instead of 7-12. The gain is certified once. Value iteration on the unregularized equation from ``P = 0`` is not
+used: with a square invertible ``D`` the reduced state weight
+``C'(I - D(D'D)^{-1}D')C`` vanishes, ``P = 0`` is itself a
+(non-stabilizing) solution, and the iteration sits on it until rounding,
+amplified by the unstable modes, pushes it off. ``DELTA s I`` keeps the
+regularized equation off it.
 
 Newton steps (Hewer 1971) then refine the gain on the real equation; each
 is a single Smith-doubling Lyapunov solve and converges from any
@@ -43,6 +49,13 @@ from .reachdecomp import SystemQuadruple
 from .stablyap import solve_dlyap_stable, stability_certificate
 
 __all__ = ["RiccatiSolution", "solve_dare"]
+
+# Regularization of the bootstrap's weights, relative to the cost's largest
+# entry. On the benchmark's unstable plants the Newton counts are flat from
+# 1e-10 to 1e-6 and grow above it (4-6 steps at 1e-4), as the gain moves
+# O(DELTA) off the real one; below 1e-11 DELTA drowns in the rounding of
+# C'C - S R^-1 S' and the bootstrap breaks down.
+DELTA = 1e-6
 
 
 @dataclass
@@ -82,33 +95,72 @@ def _finite_product(M: np.ndarray, name: str) -> np.ndarray:
     return M
 
 
-def _doubling_gain(A, B, cfg: ToleranceConfig):
-    """Gain of the auxiliary DARE ``(A, B, Q = I, R = I, S = 0)``; returns (K, steps).
+def _doubling_gain(A, B, C, S, R, cfg: ToleranceConfig):
+    """Gain of the plant's own DARE, regularized by ``DELTA``; returns (K, steps).
 
-    Structure-preserving doubling: with ``G_0 = B B'``, ``H_0 = I`` and
-    ``W = I + G_k H_k``,
+    ``S = C'D`` and ``R = D'D`` are the cost products ``solve_dare`` has
+    formed. With ``s`` the largest entry of ``C'C`` and ``D'D`` (1 for a zero
+    cost) the weights are ``Q_d = C'C + DELTA s I``, ``R_d = D'D + DELTA s I``
+    and ``S``, all multiplied by the power of two ``c`` in ``(0.5/s, 1/s]``.
+    That leaves the gain unchanged, as the equation is homogeneous in its
+    weights, and makes ``H_k`` of unit size, so the settling test (relative
+    to ``1 + |H|``) reads alike at every cost scale; it is exact, so a
+    power-of-two rescaling of ``(C, D)`` changes no bit. The cross term is
+    eliminated through the Cholesky factor ``L`` of ``R_d``: with
+    ``[Bs Ss] = L^{-1} [B' S']``,
+
+        A_0 = A - B R_d^{-1} S' = A - Bs' Ss
+        G_0 = B R_d^{-1} B'     = Bs' Bs
+        H_0 = C'(I - D R_d^{-1} D')C + DELTA s I = C'C - Ss' Ss + DELTA s I
+
+    Structure-preserving doubling then runs with ``W = I + G_k H_k``:
 
         A_{k+1} = A_k W^{-1} A_k
         G_{k+1} = G_k + A_k W^{-1} G_k A_k'
         H_{k+1} = H_k + A_k' H_k W^{-1} A_k
 
-    and ``H_k`` reaches the ``2^k``-th value-iteration iterate, converging
-    quadratically to the stabilizing solution when ``(A, B)`` is
-    stabilizable. ``W`` is nonsingular for positive semidefinite ``G`` and
-    ``H``; one LU of it is applied to ``[A_k, G_k]``. An unreachable mode on
-    or outside the unit circle makes ``H_k`` grow without bound, which ends
-    in a non-finite iterate or an exhausted ``cfg.max_iter``.
+    and ``H_k`` reaches the ``2^k``-th value-iteration iterate. ``H_0 >=
+    DELTA s I`` makes the regularized equation detectable and ``R_d > 0``, so
+    it has a stabilizing solution, reached quadratically, whenever ``(A, B)``
+    is stabilizable: the guarantee unit weights ``(I, I, 0)`` give, but with
+    a gain that starts Newton next to the real ``P``. Neither a singular
+    ``D'D`` nor a square invertible ``D`` (whose reduced state weight
+    vanishes, so that ``P = 0`` solves the unregularized equation without
+    stabilizing) changes that, as long as ``DELTA s`` stays above the
+    rounding of ``C'C - Ss' Ss``. The gain is ``K = -(R_d + B'HB)^{-1}
+    (B'HA + S')``.
+
+    ``W`` is nonsingular for positive semidefinite ``G`` and ``H``; one LU of
+    it is applied to ``[A_k, G_k]``. An unreachable mode on or outside the
+    unit circle makes ``H_k`` grow without bound, which ends in a non-finite
+    iterate or an exhausted ``cfg.max_iter``. A non-finite iterate, a
+    singular ``W`` or ``R_d + B'HB`` and an exhausted budget raise
+    ``NotStabilizable``, with no numpy warning; a non-finite gain is left to
+    the caller's certificate.
 
     Each step holds ``A_k``, ``G_k``, ``H_k``, one scratch array and the
-    ``n x 2n`` solve result; ``W`` and the concatenation go as soon as the
-    solve returns, ``H_k`` once ``H_{k+1} - H_k`` is formed, and the solve
-    result once ``G_{k+1}`` is. The products, sums and operand layouts are
-    those of the plain expressions, and so are the bits.
+    ``n x 2n`` solve result; ``A_0`` is dropped after the first step, ``W``
+    and the concatenation as soon as the solve returns, ``H_k`` once
+    ``H_{k+1} - H_k`` is formed, and the solve result once ``G_{k+1}`` is.
+    The products, sums and operand layouts are those of the plain
+    expressions, and so are the bits.
     """
     n, m = B.shape
-    Ak = A
-    G = B @ B.T
-    H = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = _finite_product(C.T @ C, "C'C")
+        # the largest entry of a positive semidefinite matrix is on its diagonal
+        s = max(float(np.max(H.diagonal(), initial=0.0)), float(np.max(R.diagonal(), initial=0.0))) or 1.0
+        c = math.ldexp(1.0, -math.frexp(s)[1])  # the power of two in (0.5/s, 1/s]
+        reg = DELTA * (c * s)
+        H *= c
+        R_reg = c * R + reg * np.eye(m)
+        Y = np.linalg.solve(np.linalg.cholesky(R_reg), np.concatenate((B.T, c * S.T), axis=1))
+        Bs, Ss = Y[:, :n], Y[:, n:]
+        Ak = A - Bs.T @ Ss
+        G = Bs.T @ Bs
+        H -= Ss.T @ Ss
+        H.reshape(-1)[:: n + 1] += reg
+        del Y, Bs, Ss
     buf = np.empty((n, n))  # each symmetrization's transpose, then H_{k+1} - H_k
     prev_dh = np.inf
     for it in range(1, cfg.max_iter + 1):
@@ -142,7 +194,15 @@ def _doubling_gain(A, B, cfg: ToleranceConfig):
             )
         Ak, G, H = A_next, G_next, H_next
         if _settled(dh, prev_dh, h_scale):
-            K = -np.linalg.solve(np.eye(m) + B.T @ H @ B, B.T @ H @ A)
+            with np.errstate(over="ignore", invalid="ignore"):
+                BtH = B.T @ H
+                try:
+                    K = -np.linalg.solve(R_reg + BtH @ B, BtH @ A + c * S.T)
+                except np.linalg.LinAlgError as exc:
+                    raise NotStabilizable(
+                        f"structured doubling settled after {it} steps on a singular "
+                        "or non-finite R + B'HB; no stabilizing feedback was found"
+                    ) from exc
             return K, it
         prev_dh = dh
     raise NotStabilizable(
@@ -174,7 +234,8 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         ``D'D + B'PB`` is singular at the solution.
     ConvergenceFailure
         Iteration budget exhausted, residual above tolerance, or ``C'D``,
-        ``D'D`` or a Newton step's forcing ``(C + D K)'(C + D K)`` overflows.
+        ``D'D``, ``C'C`` (formed only when ``A`` is not certified stable) or a
+        Newton step's forcing ``(C + D K)'(C + D K)`` overflows.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = A.shape[0]
@@ -187,13 +248,16 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
     # Phase 1: find any certified stabilizing gain. K = 0 works whenever A
     # is already stable (and keeps the Newton weights maximal, since policy
     # costs only decrease from there). Otherwise take the gain of the
-    # auxiliary unit-weight equation, found by structured doubling.
+    # regularized real-cost equation, found by structured doubling. A gain
+    # too large for float64 is no certified gain either.
     boot_iters = 0
     if stability_certificate(A, cfg):
         K = np.zeros((B.shape[1], n))
     else:
-        K, boot_iters = _doubling_gain(A, B, cfg)
-        if not stability_certificate(A + B @ K, cfg):
+        K, boot_iters = _doubling_gain(A, B, C, S, R, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            A_K = A + B @ K
+        if not (np.isfinite(A_K).all() and stability_certificate(A_K, cfg)):
             raise NotStabilizable(
                 f"doubling gain failed the stability certificate after "
                 f"{boot_iters} steps; no stabilizing feedback was found"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotStable
-from .matcore import DEFAULT_TOL, ToleranceConfig, _checked_matrix, _sym_into, as_matrix
+from .matcore import DEFAULT_TOL, ToleranceConfig, _checked_matrix, _sym_into
 from .matcore import fro_norm, solve_linear
 
 __all__ = [
@@ -187,7 +187,7 @@ def stability_certificate(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     they overflow first. Each step is one squaring. A non-finite norm or
     ``cfg.max_iter`` squarings without success give False.
     """
-    E = as_matrix(M, "M")
+    E = _checked_matrix(M, "M")  # a float64 array in place: it is only read
     if E.shape[0] != E.shape[1]:
         raise ValueError(f"M must be square, got {E.shape}")
     # Squarings alternate between two buffers; the first reads M in its own

@@ -83,6 +83,10 @@ def test_oracle_compare_fails_when_a_riccati_sweep_solve_is_lost(tmp_path, dare_
     verdicts = "solved -> SingularWeight" if solved_in == "A" else "SingularWeight -> solved"
     assert f"flip {' '.join(map(str, key))} {verdicts}" in res.stdout
     assert f"dare verdicts in {solved_in}: seed 7: solved 1" in res.stdout
+    # each seed's verdict counts end with the steps of the solves that returned
+    other = "B" if solved_in == "A" else "A"
+    assert f"seed 7: solved 1 (ric.iterations {rec['ric.iterations']})" in res.stdout
+    assert f"dare verdicts in {other}: seed 7: SingularWeight 1 (ric.iterations 0)" in res.stdout
 
 
 def test_compare_ends_with_one_line_per_field_name(tmp_path, free_record):

@@ -4,6 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import count_calls
+
+from hamlq import matcore
 from hamlq.errors import SingularMatrix
 from hamlq.golden import REFERENCE_V2
 from hamlq.matcore import (
@@ -135,6 +138,22 @@ def test_solve_linear_bitwise_equals_numpy_solve():
         x = solve_linear(np.asfortranarray(M), rhs)
         assert np.array_equal(x, np.linalg.solve(M, rhs))
         assert x.flags.f_contiguous
+
+
+def test_solve_linear_reads_float64_arrays_in_place(monkeypatch):
+    # float64 arrays are checked where they lie, not copied first, and are
+    # left unchanged; other input still goes through the conversion
+    calls = count_calls(monkeypatch, matcore, ["_float_array"])
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((4, 4))
+    M = np.asfortranarray(G @ G.T + 4.0 * np.eye(4))
+    for rhs in (rng.standard_normal(4), rng.standard_normal((8, 2))[::2]):
+        M0, rhs0 = M.copy(), rhs.copy()
+        assert np.array_equal(solve_linear(M, rhs), np.linalg.solve(M0, rhs0))
+        assert np.array_equal(M, M0) and np.array_equal(rhs, rhs0)
+    assert calls["_float_array"] == 0
+    solve_linear(M.tolist(), [1.0, 2.0, 3.0, 4.0])
+    assert calls["_float_array"] == 2
 
 
 @pytest.mark.parametrize(

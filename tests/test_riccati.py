@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import hidden_left_null_space, is_psd, random_stabilizable, same_bits, unstable_modes
+from conftest import count_calls, hidden_left_null_space, is_psd, random_stabilizable, same_bits, unstable_modes
 from hamlq import riccati
 from hamlq.errors import ConvergenceFailure, NotStabilizable, SingularWeight
 from hamlq.matcore import DEFAULT_TOL
@@ -102,10 +103,27 @@ def test_not_stabilizable_raises():
         solve_dare(sys)
 
 
+def newton_counter(monkeypatch):
+    """A ``solve_dare`` that also returns its Newton step count, one Smith solve each."""
+    calls = count_calls(monkeypatch, riccati, ["solve_dlyap_stable"])
+
+    def solve(sys):
+        calls["solve_dlyap_stable"] = 0
+        return solve_dare(sys), calls["solve_dlyap_stable"]
+
+    return solve
+
+
+def scipy_dare(sys):
+    return scipy.linalg.solve_discrete_are(sys.A, sys.B, sys.C.T @ sys.C, sys.D.T @ sys.D, s=sys.C.T @ sys.D)
+
+
 @pytest.mark.parametrize("n", [4, 10, 20, 50])
 def test_unstable_a_bootstraps_with_one_certificate(n, monkeypatch):
     # A has 1-3 unstable modes, so K = 0 is rejected and the doubling gain
-    # is certified: with the final closed loop, three certificates at most
+    # is certified: with the final closed loop, three certificates at most.
+    # The gain solves the plant's own regularized equation, so Newton starts
+    # next to P and needs at most 5 steps (7-12 from unit weights).
     certificates = []
 
     def counting_certificate(M, cfg=riccati.DEFAULT_TOL):
@@ -113,17 +131,122 @@ def test_unstable_a_bootstraps_with_one_certificate(n, monkeypatch):
         return stability_certificate(M, cfg)
 
     monkeypatch.setattr(riccati, "stability_certificate", counting_certificate)
+    solve = newton_counter(monkeypatch)
     rng = np.random.default_rng(300 + n)
     for _ in range(3):
         sys = unstable_modes(rng, n)
         certificates.clear()
-        sol = solve_dare(sys)
+        sol, steps = solve(sys)
         assert len(certificates) <= 3
-        P_ref = scipy.linalg.solve_discrete_are(
-            sys.A, sys.B, sys.C.T @ sys.C, sys.D.T @ sys.D, s=sys.C.T @ sys.D
-        )
+        assert steps <= 5
+        P_ref = scipy_dare(sys)
         assert np.linalg.norm(sol.P - P_ref) <= 1e-9 * np.linalg.norm(P_ref)
         assert stability_certificate(sol.A_K)
+
+
+@pytest.mark.parametrize("factor", [1e-4, 1e-2, 1.0])
+def test_delta_inside_working_range(factor, monkeypatch):
+    # From DELTA = 1e-6 down to 1e-10 the Newton counts stay flat; above it
+    # the gain sits O(DELTA) off the optimum and Newton needs more steps, and
+    # the bootstrap first broke down at 1e-11.
+    monkeypatch.setattr(riccati, "DELTA", riccati.DELTA * factor)
+    solve = newton_counter(monkeypatch)
+    rng = np.random.default_rng(77)
+    for n in (4, 4, 10, 10, 20, 20):
+        sol, steps = solve(unstable_modes(rng, n))
+        assert steps <= 5
+        assert stability_certificate(sol.A_K)
+
+
+def test_bootstrap_breakdown_is_typed(monkeypatch):
+    # Far below the working range the regularization drowns in the rounding
+    # of C'C - S R^-1 S' and the gain fails its certificate: a typed error,
+    # with no numpy warning and no ValueError from the certificate's input
+    # check.
+    monkeypatch.setattr(riccati, "DELTA", 1e-16)
+    rng = np.random.default_rng(78)
+    verdicts = []
+    for n in (4, 4, 10, 10, 20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                solve_dare(unstable_modes(rng, n))
+                verdicts.append("solved")
+            except NotStabilizable:
+                verdicts.append("NotStabilizable")
+    assert "NotStabilizable" in verdicts
+
+
+@pytest.mark.parametrize("gain", [np.nan, np.inf, np.finfo(float).max])
+def test_non_finite_bootstrap_gain_raises(gain, monkeypatch):
+    # A gain with a non-finite entry, or one whose closed loop A + B K
+    # overflows, is no certified gain: NotStabilizable, not the certificate's
+    # ValueError for non-finite input.
+    def broken(A, B, C, S, R, cfg):
+        return np.full((B.shape[1], A.shape[0]), gain), 3
+
+    monkeypatch.setattr(riccati, "_doubling_gain", broken)
+    sys = unstable_modes(np.random.default_rng(79), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotStabilizable, match="failed the stability certificate after 3 steps"):
+            solve_dare(sys)
+
+
+@pytest.mark.parametrize("mode", [1e100, 1e200])
+def test_doubling_overflow_raises_not_stabilizable(mode):
+    # A reachable mode this large makes the first doubling step overflow
+    # float64: the typed error, with no numpy warning first.
+    sys = SystemQuadruple(
+        A=np.diag([mode, 0.5]),
+        B=np.array([[1.0], [1.0]]),
+        C=np.eye(2),
+        D=np.ones((2, 1)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotStabilizable, match="structured doubling diverged"):
+            solve_dare(sys)
+
+
+def test_unstable_singular_dd_gets_certified_gain(monkeypatch):
+    # D'D singular: the regularized R_d > 0 still gives a gain, Newton
+    # certifies it, and the solution is SciPy's
+    solve = newton_counter(monkeypatch)
+    rng = np.random.default_rng(80)
+    for n in (4, 10, 20):
+        sys = unstable_modes(rng, n)
+        sys.D[:, -1] = 0.0
+        assert np.linalg.matrix_rank(sys.D.T @ sys.D) < sys.D.shape[1]
+        sol, steps = solve(sys)
+        assert steps <= 5
+        assert stability_certificate(sol.A_K)
+        P_ref = scipy_dare(sys)
+        assert np.linalg.norm(sol.P - P_ref) <= 1e-9 * np.linalg.norm(P_ref)
+
+
+def test_unstable_zero_cost_gets_certified_gain():
+    # C = 0 and D = 0: the regularized equation is DELTA times the unit
+    # weights, so its gain is certified; Newton then finds P = 0 with the
+    # singular weight Rw = 0, the typed verdict for this plant.
+    sys = unstable_modes(np.random.default_rng(81), 10)
+    sys = SystemQuadruple(sys.A, sys.B, np.zeros_like(sys.C), np.zeros_like(sys.D))
+    K, _ = doubling_gain(sys)
+    assert stability_certificate(sys.A + sys.B @ K)
+    with pytest.raises(SingularWeight):
+        solve_dare(sys)
+
+
+def test_stable_a_never_bootstraps(monkeypatch, golden_sys):
+    # K = 0 is certified at once, so the doubling never runs and nothing in
+    # the stable path moves
+    calls = count_calls(monkeypatch, riccati, ["_doubling_gain"])
+    rng = np.random.default_rng(82)
+    for sys in [golden_sys] + [random_stabilizable(rng, n, 2, 2) for n in (1, 4, 10, 20)]:
+        solve_dare(sys)
+    assert calls["_doubling_gain"] == 0
+    solve_dare(unstable_modes(rng, 4))
+    assert calls["_doubling_gain"] == 1
 
 
 @pytest.mark.parametrize("a", [2.0, 1.0, -1.0, 1.0 + 1e-7])
@@ -243,6 +366,15 @@ def test_overflowing_cost_products_raise_one_typed_error(golden_sys, c_scale, d_
         solve_dare(sys)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_state_weight_of_unstable_plant_raises_one_typed_error():
+    # C'D and D'D are finite, but the bootstrap's C'C overflows float64
+    sys = unstable_modes(np.random.default_rng(62), 4)
+    sys = SystemQuadruple(sys.A, sys.B, 1e155 * sys.C, 1e-10 * sys.D)
+    with pytest.raises(ConvergenceFailure, match="C'C overflows float64"):
+        solve_dare(sys)
+
+
 def test_newton_peak_memory():
     # P, A_K and the Smith solve's four arrays, the forcing among them as the
     # W it is written over: 6.18 n x n matrices. Holding C'C through every
@@ -260,13 +392,22 @@ def test_newton_peak_memory():
     assert peak < 6.5 * n * n * 8, peak / (n * n * 8)
 
 
-def doubling_reference(A, B, cfg=DEFAULT_TOL):
-    """The structured-doubling loop written with plain expressions: the
-    arithmetic ``riccati._doubling_gain`` must repeat, operation for operation."""
+def doubling_reference(A, B, C, D, cfg=DEFAULT_TOL):
+    """The regularized structured-doubling loop written with plain
+    expressions: the arithmetic ``riccati._doubling_gain`` must repeat,
+    operation for operation."""
     n, m = B.shape
-    Ak = A
-    G = B @ B.T
-    H = I = np.eye(n)
+    S, R, CtC = C.T @ D, D.T @ D, C.T @ C
+    s = max(np.max(np.diag(CtC), initial=0.0), np.max(np.diag(R), initial=0.0)) or 1.0
+    c = 2.0 ** -math.frexp(s)[1]
+    reg = riccati.DELTA * (c * s)
+    R_reg = c * R + reg * np.eye(m)
+    Y = np.linalg.solve(np.linalg.cholesky(R_reg), np.concatenate((B.T, (c * S).T), axis=1))
+    Bs, Ss = Y[:, :n], Y[:, n:]
+    Ak = A - Bs.T @ Ss
+    G = Bs.T @ Bs
+    H = c * CtC - Ss.T @ Ss + reg * np.eye(n)
+    I = np.eye(n)
     prev_dh = np.inf
     for it in range(1, cfg.max_iter + 1):
         X = np.linalg.solve(I + G @ H, np.concatenate((Ak, G), axis=1))
@@ -279,9 +420,14 @@ def doubling_reference(A, B, cfg=DEFAULT_TOL):
         h_scale = 1.0 + np.linalg.norm(H_next)
         Ak, G, H = A_next, G_next, H_next
         if riccati._settled(dh, prev_dh, h_scale):
-            return -np.linalg.solve(np.eye(m) + B.T @ H @ B, B.T @ H @ A), it
+            return -np.linalg.solve(R_reg + B.T @ H @ B, B.T @ H @ A + c * S.T), it
         prev_dh = dh
     raise AssertionError("reference doubling did not settle")
+
+
+def doubling_gain(sys, cfg=DEFAULT_TOL):
+    """``riccati._doubling_gain`` called with the cost products ``solve_dare`` forms."""
+    return riccati._doubling_gain(sys.A, sys.B, sys.C, sys.C.T @ sys.D, sys.D.T @ sys.D, cfg)
 
 
 @pytest.mark.parametrize("n, m, seed", [(1, 1, 70), (4, 2, 71), (10, 1, 72), (20, 3, 73), (50, 3, 74), (100, 3, 61)])
@@ -290,10 +436,38 @@ def test_doubling_gain_matches_plain_loop_bitwise(n, m, seed):
     # drops change no operation: the gain and the step count are the plain
     # loop's, bit for bit.
     sys = unstable_modes(np.random.default_rng(seed), n, k=min(3, n), m=m)
-    K, steps = riccati._doubling_gain(sys.A, sys.B, DEFAULT_TOL)
-    K_ref, steps_ref = doubling_reference(sys.A, sys.B)
+    K, steps = doubling_gain(sys)
+    K_ref, steps_ref = doubling_reference(sys.A, sys.B, sys.C, sys.D)
     assert steps == steps_ref
     assert same_bits(K, K_ref)
+
+
+@pytest.mark.parametrize("cost", ["singular-dd", "scaled", "zero"])
+@pytest.mark.parametrize("n, m, seed", [(4, 2, 71), (20, 3, 73)])
+def test_doubling_gain_matches_plain_loop_bitwise_on_other_costs(n, m, seed, cost):
+    # D'D singular, a cost far from unit size and no cost at all take the
+    # same expressions
+    sys = unstable_modes(np.random.default_rng(seed), n, k=min(3, n), m=m)
+    if cost == "singular-dd":
+        sys.D[:, -1] = 0.0
+    scale = {"singular-dd": 1.0, "scaled": 3e-5, "zero": 0.0}[cost]
+    sys = SystemQuadruple(sys.A, sys.B, scale * sys.C, scale * sys.D)
+    K, steps = doubling_gain(sys)
+    K_ref, steps_ref = doubling_reference(sys.A, sys.B, sys.C, sys.D)
+    assert steps == steps_ref
+    assert same_bits(K, K_ref)
+
+
+def test_doubling_gain_ignores_power_of_two_cost_scaling():
+    # The DARE is homogeneous in (Q, R, S), so its gain is the same for every
+    # cost scale; the bootstrap brings the weights to unit size by a power of
+    # two, so a power-of-two rescaling of (C, D) leaves every bit unchanged.
+    sys = unstable_modes(np.random.default_rng(75), 10)
+    K, steps = doubling_gain(sys)
+    for k in (-40, -3, 5, 60):
+        K_k, steps_k = doubling_gain(SystemQuadruple(sys.A, sys.B, 2.0**k * sys.C, 2.0**k * sys.D))
+        assert same_bits(K_k, K)
+        assert steps_k == steps
 
 
 def test_doubling_peak_memory():
@@ -304,10 +478,11 @@ def test_doubling_peak_memory():
     # put the peak at 11.03 n x n matrices; it reads 9.03.
     n = 100
     sys = unstable_modes(np.random.default_rng(61), n)
-    riccati._doubling_gain(sys.A, sys.B, DEFAULT_TOL)
+    S, R = sys.C.T @ sys.D, sys.D.T @ sys.D
+    riccati._doubling_gain(sys.A, sys.B, sys.C, S, R, DEFAULT_TOL)
     tracemalloc.start()
     try:
-        riccati._doubling_gain(sys.A, sys.B, DEFAULT_TOL)
+        riccati._doubling_gain(sys.A, sys.B, sys.C, S, R, DEFAULT_TOL)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import is_psd, random_stabilizable, same_bits, stable_matrix, staircase_embedded
+from conftest import count_calls, is_psd, random_stabilizable, same_bits, stable_matrix, staircase_embedded
 from hamlq.errors import NotStable
 from hamlq.matcore import DEFAULT_TOL, fro_norm, solve_linear
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
-from hamlq import stablyap
+from hamlq import matcore, stablyap
 from hamlq.stablyap import closed_loop_gramian, solve_dlyap_stable, stability_certificate
 
 
@@ -113,6 +113,19 @@ def test_certificate_runs_no_smith_solve(monkeypatch):
     for radius in (0.5, 0.99, 1.01, 2.0):
         M = stable_matrix(rng, 6, radius=radius)
         assert stability_certificate(M) == (radius < 1.0)
+
+
+def test_certificate_reads_float64_arrays_in_place(monkeypatch):
+    # a float64 array is checked where it lies and only read, whatever its layout
+    calls = count_calls(monkeypatch, matcore, ["_float_array"])
+    M = stable_matrix(np.random.default_rng(13), 5, radius=0.99)
+    for layout in (M, np.asfortranarray(M), M.T, np.vstack((M, M))[::2]):
+        before = layout.copy()
+        assert stability_certificate(layout)
+        assert np.array_equal(layout, before)
+    assert calls["_float_array"] == 0
+    assert stability_certificate(M.tolist())
+    assert calls["_float_array"] == 1
 
 
 def test_certificate_validates_shape():

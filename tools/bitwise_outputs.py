@@ -59,9 +59,11 @@ from A to B and those that enter it, and the largest move
 present gets a verdict: ``solved`` when ``|P - P_ref|_F / (1 + |P_ref|_F)
 <= AGREE`` for SciPy's ``P_ref`` (``perfbench/checks.py``'s
 ``dare_reference``) or SciPy fails, else ``solved-off``, or the name of the
-error raised; it prints each file's counts per seed and every verdict that
-flips. It exits non-zero if a record leaves the band, a seed's raised or
-failed ``traj`` count rises in B, or a sweep seed's ``solved`` count falls.
+error raised; it prints each file's counts per seed, with the total
+``ric.iterations`` (bootstrap plus Newton steps) of the records that
+returned, and every verdict that flips. It exits non-zero if a record
+leaves the band, a seed's raised or failed ``traj`` count rises in B, or a
+sweep seed's ``solved`` count falls.
 Other records are not judged: plain ``compare`` checks those. Both modes
 unpickle their arguments, so give them only files ``capture`` wrote.
 """
@@ -362,6 +364,7 @@ def _judge_dare(a, b) -> list:
     keys = {key for key in a if key[0] == "dare"}
     seeds = sorted({seed for _, seed, _ in keys})
     counts = {side: {seed: Counter() for seed in seeds} for side in "AB"}
+    steps = {side: dict.fromkeys(seeds, 0) for side in "AB"}  # ric.iterations of the records that returned
     flips = []
     for seed in seeds:
         for index, system in enumerate(sweep(seed)):
@@ -370,14 +373,17 @@ def _judge_dare(a, b) -> list:
                 continue
             P_ref = dare_reference(SystemQuadruple(*system))
             verdicts = {side: _dare_verdict(rec[key], P_ref) for side, rec in (("A", a), ("B", b))}
-            for side, verdict in verdicts.items():
-                counts[side][seed][verdict] += 1
+            for side, rec in (("A", a[key]), ("B", b[key])):
+                counts[side][seed][verdicts[side]] += 1
+                if not isinstance(rec, tuple):
+                    steps[side][seed] += rec["ric.iterations"]
             if verdicts["A"] != verdicts["B"]:
                 flips.append((key, verdicts["A"], verdicts["B"]))
     print(f"{len(keys)} dare records, {len(flips)} verdicts flip")
     for side in "AB":
         per_seed = "; ".join(
             f"seed {seed}: " + ", ".join(f"{v} {c}" for v, c in sorted(count.items()))
+            + f" (ric.iterations {steps[side][seed]})"
             for seed, count in counts[side].items()
         )
         print(f"dare verdicts in {side}: {per_seed or 'none'}")
