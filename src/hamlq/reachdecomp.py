@@ -12,7 +12,8 @@ with a reachable pair ``(A_c, B_c)`` on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,37 +91,117 @@ class StaircaseForm:
         return self.A_u.shape[0]
 
 
+def _krylov_factor(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangular factor of the equilibrated Krylov matrix's transpose, and its row maxima.
+
+    The blocks ``A^k B``, ``k < n``, each scaled by the power of two that
+    brings its Frobenius norm into ``[0.5, 1)``, are written transposed,
+    ``m`` rows at a time, into one buffer of ``max(2n, n + m)`` rows under
+    the current triangular factor. A full buffer is folded by
+    ``np.linalg.qr(..., mode="r")`` and the new factor put back on top, so
+    the ``n x nm`` Krylov matrix is never held. The buffer has at least
+    ``min(nm, 128)`` rows, so a small Krylov matrix is folded once: there a
+    fold's call overhead costs more than the rows' memory. Returns the
+    ``n x n`` factor ``R`` of all the rows, a view of the buffer (zero rows
+    pad a factor of fewer than ``n`` rows), and the per-state maximum of
+    the scaled blocks' entries, taken over the Krylov rows only.
+
+    Each block is formed from the scaled one before it. ``A`` is scaled by
+    a power of two too when its Frobenius norm lies outside ``2^±400``; that
+    changes no bit of a scaled block, since powers of two commute exactly
+    with the products, but keeps each product and its sum of squares in
+    float64 range. A block whose sum of squares under- or overflows (only
+    ``B`` itself can overflow) is first brought to unit size by its largest
+    entry, so it too ends with the bits it would have in range. A zero
+    block ends the sequence, as every later block is zero too.
+    """
+    n, m = B.shape
+    rows = max(2 * n, n + m, min(n * m, 128))
+    buf = np.empty((rows, n))
+    row_max = np.zeros(n)
+    top = fill = 0  # rows of buf holding the current factor, rows written
+
+    def fold():
+        nonlocal top, fill
+        np.maximum(row_max, np.maximum.reduce(np.abs(buf[top:fill])), out=row_max)
+        R = np.linalg.qr(buf[:fill], mode="r")
+        top = fill = R.shape[0]
+        buf[:top] = R
+
+    with np.errstate(over="ignore"):  # an overflowing sum of squares is caught below
+        v = A.ravel(order="K")
+        if not 2.0**-800 < v.dot(v) < 2.0**800:
+            a_max = float(np.abs(A).max())
+            if a_max:
+                A = np.ldexp(A, -math.frexp(a_max)[1])
+        At = A.T
+        block = B.T
+        for k in range(n):
+            if k:
+                block = block @ At
+            v = block.ravel()
+            ss = v.dot(v)
+            if not 0.0 < ss < math.inf:  # a zero block, or squares out of range
+                big = float(np.abs(block).max())
+                if not big:
+                    break
+                block = np.ldexp(block, -math.frexp(big)[1])
+                v = block.ravel()
+                ss = v.dot(v)
+            # 2^e is near the norm sqrt(ss), and 2^-e is finite
+            scale = math.ldexp(1.0, -((math.frexp(ss)[1] + 1) // 2))
+            if fill + m <= rows:  # the block fits; the next one is formed from its rows
+                block = np.multiply(block, scale, buf[fill : fill + m])
+                fill += m
+            else:  # the rows that fit, then the rest under the folded factor
+                block = block * scale
+                head = rows - fill
+                buf[fill:] = block[:head]
+                fill = rows
+                fold()
+                buf[fill : fill + m - head] = block[head:]
+                fill += m - head
+    if fill > top:
+        fold()
+    buf[top:n] = 0.0
+    return buf[:n], row_max
+
+
 def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> StaircaseForm:
     """Orthogonal similarity transformation exposing the reachable part.
 
-    The Krylov matrix ``[B, AB, ..., A^(n-1) B]``, written block by block
-    into one array, has ``n m >= n`` columns and factors as ``R'Q'``, with
-    ``Q R`` the QR factorization of its transpose, so the ``n x n`` factor
-    ``R'`` has its singular values, which give its numerical rank ``n_c``
+    ``n_c`` is the numerical rank of the Krylov matrix ``[B, AB, ...,
+    A^(n-1) B]`` with each block scaled by the power of two that brings its
+    Frobenius norm into ``[0.5, 1)``. The scaling changes no rank in exact
+    arithmetic, but keeps every block in float64 range however fast
+    ``A^k`` grows or decays, and keeps the late blocks from drowning under
+    the cutoff the early ones set. The scaled matrix has ``n m >= n``
+    columns and factors as ``R'Q'``, with ``Q R`` the QR factorization of
+    its transpose. ``R`` is folded up from the blocks as they are formed
+    (``_krylov_factor``), so the Krylov matrix itself is never held. The
+    ``n x n`` factor ``R'`` has its singular values, which give ``n_c``
     (cutoff taken at the Krylov shape ``max(n, n m)``), and its left
     singular vectors ``U``:
 
     * if the reachable subspace is already spanned by the leading ``n_c``
-      coordinate axes (no entry of the Krylov matrix below them exceeds
-      ``cfg.abs_zero_tol`` times its largest entry), ``T`` is the identity,
-      so systems in staircase form keep their coordinates and blocks;
+      coordinate axes (no entry of the scaled Krylov matrix below them
+      exceeds ``cfg.abs_zero_tol`` times its largest entry), ``T`` is the
+      identity, so systems in staircase form keep their coordinates and
+      blocks;
     * otherwise ``T = U``, whose leading ``n_c`` columns span that subspace.
 
     ``n_c`` may be 0 (nothing reachable) or ``n`` (fully reachable); the
-    corresponding blocks are then empty.
+    corresponding blocks are then empty. From ``n = 64`` on, with ``m <=
+    n``, the call peaks at about 5.2 ``n x n`` arrays: the fold buffer of
+    ``2n`` rows and ``np.linalg.qr``'s copy of it.
     """
     A, B, C = sys.A, sys.B, sys.C
     n, m = sys.n, sys.m
-    kry = np.empty((n, n * m))
-    kry[:, :m] = prev = B
-    for i in range(m, n * m, m):
-        prev = np.matmul(A, prev, out=kry[:, i : i + m])
-    Rt = np.linalg.qr(kry.T, mode="r").T
-    n_c = _svd_rank(Rt, cfg, False, kry.shape)[1]
+    R, row_max = _krylov_factor(A, B)
+    Rt = R.T
+    n_c = _svd_rank(Rt, cfg, False, (n, n * m))[1]
 
-    row_tol = cfg.abs_zero_tol * float(np.max(np.abs(kry)))
-    bottom = kry[n_c:, :]
-    if bottom.size == 0 or float(np.max(np.abs(bottom))) <= row_tol:
+    if n_c == n or float(np.max(row_max[n_c:])) <= cfg.abs_zero_tol * float(np.max(row_max)):
         T = np.eye(n)
         At, Bt, Ct = A.copy(), B.copy(), C.copy()
     else:

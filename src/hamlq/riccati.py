@@ -101,13 +101,14 @@ def _doubling_gain(A, B, C, S, R, cfg: ToleranceConfig):
     ``S = C'D`` and ``R = D'D`` are the cost products ``solve_dare`` has
     formed. With ``s`` the largest entry of ``C'C`` and ``D'D`` (1 for a zero
     cost) the weights are ``Q_d = C'C + DELTA s I``, ``R_d = D'D + DELTA s I``
-    and ``S``, all multiplied by the power of two ``c`` in ``(0.5/s, 1/s]``.
-    That leaves the gain unchanged, as the equation is homogeneous in its
-    weights, and makes ``H_k`` of unit size, so the settling test (relative
-    to ``1 + |H|``) reads alike at every cost scale; it is exact, so a
-    power-of-two rescaling of ``(C, D)`` changes no bit. The cross term is
-    eliminated through the Cholesky factor ``L`` of ``R_d``: with
-    ``[Bs Ss] = L^{-1} [B' S']``,
+    and ``S``, all multiplied by the power of two ``c`` in ``(0.5/s, 1/s]``
+    (for a subnormal ``s``, the one of the smallest normal ``s``, as that
+    power would overflow). That leaves the gain unchanged, as the equation
+    is homogeneous in its weights, and makes ``H_k`` of unit size, so the
+    settling test (relative to ``1 + |H|``) reads alike at every cost scale;
+    it is exact, so a power-of-two rescaling of ``(C, D)`` changes no bit.
+    The cross term is eliminated through the Cholesky factor ``L`` of
+    ``R_d``: with ``[Bs Ss] = L^{-1} [B' S']``,
 
         A_0 = A - B R_d^{-1} S' = A - Bs' Ss
         G_0 = B R_d^{-1} B'     = Bs' Bs
@@ -150,7 +151,9 @@ def _doubling_gain(A, B, C, S, R, cfg: ToleranceConfig):
         H = _finite_product(C.T @ C, "C'C")
         # the largest entry of a positive semidefinite matrix is on its diagonal
         s = max(float(np.max(H.diagonal(), initial=0.0)), float(np.max(R.diagonal(), initial=0.0))) or 1.0
-        c = math.ldexp(1.0, -math.frexp(s)[1])  # the power of two in (0.5/s, 1/s]
+        # the power of two in (0.5/s, 1/s]; for a subnormal s, where that
+        # overflows, the one for the smallest normal s
+        c = math.ldexp(1.0, -max(math.frexp(s)[1], -1021))
         reg = DELTA * (c * s)
         H *= c
         R_reg = c * R + reg * np.eye(m)
@@ -189,8 +192,9 @@ def _doubling_gain(A, B, C, S, R, cfg: ToleranceConfig):
         # A_k or G breaks the next step's solve or makes its norms non-finite.
         if not (math.isfinite(dh) and math.isfinite(h_scale)):
             raise NotStabilizable(
-                f"structured doubling diverged after {it} steps; "
-                "no stabilizing feedback exists for this system"
+                f"structured doubling diverged after {it} steps: an iterate left "
+                "float64 range, so the plant is not stabilizable or its data are "
+                "too large to solve with"
             )
         Ak, G, H = A_next, G_next, H_next
         if _settled(dh, prev_dh, h_scale):
@@ -234,8 +238,9 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         ``D'D + B'PB`` is singular at the solution.
     ConvergenceFailure
         Iteration budget exhausted, residual above tolerance, or ``C'D``,
-        ``D'D``, ``C'C`` (formed only when ``A`` is not certified stable) or a
-        Newton step's forcing ``(C + D K)'(C + D K)`` overflows.
+        ``D'D``, ``C'C`` (formed only when ``A`` is not certified stable), a
+        Newton step's forcing ``(C + D K)'(C + D K)``, its weight ``D'D +
+        B'PB`` or its ``B'PA + S'`` overflows.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = A.shape[0]
@@ -273,25 +278,35 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
     prev_dp = np.inf
     for it in range(1, cfg.max_iter + 1):
         newton_iters = it
-        CK = C + D @ K
-        A_K = A + B @ K
+        # The forcing, B'PB and B'PA + S' can overflow on finite data; each
+        # overflow is reported once, as a typed error, not as numpy warnings
+        # first. solve_linear rejects a non-finite Rw or L, the one
+        # ValueError it can raise on these shapes, so they need no check of
+        # their own.
         with np.errstate(over="ignore", invalid="ignore"):
+            CK = C + D @ K
+            A_K = A + B @ K
             forcing = _finite_product(CK.T @ CK, "the Newton forcing (C + D K)'(C + D K)")
-        try:  # the forcing serves this solve alone: W is written over it
-            P_new = solve_dlyap_stable(A_K.T, forcing, cfg, overwrite_q=True).W
-        except NotStable as exc:
-            raise NotStabilizable(
-                "Newton iterate lost closed-loop stability; system violates "
-                "the operational assumptions"
-            ) from exc
-        BtP = B.T @ P_new
-        Rw = _sym_into(R + BtP @ B, np.empty_like(R))
-        L = BtP @ A + S.T
+            try:  # the forcing serves this solve alone: W is written over it
+                P_new = solve_dlyap_stable(A_K.T, forcing, cfg, overwrite_q=True).W
+            except NotStable as exc:
+                raise NotStabilizable(
+                    "Newton iterate lost closed-loop stability; system violates "
+                    "the operational assumptions"
+                ) from exc
+            BtP = B.T @ P_new
+            Rw = _sym_into(R + BtP @ B, np.empty_like(R))
+            L = BtP @ A + S.T
         try:
             K = -solve_linear(Rw, L, cfg)
         except SingularMatrix as exc:
             raise SingularWeight(
                 "innovation weight D'D + B'PB is singular to working tolerance"
+            ) from exc
+        except ValueError as exc:
+            raise ConvergenceFailure(
+                "the innovation weight D'D + B'PB or B'PA + S' overflows float64: "
+                "the plant or cost data are too large to solve with"
             ) from exc
         dp = fro_norm(P_new - P)
         P = P_new

@@ -35,13 +35,23 @@ def stable_matrix(rng, k, radius=0.8):
 def krylov(A, B):
     """Krylov block matrix ``[B, AB, ..., A^(n-1) B]``, by the plain recurrence.
 
-    Each block is ``A @`` the one before, the products the staircase forms in
-    place, so a rank of this matrix rounds as the staircase's does.
+    Each block is ``A @`` the one before, unscaled; the staircase decides its
+    rank on the same blocks scaled to unit size.
     """
     blocks = [B]
     for _ in range(A.shape[0] - 1):
         blocks.append(A @ blocks[-1])
     return np.hstack(blocks)
+
+
+def krylov_overflow_plant():
+    """n = 30 plant with ``A`` = 1e12 x standard normal draws, ``m = p = 2``:
+    finite data whose Krylov blocks ``A^k B`` leave float64 range by k = 26
+    unless each is scaled."""
+    rng = np.random.default_rng(0)
+    A = 1e12 * rng.standard_normal((30, 30))
+    return SystemQuadruple(A=A, B=rng.standard_normal((30, 2)),
+                           C=rng.standard_normal((2, 30)), D=rng.standard_normal((2, 2)))
 
 
 def same_bits(a, b):

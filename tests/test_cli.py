@@ -16,7 +16,7 @@ from hamlq.errors import (
     NotStable,
     SingularWeight,
 )
-from conftest import CHECKERS, count_calls
+from conftest import CHECKERS, count_calls, krylov_overflow_plant
 from hamlq import hamsubspace
 from hamlq.golden import golden_system
 from hamlq.hamsubspace import DimensionReport, analyze, assemble_v2, assemble_vbar2
@@ -284,6 +284,22 @@ def test_analyze_overflowing_cost_prints_one_error_line(tmp_path):
     code, lines = run_fresh("analyze", path)
     assert code == 4
     assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0], lines
+
+
+@pytest.mark.parametrize("plant", ["A*1e12", "golden-B*1e160"])
+def test_analyze_overflowing_plant_prints_one_error_line(tmp_path, plant):
+    # Finite plants whose Krylov blocks (A x 1e12, n = 30) or Newton weight
+    # B'PB (golden with B x 1e160) overflow unscaled: one typed error, exit 3
+    # (no certified gain) or 4 (overflow), and no numpy warning.
+    if plant == "A*1e12":
+        sysq = krylov_overflow_plant()
+    else:
+        g = golden_system()
+        sysq = SystemQuadruple(A=g.A, B=1e160 * g.B, C=g.C, D=g.D)
+    path = write_system(tmp_path, f"{plant}.json", **{k: getattr(sysq, k).tolist() for k in "ABCD"})
+    code, lines = run_fresh("analyze", path)
+    assert code == (3 if plant == "A*1e12" else 4)
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 def test_trajectory_oversized_horizon_is_out_of_memory(drift_file, capsys):

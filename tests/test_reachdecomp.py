@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import krylov, random_orthogonal, stable_matrix, staircase_embedded
+from conftest import krylov, random_orthogonal, random_stabilizable, stable_matrix, staircase_embedded
 from hamlq.matcore import EPS, rank
 from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
 
@@ -180,3 +182,64 @@ def test_staircase_cutoff_is_taken_at_the_krylov_shape():
     B[0, 0], B[1, 1] = 1.0, 8 * EPS
     s = SystemQuadruple(A=np.zeros((2, 2)), B=B, C=np.ones((1, 2)), D=np.zeros((1, 10)))
     assert staircase(s).n_c == rank(krylov(s.A, s.B)) == 1
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.45, 0.6])
+def test_staircase_reads_generic_plants_as_reachable(radius):
+    # Each Krylov block is scaled to unit size: unscaled, the late blocks
+    # fell under the cutoff the early ones set, and these plants read n_c =
+    # 61 to 93.
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        A = stable_matrix(rng, 100, radius)
+        B = rng.standard_normal((100, 3))
+        s = SystemQuadruple(A=A, B=B, C=np.ones((1, 100)), D=np.zeros((1, 3)))
+        assert staircase(s).n_c == 100
+
+
+def test_staircase_keeps_n_c_when_a_shrinks():
+    # A^k B decays as 0.02^k; unscaled, this plant read n_c = 21
+    s = random_stabilizable(np.random.default_rng(61), 50, 3, 3)
+    small = SystemQuadruple(A=0.02 * s.A, B=s.B, C=s.C, D=s.D)
+    assert staircase(small).n_c == staircase(s).n_c == 50
+
+
+@pytest.mark.parametrize(
+    "a_scale, b_scale",
+    [(2.0**600, 1.0), (2.0**-600, 1.0), (1.0, 2.0**600), (1.0, 2.0**-1000)],
+    ids=["A*2^600", "A*2^-600", "B*2^600", "B*2^-1000"],
+)
+def test_staircase_ignores_power_of_two_scaling(a_scale, b_scale):
+    # The blocks are scaled by powers of two, so scaling A or B by one changes
+    # no bit of n_c or T, even where A^k B or its squares would leave
+    # float64 range unscaled.
+    s = staircase_embedded(np.random.default_rng(6), 3, 2, rotate=True)
+    st = staircase(s)
+    scaled = staircase(SystemQuadruple(A=a_scale * s.A, B=b_scale * s.B, C=s.C, D=s.D))
+    assert scaled.n_c == st.n_c == 3
+    assert np.array_equal(scaled.T, st.T)
+
+
+def test_staircase_counts_a_block_whose_squares_underflow():
+    # A B = (0, 1e-170): its squares underflow, but it reaches the second
+    # state, as it does in any units where that state is larger
+    s = SystemQuadruple(
+        A=np.array([[0.0, 0.0], [1e-170, 0.0]]), B=[[1.0], [0.0]], C=np.ones((1, 2)), D=[[0.0]]
+    )
+    assert staircase(s).n_c == 2
+
+
+def test_staircase_peak_memory():
+    # The Krylov blocks are folded into a 2n x n buffer as they are formed:
+    # the buffer and np.linalg.qr's copy of it, about 5.2 n x n matrices.
+    # Holding the n x 3n Krylov matrix and the QR's copy of it read 7.98.
+    n = 100
+    sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
+    staircase(sys)
+    tracemalloc.start()
+    try:
+        staircase(sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.3 * n * n * 8, peak / (n * n * 8)

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from conftest import count_calls, hidden_left_null_space, is_psd, random_stabilizable, same_bits, unstable_modes
 from hamlq import riccati
-from hamlq.errors import ConvergenceFailure, NotStabilizable, SingularWeight
+from hamlq.errors import ConvergenceFailure, HamlqError, NotStabilizable, SingularWeight
 from hamlq.matcore import DEFAULT_TOL
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
@@ -205,7 +205,7 @@ def test_doubling_overflow_raises_not_stabilizable(mode):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NotStabilizable, match="structured doubling diverged"):
+        with pytest.raises(NotStabilizable, match="structured doubling diverged.* left float64 range"):
             solve_dare(sys)
 
 
@@ -363,6 +363,28 @@ def test_overflowing_cost_products_raise_one_typed_error(golden_sys, c_scale, d_
     g = golden_sys
     sys = SystemQuadruple(A=g.A, B=g.B, C=c_scale * g.C, D=d_scale * g.D)
     with pytest.raises(ConvergenceFailure, match=f"{product}.* overflows float64"):
+        solve_dare(sys)
+
+
+def test_overflowing_innovation_weight_raises_one_typed_error(golden_sys):
+    # Golden with B x 1e160: the plant data and the cost products are finite,
+    # but B'PB overflows in the first Newton step. It leaked a numpy warning
+    # and then a ValueError from the gain's solve.
+    g = golden_sys
+    sys = SystemQuadruple(A=g.A, B=1e160 * g.B, C=g.C, D=g.D)
+    with pytest.raises(ConvergenceFailure, match=r"D'D \+ B'PB or B'PA \+ S' overflows float64"):
+        solve_dare(sys)
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-155, 1e-160, 1e-200])
+def test_subnormal_cost_scale_raises_a_typed_error(c):
+    # The bootstrap scales its weights by the power of two nearest the
+    # inverse of their largest entry; for a subnormal entry (c = 1e-155 and
+    # 1e-160 here) that power overflowed, an untyped OverflowError
+    sys = SystemQuadruple(
+        A=[[1.5, 1.0], [0.0, 0.5]], B=[[0.0], [1.0]], C=c * np.eye(2), D=c * np.ones((2, 1))
+    )
+    with pytest.raises(HamlqError):
         solve_dare(sys)
 
 
