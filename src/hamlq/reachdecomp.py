@@ -92,28 +92,34 @@ class StaircaseForm:
 
 
 def _krylov_factor(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triangular factor of the equilibrated Krylov matrix's transpose, and its row maxima.
+    """Triangular factor of the Krylov matrix's transpose, and its row maxima.
 
-    The blocks ``A^k B``, ``k < n``, each scaled by the power of two that
-    brings its Frobenius norm into ``[0.5, 1)``, are written transposed,
-    ``m`` rows at a time, into one buffer of ``max(2n, n + m)`` rows under
-    the current triangular factor. A full buffer is folded by
-    ``np.linalg.qr(..., mode="r")`` and the new factor put back on top, so
-    the ``n x nm`` Krylov matrix is never held. The buffer has at least
-    ``min(nm, 128)`` rows, so a small Krylov matrix is folded once: there a
-    fold's call overhead costs more than the rows' memory. Returns the
-    ``n x n`` factor ``R`` of all the rows, a view of the buffer (zero rows
-    pad a factor of fewer than ``n`` rows), and the per-state maximum of
-    the scaled blocks' entries, taken over the Krylov rows only.
+    The blocks ``A^k B``, ``k < n``, are written transposed, ``m`` rows at a
+    time, into one buffer of ``max(2n, n + m)`` rows under the current
+    triangular factor. A full buffer is folded by ``np.linalg.qr(...,
+    mode="r")`` and the new factor put back on top, so the ``n x nm``
+    Krylov matrix is never held. A Krylov matrix of at most 128 rows is
+    held whole and folded once: at that size a second QR call costs more
+    time than the rows cost memory. Returns the ``n x n`` factor ``R`` of all
+    the rows, a view of the buffer (zero rows pad a factor of fewer than
+    ``n`` rows), and the per-state maximum of the Krylov rows' entries.
 
-    Each block is formed from the scaled one before it. ``A`` is scaled by
-    a power of two too when its Frobenius norm lies outside ``2^±400``; that
-    changes no bit of a scaled block, since powers of two commute exactly
-    with the products, but keeps each product and its sum of squares in
-    float64 range. A block whose sum of squares under- or overflows (only
-    ``B`` itself can overflow) is first brought to unit size by its largest
-    entry, so it too ends with the bits it would have in range. A zero
-    block ends the sequence, as every later block is zero too.
+    The blocks keep their relative sizes. The rounding errors of each
+    product grow through the later blocks with the plant's own dynamics,
+    and the rank cutoff, relative to the largest block, is what keeps them
+    out of ``n_c``; a block scaled up to unit size would carry its errors
+    above the cutoff wherever the reachable part decays faster than the
+    unreachable one. Powers of two rescale only to stay in float64 range.
+    ``B`` is brought to a largest entry in ``[0.5, 1)``, which changes no
+    relative size. ``A`` is brought there too when its largest entry lies
+    outside ``2^±400``, where its unscaled products over- or underflow. A
+    product
+    raises the largest entry of a block at most ``n max|A|`` times, so
+    every ``500 / log2(n max|A|)`` products (never, when ``n max|A| <=
+    1``) the block is checked: one whose largest entry passes ``2^400`` is
+    brought to ``[0.5, 1)`` with every row before it and the row maxima,
+    and no entry ever passes ``2^900`` (rows that underflow lie far under
+    the cutoff).
     """
     n, m = B.shape
     rows = max(2 * n, n + m, min(n * m, 128))
@@ -128,39 +134,37 @@ def _krylov_factor(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
         top = fill = R.shape[0]
         buf[:top] = R
 
-    with np.errstate(over="ignore"):  # an overflowing sum of squares is caught below
-        v = A.ravel(order="K")
-        if not 2.0**-800 < v.dot(v) < 2.0**800:
-            a_max = float(np.abs(A).max())
-            if a_max:
-                A = np.ldexp(A, -math.frexp(a_max)[1])
-        At = A.T
-        block = B.T
-        for k in range(n):
-            if k:
-                block = block @ At
-            v = block.ravel()
-            ss = v.dot(v)
-            if not 0.0 < ss < math.inf:  # a zero block, or squares out of range
-                big = float(np.abs(block).max())
-                if not big:
-                    break
-                block = np.ldexp(block, -math.frexp(big)[1])
-                v = block.ravel()
-                ss = v.dot(v)
-            # 2^e is near the norm sqrt(ss), and 2^-e is finite
-            scale = math.ldexp(1.0, -((math.frexp(ss)[1] + 1) // 2))
-            if fill + m <= rows:  # the block fits; the next one is formed from its rows
-                block = np.multiply(block, scale, buf[fill : fill + m])
-                fill += m
-            else:  # the rows that fit, then the rest under the folded factor
-                block = block * scale
-                head = rows - fill
-                buf[fill:] = block[:head]
-                fill = rows
-                fold()
-                buf[fill : fill + m - head] = block[head:]
-                fill += m - head
+    b_max = float(np.abs(B).max())
+    if not b_max:  # nothing is reachable
+        return np.zeros((n, n)), row_max
+    a_max = float(np.abs(A).max())
+    if a_max and not 2.0**-400 <= a_max <= 2.0**400:
+        A = np.ldexp(A, -math.frexp(a_max)[1])
+        a_max = 1.0
+    growth = math.log2(n * a_max) if a_max else 0.0
+    check_every = int(500 / growth) if growth > 0.0 else n
+    At = A.T
+    block = np.ldexp(B.T, -math.frexp(b_max)[1], out=buf[:m])
+    fill = m
+    for k in range(1, n):
+        fits = fill + m <= rows  # the block is formed in place, else folded in two parts
+        block = np.matmul(block, At, out=buf[fill : fill + m] if fits else None)
+        if not k % check_every:
+            big = float(np.abs(block).max())
+            if big > 2.0**400:
+                e = -math.frexp(big)[1]
+                np.ldexp(buf[:fill], e, out=buf[:fill])
+                np.ldexp(row_max, e, out=row_max)
+                np.ldexp(block, e, out=block)
+        if fits:
+            fill += m
+        else:
+            head = rows - fill
+            buf[fill:] = block[:head]
+            fill = rows
+            fold()
+            buf[fill : fill + m - head] = block[head:]
+            fill += m - head
     if fill > top:
         fold()
     buf[top:n] = 0.0
@@ -171,23 +175,19 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     """Orthogonal similarity transformation exposing the reachable part.
 
     ``n_c`` is the numerical rank of the Krylov matrix ``[B, AB, ...,
-    A^(n-1) B]`` with each block scaled by the power of two that brings its
-    Frobenius norm into ``[0.5, 1)``. The scaling changes no rank in exact
-    arithmetic, but keeps every block in float64 range however fast
-    ``A^k`` grows or decays, and keeps the late blocks from drowning under
-    the cutoff the early ones set. The scaled matrix has ``n m >= n``
-    columns and factors as ``R'Q'``, with ``Q R`` the QR factorization of
-    its transpose. ``R`` is folded up from the blocks as they are formed
-    (``_krylov_factor``), so the Krylov matrix itself is never held. The
-    ``n x n`` factor ``R'`` has its singular values, which give ``n_c``
-    (cutoff taken at the Krylov shape ``max(n, n m)``), and its left
+    A^(n-1) B]``. It has ``n m >= n`` columns and factors as ``R'Q'``, with
+    ``Q R`` the QR factorization of its transpose. ``R`` is folded up from
+    the blocks as they are formed (``_krylov_factor``), so the Krylov matrix
+    itself is never held; the blocks keep their relative sizes, rescaled
+    together by powers of two only to stay in float64 range. The ``n x n``
+    factor ``R'`` has the Krylov matrix's singular values, which give
+    ``n_c`` (cutoff taken at the Krylov shape ``max(n, n m)``), and its left
     singular vectors ``U``:
 
     * if the reachable subspace is already spanned by the leading ``n_c``
-      coordinate axes (no entry of the scaled Krylov matrix below them
-      exceeds ``cfg.abs_zero_tol`` times its largest entry), ``T`` is the
-      identity, so systems in staircase form keep their coordinates and
-      blocks;
+      coordinate axes (no entry of the Krylov matrix below them exceeds
+      ``cfg.abs_zero_tol`` times its largest entry), ``T`` is the identity,
+      so systems in staircase form keep their coordinates and blocks;
     * otherwise ``T = U``, whose leading ``n_c`` columns span that subspace.
 
     ``n_c`` may be 0 (nothing reachable) or ``n`` (fully reachable); the

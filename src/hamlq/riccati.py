@@ -85,13 +85,11 @@ def _settled(change: float, prev_change: float, scale: float) -> bool:
     return change >= prev_change and change <= np.sqrt(EPS) * scale
 
 
-def _finite_product(M: np.ndarray, name: str) -> np.ndarray:
-    """``M``, a product formed from finite cost data under ``np.errstate``,
+def _finite_product(M: np.ndarray, name: str, data: str = "the cost data (C, D)") -> np.ndarray:
+    """``M``, a product formed from finite ``data`` under ``np.errstate``,
     or ``ConvergenceFailure`` when it overflowed float64."""
     if not np.isfinite(M).all():
-        raise ConvergenceFailure(
-            f"{name} overflows float64: the cost data (C, D) are too large to solve with"
-        )
+        raise ConvergenceFailure(f"{name} overflows float64: {data} are too large to solve with")
     return M
 
 
@@ -280,9 +278,7 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         newton_iters = it
         # The forcing, B'PB and B'PA + S' can overflow on finite data; each
         # overflow is reported once, as a typed error, not as numpy warnings
-        # first. solve_linear rejects a non-finite Rw or L, the one
-        # ValueError it can raise on these shapes, so they need no check of
-        # their own.
+        # first.
         with np.errstate(over="ignore", invalid="ignore"):
             CK = C + D @ K
             A_K = A + B @ K
@@ -295,18 +291,15 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
                     "the operational assumptions"
                 ) from exc
             BtP = B.T @ P_new
+            data = "the plant or cost data"
             Rw = _sym_into(R + BtP @ B, np.empty_like(R))
-            L = BtP @ A + S.T
+            Rw = _finite_product(Rw, "the innovation weight D'D + B'PB", data)
+            L = _finite_product(BtP @ A + S.T, "B'PA + S'", data)
         try:
             K = -solve_linear(Rw, L, cfg)
         except SingularMatrix as exc:
             raise SingularWeight(
                 "innovation weight D'D + B'PB is singular to working tolerance"
-            ) from exc
-        except ValueError as exc:
-            raise ConvergenceFailure(
-                "the innovation weight D'D + B'PB or B'PA + S' overflows float64: "
-                "the plant or cost data are too large to solve with"
             ) from exc
         dp = fro_norm(P_new - P)
         P = P_new

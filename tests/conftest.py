@@ -35,8 +35,8 @@ def stable_matrix(rng, k, radius=0.8):
 def krylov(A, B):
     """Krylov block matrix ``[B, AB, ..., A^(n-1) B]``, by the plain recurrence.
 
-    Each block is ``A @`` the one before, unscaled; the staircase decides its
-    rank on the same blocks scaled to unit size.
+    Each block is ``A @`` the one before, unscaled; the staircase forms the
+    same products, rescaled by powers of two only to stay in float64 range.
     """
     blocks = [B]
     for _ in range(A.shape[0] - 1):
@@ -47,7 +47,7 @@ def krylov(A, B):
 def krylov_overflow_plant():
     """n = 30 plant with ``A`` = 1e12 x standard normal draws, ``m = p = 2``:
     finite data whose Krylov blocks ``A^k B`` leave float64 range by k = 26
-    unless each is scaled."""
+    unless they are scaled down as they grow."""
     rng = np.random.default_rng(0)
     A = 1e12 * rng.standard_normal((30, 30))
     return SystemQuadruple(A=A, B=rng.standard_normal((30, 2)),
@@ -179,13 +179,15 @@ def hidden_left_null_space(rng, n, d, singular_D, cost_scale):
     return SystemQuadruple(A=T @ A @ T.T, B=T @ B, C=cost_scale * C @ T.T, D=cost_scale * D)
 
 
-def staircase_embedded(rng, n_c, n_u, m=2, p=2, rotate=False, zero_row=None):
+def staircase_embedded(rng, n_c, n_u, m=2, p=2, rotate=False, zero_row=None, a_c_radius=0.7):
     """System built block upper triangular with a stable unreachable part.
 
     ``zero_row`` (1-based) forces that row of A_u to zero while keeping A_u
-    stable, by building the complementary minor stable first.
+    stable, by building the complementary minor stable first. A_c has
+    spectral radius ``a_c_radius``; at 0 it is the zero matrix, and only the
+    ``m`` directions of B_c are reachable.
     """
-    A_c = stable_matrix(rng, n_c, radius=0.7)
+    A_c = stable_matrix(rng, n_c, radius=a_c_radius)
     if zero_row is None:
         A_u = stable_matrix(rng, n_u, radius=0.6)
     else:

@@ -184,49 +184,49 @@ def test_staircase_cutoff_is_taken_at_the_krylov_shape():
     assert staircase(s).n_c == rank(krylov(s.A, s.B)) == 1
 
 
-@pytest.mark.parametrize("radius", [0.3, 0.45, 0.6])
-def test_staircase_reads_generic_plants_as_reachable(radius):
-    # Each Krylov block is scaled to unit size: unscaled, the late blocks
-    # fell under the cutoff the early ones set, and these plants read n_c =
-    # 61 to 93.
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        A = stable_matrix(rng, 100, radius)
-        B = rng.standard_normal((100, 3))
-        s = SystemQuadruple(A=A, B=B, C=np.ones((1, 100)), D=np.zeros((1, 3)))
-        assert staircase(s).n_c == 100
+@pytest.mark.parametrize("n_c, n_u, m", [(6, 14, 2), (10, 30, 3)])
+@pytest.mark.parametrize("a_c_radius", [0.0, 0.02], ids=["A_c=0", "A_c-radius-0.02"])
+def test_staircase_counts_no_rounding_error_as_reachable(n_c, n_u, m, a_c_radius):
+    # A B = 0 exactly, or the reachable part decays faster than the
+    # unreachable one (radius 0.6): the rounding errors of A^k B grow against
+    # the blocks, and with each block scaled to unit size they read n_c =
+    # 18 to 40. Kept at their relative sizes, they stay under the cutoff.
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        s = staircase_embedded(rng, n_c, n_u, m=m, rotate=True, a_c_radius=a_c_radius)
+        assert staircase(s).n_c == (m if a_c_radius == 0.0 else n_c)
 
 
-def test_staircase_keeps_n_c_when_a_shrinks():
-    # A^k B decays as 0.02^k; unscaled, this plant read n_c = 21
-    s = random_stabilizable(np.random.default_rng(61), 50, 3, 3)
-    small = SystemQuadruple(A=0.02 * s.A, B=s.B, C=s.C, D=s.D)
-    assert staircase(small).n_c == staircase(s).n_c == 50
+def test_staircase_keeps_the_relative_sizes_of_growing_blocks():
+    # A^k B grows by 2^20 a step, past 2^1000 by k = 50. The blocks formed so
+    # far are scaled down with the one that passes 2^400, so n_c is the rank
+    # of the Krylov matrix of the plant with B x 2^-600, which stays in range.
+    rng = np.random.default_rng(8)
+    n, m = 60, 2
+    A = 2.0**20 * random_orthogonal(rng, n)
+    B = rng.standard_normal((n, m))
+    s = SystemQuadruple(A=A, B=B, C=np.ones((1, n)), D=np.zeros((1, m)))
+    assert staircase(s).n_c == rank(krylov(A, 2.0**-600 * B))
 
 
-@pytest.mark.parametrize(
-    "a_scale, b_scale",
-    [(2.0**600, 1.0), (2.0**-600, 1.0), (1.0, 2.0**600), (1.0, 2.0**-1000)],
-    ids=["A*2^600", "A*2^-600", "B*2^600", "B*2^-1000"],
-)
-def test_staircase_ignores_power_of_two_scaling(a_scale, b_scale):
-    # The blocks are scaled by powers of two, so scaling A or B by one changes
-    # no bit of n_c or T, even where A^k B or its squares would leave
-    # float64 range unscaled.
+@pytest.mark.parametrize("b_scale", [2.0**600, 2.0**-1000], ids=["B*2^600", "B*2^-1000"])
+def test_staircase_ignores_power_of_two_scaling_of_b(b_scale):
+    # B is brought to unit size by a power of two, so scaling it by one
+    # changes no bit of n_c or T, even where its squares would leave float64
+    # range unscaled.
     s = staircase_embedded(np.random.default_rng(6), 3, 2, rotate=True)
     st = staircase(s)
-    scaled = staircase(SystemQuadruple(A=a_scale * s.A, B=b_scale * s.B, C=s.C, D=s.D))
+    scaled = staircase(SystemQuadruple(A=s.A, B=b_scale * s.B, C=s.C, D=s.D))
     assert scaled.n_c == st.n_c == 3
     assert np.array_equal(scaled.T, st.T)
 
 
-def test_staircase_counts_a_block_whose_squares_underflow():
-    # A B = (0, 1e-170): its squares underflow, but it reaches the second
-    # state, as it does in any units where that state is larger
-    s = SystemQuadruple(
-        A=np.array([[0.0, 0.0], [1e-170, 0.0]]), B=[[1.0], [0.0]], C=np.ones((1, 2)), D=[[0.0]]
-    )
-    assert staircase(s).n_c == 2
+@pytest.mark.parametrize("a_scale", [2.0**600, 2.0**-600], ids=["A*2^600", "A*2^-600"])
+def test_staircase_reads_an_a_out_of_float64_range(a_scale):
+    # An A whose Frobenius norm lies outside 2^+-400 is brought to unit size
+    # first; unscaled, its products over- or underflow.
+    s = staircase_embedded(np.random.default_rng(6), 3, 2, rotate=True)
+    assert staircase(SystemQuadruple(A=a_scale * s.A, B=s.B, C=s.C, D=s.D)).n_c == 3
 
 
 def test_staircase_peak_memory():
