@@ -110,6 +110,14 @@ def _checked_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+def _finite_product(M: np.ndarray, name: str, data: str = "the cost data (C, D)") -> np.ndarray:
+    """``M``, a product formed from finite ``data`` under ``np.errstate``,
+    or ``ConvergenceFailure`` when it overflowed float64."""
+    if not np.isfinite(M).all():
+        raise ConvergenceFailure(f"{name} overflows float64: {data} are too large to solve with")
+    return M
+
+
 def fro_norm(X: np.ndarray) -> float:
     """Frobenius norm of an array (2-norm of a vector), as ``np.linalg.norm`` computes it.
 
@@ -193,8 +201,11 @@ def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def _svd_rank(M, cfg: ToleranceConfig, compute_uv: bool, shape=None):
-    """Thin SVD of ``M`` and its rank, counted at the cutoff for ``max(shape or M.shape)``."""
-    M = as_matrix(M, "M")
+    """Thin SVD of ``M`` and its rank, counted at the cutoff for ``max(shape or M.shape)``.
+
+    A float64 array is checked in place, not copied; the SVD only reads it.
+    """
+    M = _checked_matrix(M, "M")
     try:
         out = np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:

@@ -91,18 +91,20 @@ class StaircaseForm:
         return self.A_u.shape[0]
 
 
-def _krylov_factor(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triangular factor of the Krylov matrix's transpose, and its row maxima.
+def _krylov_factor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Triangular factor ``R`` of the Krylov matrix's transpose, ``K' = Q R``.
 
     The blocks ``A^k B``, ``k < n``, are written transposed, ``m`` rows at a
-    time, into one buffer of ``max(2n, n + m)`` rows under the current
-    triangular factor. A full buffer is folded by ``np.linalg.qr(...,
-    mode="r")`` and the new factor put back on top, so the ``n x nm``
-    Krylov matrix is never held. A Krylov matrix of at most 128 rows is
-    held whole and folded once: at that size a second QR call costs more
-    time than the rows cost memory. Returns the ``n x n`` factor ``R`` of all
-    the rows, a view of the buffer (zero rows pad a factor of fewer than
-    ``n`` rows), and the per-state maximum of the Krylov rows' entries.
+    time, into one buffer under the current triangular factor. Before a
+    block that would not fit, the buffer is folded: ``np.linalg.qr(...,
+    mode="r")`` of its rows is put back on top, so the ``n x nm`` Krylov
+    matrix is never held. Only then is the previous block copied, as the
+    fold writes over its rows. The buffer has ``max(n + m ceil(n/m),
+    min(nm, 128))`` rows, so each fold leaves room for at least ``n`` rows
+    of whole blocks, and a Krylov matrix of at most 128 rows is held whole
+    and folded once: at that size a second QR call costs more time than the
+    rows cost memory. Returns the ``n x n`` factor, a view of the buffer
+    (zero rows pad a factor of fewer than ``n`` rows).
 
     The blocks keep their relative sizes. The rounding errors of each
     product grow through the later blocks with the plant's own dynamics,
@@ -113,30 +115,24 @@ def _krylov_factor(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ``B`` is brought to a largest entry in ``[0.5, 1)``, which changes no
     relative size. ``A`` is brought there too when its largest entry lies
     outside ``2^±400``, where its unscaled products over- or underflow. A
-    product
-    raises the largest entry of a block at most ``n max|A|`` times, so
-    every ``500 / log2(n max|A|)`` products (never, when ``n max|A| <=
+    product raises the largest entry of a block at most ``n max|A|`` times,
+    so every ``500 / log2(n max|A|)`` products (never, when ``n max|A| <=
     1``) the block is checked: one whose largest entry passes ``2^400`` is
-    brought to ``[0.5, 1)`` with every row before it and the row maxima,
-    and no entry ever passes ``2^900`` (rows that underflow lie far under
-    the cutoff).
+    brought to ``[0.5, 1)`` with every row before it, and no entry ever
+    passes ``2^900`` (rows that underflow lie far under the cutoff).
     """
     n, m = B.shape
-    rows = max(2 * n, n + m, min(n * m, 128))
+    rows = max(n + m * -(-n // m), min(n * m, 128))
     buf = np.empty((rows, n))
-    row_max = np.zeros(n)
-    top = fill = 0  # rows of buf holding the current factor, rows written
 
-    def fold():
-        nonlocal top, fill
-        np.maximum(row_max, np.maximum.reduce(np.abs(buf[top:fill])), out=row_max)
+    def fold(fill):  # the factor of buf[:fill] into its top rows; returns its row count
         R = np.linalg.qr(buf[:fill], mode="r")
-        top = fill = R.shape[0]
-        buf[:top] = R
+        buf[: len(R)] = R
+        return len(R)
 
     b_max = float(np.abs(B).max())
     if not b_max:  # nothing is reachable
-        return np.zeros((n, n)), row_max
+        return np.zeros((n, n))
     a_max = float(np.abs(A).max())
     if a_max and not 2.0**-400 <= a_max <= 2.0**400:
         A = np.ldexp(A, -math.frexp(a_max)[1])
@@ -145,36 +141,25 @@ def _krylov_factor(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     check_every = int(500 / growth) if growth > 0.0 else n
     At = A.T
     block = np.ldexp(B.T, -math.frexp(b_max)[1], out=buf[:m])
-    fill = m
+    top, fill = 0, m  # rows of buf holding the current factor, rows written
     for k in range(1, n):
-        fits = fill + m <= rows  # the block is formed in place, else folded in two parts
-        block = np.matmul(block, At, out=buf[fill : fill + m] if fits else None)
-        if not k % check_every:
-            big = float(np.abs(block).max())
-            if big > 2.0**400:
-                e = -math.frexp(big)[1]
-                np.ldexp(buf[:fill], e, out=buf[:fill])
-                np.ldexp(row_max, e, out=row_max)
-                np.ldexp(block, e, out=block)
-        if fits:
-            fill += m
-        else:
-            head = rows - fill
-            buf[fill:] = block[:head]
-            fill = rows
-            fold()
-            buf[fill : fill + m - head] = block[head:]
-            fill += m - head
+        if fill + m > rows:
+            block = block.copy()
+            top = fill = fold(fill)
+        block = np.matmul(block, At, out=buf[fill : fill + m])
+        fill += m
+        if not k % check_every and (big := float(np.abs(block).max())) > 2.0**400:
+            np.ldexp(buf[:fill], -math.frexp(big)[1], out=buf[:fill])
     if fill > top:
-        fold()
+        top = fold(fill)
     buf[top:n] = 0.0
-    return buf[:n], row_max
+    return buf[:n]
 
 
 def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> StaircaseForm:
     """Orthogonal similarity transformation exposing the reachable part.
 
-    ``n_c`` is the numerical rank of the Krylov matrix ``[B, AB, ...,
+    ``n_c`` is the numerical rank of the Krylov matrix ``K = [B, AB, ...,
     A^(n-1) B]``. It has ``n m >= n`` columns and factors as ``R'Q'``, with
     ``Q R`` the QR factorization of its transpose. ``R`` is folded up from
     the blocks as they are formed (``_krylov_factor``), so the Krylov matrix
@@ -182,26 +167,32 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     together by powers of two only to stay in float64 range. The ``n x n``
     factor ``R'`` has the Krylov matrix's singular values, which give
     ``n_c`` (cutoff taken at the Krylov shape ``max(n, n m)``), and its left
-    singular vectors ``U``:
+    singular vectors ``U``. As ``K K' = R'R``, row ``i`` of ``R'`` has the
+    2-norm of row ``i`` of ``K``:
 
     * if the reachable subspace is already spanned by the leading ``n_c``
-      coordinate axes (no entry of the Krylov matrix below them exceeds
-      ``cfg.abs_zero_tol`` times its largest entry), ``T`` is the identity,
-      so systems in staircase form keep their coordinates and blocks;
+      coordinate axes (no row of ``R'`` below them has a 2-norm above
+      ``cfg.abs_zero_tol`` times the largest), ``T`` is the identity, so
+      systems in staircase form keep their coordinates and blocks;
     * otherwise ``T = U``, whose leading ``n_c`` columns span that subspace.
 
     ``n_c`` may be 0 (nothing reachable) or ``n`` (fully reachable); the
     corresponding blocks are then empty. From ``n = 64`` on, with ``m <=
     n``, the call peaks at about 5.2 ``n x n`` arrays: the fold buffer of
-    ``2n`` rows and ``np.linalg.qr``'s copy of it.
+    ``n + m ceil(n/m)`` rows and ``np.linalg.qr``'s copy of it.
     """
     A, B, C = sys.A, sys.B, sys.C
     n, m = sys.n, sys.m
-    R, row_max = _krylov_factor(A, B)
-    Rt = R.T
-    n_c = _svd_rank(Rt, cfg, False, (n, n * m))[1]
+    Rt = _krylov_factor(A, B).T
+    s, n_c = _svd_rank(Rt, cfg, False, (n, n * m))
+    keep = n_c == n  # the coordinates: T = I
+    if not keep:
+        # scaled by a power of two near sigma_max, which bounds every entry,
+        # so no square overflows
+        norms = np.linalg.norm(np.ldexp(Rt, -math.frexp(float(s[0]))[1]), axis=1)
+        keep = float(norms[n_c:].max()) <= cfg.abs_zero_tol * float(norms.max())
 
-    if n_c == n or float(np.max(row_max[n_c:])) <= cfg.abs_zero_tol * float(np.max(row_max)):
+    if keep:
         T = np.eye(n)
         At, Bt, Ct = A.copy(), B.copy(), C.copy()
     else:

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, NotStabilizable, NotStable, SingularMatrix, SingularWeight
-from .matcore import DEFAULT_TOL, EPS, ToleranceConfig, _sym_into, fro_norm, residual_norms, solve_linear
+from .matcore import DEFAULT_TOL, EPS, ToleranceConfig, _finite_product, _sym_into, fro_norm, residual_norms
+from .matcore import solve_linear
 from .reachdecomp import SystemQuadruple
 from .stablyap import solve_dlyap_stable, stability_certificate
 
@@ -83,14 +84,6 @@ def _settled(change: float, prev_change: float, scale: float) -> bool:
     if change <= 64.0 * EPS * scale:
         return True
     return change >= prev_change and change <= np.sqrt(EPS) * scale
-
-
-def _finite_product(M: np.ndarray, name: str, data: str = "the cost data (C, D)") -> np.ndarray:
-    """``M``, a product formed from finite ``data`` under ``np.errstate``,
-    or ``ConvergenceFailure`` when it overflowed float64."""
-    if not np.isfinite(M).all():
-        raise ConvergenceFailure(f"{name} overflows float64: {data} are too large to solve with")
-    return M
 
 
 def _doubling_gain(A, B, C, S, R, cfg: ToleranceConfig):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotStable
-from .matcore import DEFAULT_TOL, ToleranceConfig, _checked_matrix, _sym_into
+from .matcore import DEFAULT_TOL, ToleranceConfig, _checked_matrix, _finite_product, _sym_into
 from .matcore import fro_norm, solve_linear
 
 __all__ = [
@@ -155,7 +155,7 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     ``Rw^{-1} B'`` is solved here, its only use; ``solve_dare``'s last
     Newton step has already solved ``Rw`` under the same ``cfg``. The
     forcing ``B Rw^{-1} B'`` serves the Smith solve alone, which forms
-    ``W`` over it.
+    ``W`` over it; one that overflows float64 raises ``ConvergenceFailure``.
 
     ``W`` is copied into the top half of ``Vbar2 = [W; P W - I]`` and the
     returned ``W`` is a view of it; the bottom half is ``P W`` formed in
@@ -164,7 +164,13 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     of both halves of ``Vbar2`` are formed once here as well.
     """
     Rw_inv_Bt = solve_linear(ric.Rw, sys.B.T, cfg)
-    sol = solve_dlyap_stable(ric.A_K, sys.B @ Rw_inv_Bt, cfg, overwrite_q=True)
+    # A finite B can still overflow the forcing; the overflow is reported
+    # once, as a typed error, not as numpy warnings first
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcing = _finite_product(
+            sys.B @ Rw_inv_Bt, "the Gramian forcing B Rw^{-1} B'", "the plant data (B, D)"
+        )
+    sol = solve_dlyap_stable(ric.A_K, forcing, cfg, overwrite_q=True)
     n = sol.W.shape[0]
     Vbar2 = np.empty((2 * n, n))
     W = Vbar2[:n]

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,22 @@ def krylov_overflow_plant():
     A = 1e12 * rng.standard_normal((30, 30))
     return SystemQuadruple(A=A, B=rng.standard_normal((30, 2)),
                            C=rng.standard_normal((2, 30)), D=rng.standard_normal((2, 2)))
+
+
+def big_b_plant():
+    """Stable two-state plant with ``B = [1e200; 1e200]`` and a zero cost on
+    the state: finite data whose Gramian forcing ``B Rw^{-1} B'`` overflows."""
+    return SystemQuadruple(A=np.diag([0.5, 0.3]), B=[[1e200], [1e200]], C=[[0.0, 0.0]], D=[[1.0]])
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def same_bits(a, b):

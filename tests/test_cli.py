@@ -16,7 +16,7 @@ from hamlq.errors import (
     NotStable,
     SingularWeight,
 )
-from conftest import CHECKERS, count_calls, krylov_overflow_plant
+from conftest import CHECKERS, big_b_plant, count_calls, krylov_overflow_plant
 from hamlq import hamsubspace
 from hamlq.golden import golden_system
 from hamlq.hamsubspace import DimensionReport, analyze, assemble_v2, assemble_vbar2
@@ -300,6 +300,17 @@ def test_analyze_overflowing_plant_prints_one_error_line(tmp_path, plant):
     code, lines = run_fresh("analyze", path)
     assert code == (3 if plant == "A*1e12" else 4)
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_analyze_overflowing_gramian_forcing_exits_4(tmp_path, capsys):
+    # Finite B = [1e200; 1e200], whose Gramian forcing B Rw^{-1} B'
+    # overflows: exit 4 with one typed error line, not exit 2 ("bad input")
+    # from the Smith solve's check of its forcing after a numpy warning.
+    sysq = big_b_plant()
+    path = write_system(tmp_path, "big-B.json", **{k: getattr(sysq, k).tolist() for k in "ABCD"})
+    assert cli.main(["analyze", path]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0], lines
 
 
 def test_trajectory_oversized_horizon_is_out_of_memory(drift_file, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from conftest import (
     random_stabilizable,
     same_bits,
     staircase_embedded,
+    traced_peak,
 )
 from hamlq import hamsubspace
 from hamlq.errors import NotStabilizable
@@ -323,17 +323,12 @@ def test_analyze_peak_memory():
     # forcing, the Newton steps on top of the held staircase set it: 8.26.
     # With the staircase form dropped once n_c and the zero rows of A_u are
     # read off it, the staircase's own Krylov QR set it: 7.98. With the
-    # Krylov blocks folded into a 2n x n buffer as they are formed, the
-    # staircase peaks at 5.21 and the Newton steps' Smith loop sets it: 6.19.
+    # Krylov blocks folded into a buffer of about 2n rows as they are formed,
+    # the staircase peaks at 5.23 and the Newton steps' Smith loop sets it: 6.19.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
     analyze(sys)
-    tracemalloc.start()
-    try:
-        analyze(sys)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: analyze(sys))
     assert peak < 6.3 * n * n * 8, peak / (n * n * 8)
 
 
@@ -416,12 +411,7 @@ def test_residual_reading_peak_memory():
         return bundle, assemble_v1(ric), assemble_v2(ric, gram), assemble_vbar2(ric, gram)
 
     analyze_and_check()
-    tracemalloc.start()
-    try:
-        analyze_and_check()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(analyze_and_check)
     assert peak < 8.5 * n * n * 8, peak / (n * n * 8)
 
 

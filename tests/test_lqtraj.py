@@ -1,9 +1,8 @@
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import full_column_rank_D, random_stabilizable, same_bits, stable_matrix
+from conftest import full_column_rank_D, random_stabilizable, same_bits, stable_matrix, traced_peak
 from hamlq.errors import BoundaryInconsistent
 from hamlq.lqtraj import (
     TrajectoryProblem,
@@ -654,12 +653,7 @@ def test_propagation_memory_is_linear_in_horizon():
     sys = random_stabilizable(rng, 50, 3, 4)
     ric, gram = solve_all(sys)
     prob = TrajectoryProblem(sys, rng.standard_normal(50), 4000)
-    tracemalloc.start()
-    try:
-        solve_nonrecursive(prob, ric, gram)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: solve_nonrecursive(prob, ric, gram))
     assert peak < 16 * 2**20
 
 
@@ -672,10 +666,5 @@ def test_trajectory_peak_memory_is_a_few_outputs():
         sys = random_stabilizable(rng, n, 3, 4)
         ric, gram = solve_all(sys)
         prob = TrajectoryProblem(sys, rng.standard_normal(n), k_f)
-        tracemalloc.start()
-        try:
-            solve_nonrecursive(prob, ric, gram)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: solve_nonrecursive(prob, ric, gram))
         assert peak < 3.5 * (k_f + 1) * n * 8, (n, k_f, peak / ((k_f + 1) * n * 8))

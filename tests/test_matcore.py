@@ -15,6 +15,7 @@ from hamlq.matcore import (
     ToleranceConfig,
     as_matrix,
     fro_norm,
+    range_basis,
     rank,
     residual_norms,
     solve_linear,
@@ -182,6 +183,23 @@ def test_rank_basic():
     assert rank(np.eye(3)) == 3
     assert rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
     assert rank(np.zeros((3, 2))) == 0
+
+
+def test_rank_reads_float64_arrays_in_place(monkeypatch):
+    # rank and range_basis check a float64 array where it lies, views and
+    # transposes included, and read the bits an SVD of its copy gives; other
+    # input still goes through the conversion
+    calls = count_calls(monkeypatch, matcore, ["_float_array"])
+    M = np.random.default_rng(7).standard_normal((12, 10))
+    for layout in (M, M.T, np.asfortranarray(M), M[::2], M[:, :6]):
+        before = layout.copy()
+        U, r = range_basis(layout)
+        assert np.array_equal(U, np.linalg.svd(before, full_matrices=False)[0])
+        assert r == rank(layout) == min(layout.shape)
+        assert np.array_equal(layout, before)
+    assert calls["_float_array"] == 0
+    assert rank(M.tolist()) == 10
+    assert calls["_float_array"] == 1
 
 
 def test_rank_of_reference_v2_is_three():

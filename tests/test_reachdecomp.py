@@ -1,9 +1,9 @@
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import krylov, random_orthogonal, random_stabilizable, stable_matrix, staircase_embedded
+from conftest import traced_peak
 from hamlq.matcore import EPS, rank
 from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
 
@@ -230,16 +230,12 @@ def test_staircase_reads_an_a_out_of_float64_range(a_scale):
 
 
 def test_staircase_peak_memory():
-    # The Krylov blocks are folded into a 2n x n buffer as they are formed:
-    # the buffer and np.linalg.qr's copy of it, about 5.2 n x n matrices.
-    # Holding the n x 3n Krylov matrix and the QR's copy of it read 7.98.
+    # The Krylov blocks are folded, whole, into a buffer of n + m ceil(n/m)
+    # rows (202 x n here) as they are formed: the buffer and np.linalg.qr's
+    # copy of it, 5.23 n x n matrices. Holding the n x 3n Krylov matrix and
+    # the QR's copy of it read 7.98.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
     staircase(sys)
-    tracemalloc.start()
-    try:
-        staircase(sys)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: staircase(sys))
     assert peak < 5.3 * n * n * 8, peak / (n * n * 8)

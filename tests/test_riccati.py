@@ -1,12 +1,12 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import count_calls, hidden_left_null_space, is_psd, random_stabilizable, same_bits, unstable_modes
+from conftest import count_calls, hidden_left_null_space, is_psd, random_stabilizable, same_bits, traced_peak
+from conftest import unstable_modes
 from hamlq import riccati
 from hamlq.errors import ConvergenceFailure, HamlqError, NotStabilizable, SingularWeight
 from hamlq.matcore import DEFAULT_TOL
@@ -405,12 +405,7 @@ def test_newton_peak_memory():
     # to the Smith solve's W at 7.19.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
-    tracemalloc.start()
-    try:
-        solve_dare(sys)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: solve_dare(sys))
     assert peak < 6.5 * n * n * 8, peak / (n * n * 8)
 
 
@@ -502,10 +497,5 @@ def test_doubling_peak_memory():
     sys = unstable_modes(np.random.default_rng(61), n)
     S, R = sys.C.T @ sys.D, sys.D.T @ sys.D
     riccati._doubling_gain(sys.A, sys.B, sys.C, S, R, DEFAULT_TOL)
-    tracemalloc.start()
-    try:
-        riccati._doubling_gain(sys.A, sys.B, sys.C, S, R, DEFAULT_TOL)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: riccati._doubling_gain(sys.A, sys.B, sys.C, S, R, DEFAULT_TOL))
     assert peak < 9.5 * n * n * 8, peak / (n * n * 8)

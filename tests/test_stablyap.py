@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, is_psd, random_stabilizable, same_bits, stable_matrix, staircase_embedded
-from hamlq.errors import NotStable
+from conftest import big_b_plant, count_calls, is_psd, random_stabilizable, same_bits, stable_matrix
+from conftest import staircase_embedded, traced_peak
+from hamlq.errors import ConvergenceFailure, NotStable
 from hamlq.matcore import DEFAULT_TOL, fro_norm, solve_linear
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
@@ -161,12 +161,7 @@ def test_smith_peak_memory(transposed):
             A_K = A_K.T
         G = rng.standard_normal((n, n + 1))
         Q = G @ G.T
-        tracemalloc.start()
-        try:
-            solve_dlyap_stable(A_K, Q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: solve_dlyap_stable(A_K, Q))
         assert peak < 4.2 * n * n * 8, (n, peak / (n * n * 8))
 
 
@@ -178,13 +173,9 @@ def test_smith_peak_memory_with_the_forcing_overwritten():
         A_K = stable_matrix(rng, n, radius=0.9)
         G = rng.standard_normal((n, n + 1))
         Q = G @ G.T
-        tracemalloc.start()
-        try:
-            W = solve_dlyap_stable(A_K.T, Q, overwrite_q=True).W
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert W is Q
+        W = []
+        peak = traced_peak(lambda: W.append(solve_dlyap_stable(A_K.T, Q, overwrite_q=True).W))
+        assert W[0] is Q
         assert peak < 3.2 * n * n * 8, (n, peak / (n * n * 8))
 
 
@@ -234,6 +225,17 @@ def test_golden_gramian_matches_reference_block(golden_sys):
     assert np.max(np.abs(gram.W[:2, :2] - W_c_ref)) <= 5e-5
     assert np.max(np.abs(gram.W[2:, :])) <= 5e-5
     assert np.max(np.abs(gram.W[:, 2:])) <= 5e-5
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_gramian_forcing_is_a_convergence_failure():
+    # A finite B whose forcing B Rw^{-1} B' overflows: one typed error, with
+    # no numpy warning first and no ValueError from the Smith solve's check
+    # of its forcing.
+    sysq = big_b_plant()
+    ric = solve_dare(sysq)
+    with pytest.raises(ConvergenceFailure, match="Gramian forcing"):
+        closed_loop_gramian(sysq, ric)
 
 
 def test_gramian_block_structure_dual_route():
