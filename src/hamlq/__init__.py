@@ -2,8 +2,8 @@
 
 The package computes, for a plant (A, B) with stage cost |C x + D u|^2:
 
-* the stabilizing Riccati solution (P, K, Rw) and closed loop A_K = A + B K,
-* the closed-loop Gramian W,
+* the stabilizing Riccati solution (P, K, Rw),
+* the closed loop A_K = A + B K and its Gramian W,
 * closed-form bases V1, V2, Vbar2 for the forward and backward solution
   families of the coupled state/costate/input relations, with rank
   diagnostics explaining when V2 loses rank,

@@ -152,7 +152,7 @@ def golden_check(
     ric, gram = bundle.riccati, bundle.gramian
     # the residual checks first, so neither runs with V2 held
     max_residual = max(
-        hamsubspace.residuals_v1(sys, ric).max_rel, hamsubspace.residuals_v2(sys, ric, gram).max_rel
+        hamsubspace.residuals_v1(sys, ric, gram).max_rel, hamsubspace.residuals_v2(sys, ric, gram).max_rel
     )
     V2, Vbar2 = hamsubspace.assemble_v2(ric, gram), hamsubspace.assemble_vbar2(ric, gram)
 

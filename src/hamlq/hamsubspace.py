@@ -8,8 +8,8 @@ state ``x``, costate ``p`` and input ``u`` through three stacked relations:
     0       = D'C x_k + B' p_{k+1} + D'D u_k
 
 This module builds closed-form bases for the solution families of that
-system out of the stabilizing Riccati solution ``(P, K, Rw, A_K)`` and the
-closed-loop Gramian ``W``:
+system out of the stabilizing Riccati solution ``(P, K, Rw)`` and the
+closed-loop Gramian ``W`` with the closed loop ``A_K = A + B K`` it keeps:
 
 * ``V1 = [I; P; K]`` spans the forward (stable) family, advanced by ``A_K``.
 * ``Vbar2 = [W; P W - I]`` spans the backward family in state/costate
@@ -19,9 +19,9 @@ closed-loop Gramian ``W``:
   plant data ``[A B]``, so it drops below ``n`` exactly when ``[A B]`` has a
   left null space.
 
-``Vbar2`` and the input row ``K W A_K' + Rw^{-1} B'`` depend only on the
-system; ``closed_loop_gramian`` forms them once, next to ``W``, and both
-this module and the trajectory solver read them from there.
+``A_K``, ``Vbar2`` and the input row ``K W A_K' + Rw^{-1} B'`` depend only
+on the system; ``closed_loop_gramian`` forms them once, next to ``W``, and
+both this module and the trajectory solver read them from there.
 
 ``analyze`` returns the Riccati solution, the Gramian and a dimension
 report whose ranks read no basis. A caller that wants a basis or a residual
@@ -102,12 +102,12 @@ def assemble_vbar2(ric: RiccatiSolution, gram: ClosedLoopGramian) -> np.ndarray:
 def assemble_v2(ric: RiccatiSolution, gram: ClosedLoopGramian) -> np.ndarray:
     """Backward-family basis with input row, shape (2n + m, n).
 
-    The state and costate rows are exactly ``gram.Vbar2 @ ric.A_K.T``; the
+    The state and costate rows are exactly ``gram.Vbar2 @ gram.A_K.T``; the
     input row is a copy of ``gram.u_gain = K W A_K' + Rw^{-1} B'``.
     """
     n = ric.P.shape[0]
     out = np.empty((2 * n + ric.K.shape[0], n))
-    np.dot(gram.Vbar2, ric.A_K.T, out=out[: 2 * n])
+    np.dot(gram.Vbar2, gram.A_K.T, out=out[: 2 * n])
     out[2 * n :] = gram.u_gain
     return out
 
@@ -136,19 +136,20 @@ def _relation_residuals(sys: SystemQuadruple, X, Lam, U, X_next, Lam_next) -> Re
     return ResidualNorms(d, c, s, dr, cr, sr)
 
 
-def residuals_v1(sys: SystemQuadruple, ric: RiccatiSolution) -> ResidualNorms:
+def residuals_v1(sys: SystemQuadruple, ric: RiccatiSolution, gram: ClosedLoopGramian) -> ResidualNorms:
     """Check that ``V1 = [I; P; K]`` satisfies the relations with advance ``A_K``.
 
-    The next-step blocks ``V1[:2n] @ A_K = [A_K; P A_K]`` are formed in that
+    ``A_K`` is read from ``gram``, which holds it, not formed again. The
+    next-step blocks ``V1[:2n] @ A_K = [A_K; P A_K]`` are formed in that
     shape (``P @ A_K`` rounds otherwise) from a ``V1`` dropped at once, and
     only ``P A_K`` is kept; the identity block is left out. ``P``, ``K``
-    and ``A_K`` are read C-ordered, as the solver returns them, before any
+    and ``A_K`` are read C-ordered, as the solvers return them, before any
     product: a norm sums in memory order, and a product with an F-ordered
     factor may round otherwise, so a caller's solution in another layout
     gets the same bits.
     """
     n = sys.n
-    P, K, A_K = (np.ascontiguousarray(M) for M in (ric.P, ric.K, ric.A_K))
+    P, K, A_K = (np.ascontiguousarray(M) for M in (ric.P, ric.K, gram.A_K))
     Lam_next = (assemble_v1(ric)[: 2 * n] @ A_K)[n:].copy()
     return _relation_residuals(sys, None, P, K, A_K, Lam_next)
 
@@ -161,7 +162,7 @@ def residuals_v2(sys: SystemQuadruple, ric: RiccatiSolution, gram: ClosedLoopGra
     ``residuals_v1``.
     """
     Vbar2, n = gram.Vbar2, sys.n
-    XL = np.dot(Vbar2, np.ascontiguousarray(ric.A_K).T)
+    XL = np.dot(Vbar2, np.ascontiguousarray(gram.A_K).T)
     U = np.ascontiguousarray(gram.u_gain)
     return _relation_residuals(sys, XL[:n], XL[n:], U, Vbar2[:n], Vbar2[n:])
 
@@ -223,9 +224,11 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     residual check is formed. The rank reads plant data only, so it runs
     before the Riccati solve, which runs with no staircase held. The
     staircase folds its Krylov blocks as it forms them and, from ``n = 64``
-    on, peaks at about 5.2 ``n x n`` arrays, so on a stable plant the Newton
-    steps' Smith loop sets the call's peak memory, about 6.1; on an
-    unstable one the Riccati bootstrap may.
+    on, peaks at about 5.2 ``n x n`` arrays, which sets the call's peak
+    memory on a stable plant: each Smith solve takes the closed loop it is
+    handed in place, so the Newton steps and the Gramian, which keeps
+    ``A_K``, peak at about 5.1. On an unstable plant the Riccati bootstrap
+    may set it.
     """
     st = staircase(sys, cfg)
     n_c, zero_rows_Au = st.n_c, zero_row_indices(st.A_u, cfg)

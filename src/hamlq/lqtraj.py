@@ -256,7 +256,7 @@ def solve_nonrecursive(
     # An overflow here ends in the not-finite verdict below, not in a warning:
     # an overflowing square makes the last square, and so phi, non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        squares, phi = _squares(ric.A_K, k_f)
+        squares, phi = _squares(gram.A_K, k_f)
         # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
         # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
         x0, M12 = prob.x0, W.dot(phi.T)

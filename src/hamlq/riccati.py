@@ -64,14 +64,15 @@ class RiccatiSolution:
     """Stabilizing Riccati solution with gain and innovation weight.
 
     ``P`` is symmetric positive semidefinite, ``Rw = D'D + B'PB`` is strictly
-    positive definite, and ``A_K = A + B K`` is discrete-stable (certified by
-    a power of norm below one).
+    positive definite, and the closed loop ``A + B K`` is discrete-stable
+    (certified by a power of norm below one). The closed loop itself is not
+    kept here: ``closed_loop_gramian`` forms it, with the same bits, and
+    keeps it as ``ClosedLoopGramian.A_K`` beside the blocks it moves.
     """
 
     P: np.ndarray
     K: np.ndarray
     Rw: np.ndarray
-    A_K: np.ndarray
     iterations: int
 
 
@@ -258,6 +259,7 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
                 f"doubling gain failed the stability certificate after "
                 f"{boot_iters} steps; no stabilizing feedback was found"
             )
+        del A_K
 
     # Phase 2: Newton (policy iteration) refinement. Each step solves the
     # closed-loop cost equation P = A_K' P A_K + (C + D K)'(C + D K), which
@@ -274,15 +276,19 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         # first.
         with np.errstate(over="ignore", invalid="ignore"):
             CK = C + D @ K
-            A_K = A + B @ K
             forcing = _finite_product(CK.T @ CK, "the Newton forcing (C + D K)'(C + D K)")
-            try:  # the forcing serves this solve alone: W is written over it
-                P_new = solve_dlyap_stable(A_K.T, forcing, cfg, overwrite_q=True).W
+            # A_K' C-ordered: the closed loop and the forcing serve this
+            # solve alone, which writes over both. A copy, not a ufunc on
+            # transposed operands, which would buffer-copy them.
+            A_Kt = (A + B @ K).T.copy()
+            try:
+                P_new = solve_dlyap_stable(A_Kt, forcing, cfg, overwrite_q=True, overwrite_a=True).W
             except NotStable as exc:
                 raise NotStabilizable(
                     "Newton iterate lost closed-loop stability; system violates "
                     "the operational assumptions"
                 ) from exc
+            del A_Kt
             BtP = B.T @ P_new
             data = "the plant or cost data"
             Rw = _sym_into(R + BtP @ B, np.empty_like(R))
@@ -311,7 +317,6 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
         raise SingularWeight(
             "innovation weight D'D + B'PB has a pivot at or below the zero tolerance"
         )
-    A_K = A + B @ K
 
     # The residual is judged against the largest term it is summed from, not
     # against P alone: with a square invertible D the solution is P = 0
@@ -322,12 +327,6 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
             f"Riccati residual {residual:.3e} ({rel:.3e} relative) exceeds tolerance "
             "after convergence"
         )
-    if not stability_certificate(A_K, cfg):
+    if not stability_certificate(A + B @ K, cfg):
         raise NotStabilizable("final closed loop failed the stability certificate")
-    return RiccatiSolution(
-        P=P,
-        K=K,
-        Rw=Rw,
-        A_K=A_K,
-        iterations=boot_iters + newton_iters,
-    )
+    return RiccatiSolution(P=P, K=K, Rw=Rw, iterations=boot_iters + newton_iters)

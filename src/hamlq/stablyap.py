@@ -40,7 +40,9 @@ class GramianSolution:
     iterations: int
 
 
-def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=False) -> GramianSolution:
+def solve_dlyap_stable(
+    A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=False, overwrite_a=False
+) -> GramianSolution:
     """Solve the discrete Lyapunov equation ``A_K W A_K' + Q = W``.
 
     Uses the Smith doubling recurrence
@@ -51,10 +53,17 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=F
     discrete-stable ``A_K`` and symmetric positive semidefinite ``Q``.
 
     The loop holds four ``n x n`` arrays: ``E`` (the one copy of ``A_K``,
-    C-ordered), ``W``, and buffers for ``E W`` and ``E W E'``. Each next
-    ``E`` is formed in the ``E W E'`` buffer, free once the update is added
-    to ``W``, and the old ``E`` becomes that buffer. ``Q`` is checked in
-    place, not copied.
+    C-ordered, or ``A_K`` itself when the caller lets it be overwritten),
+    ``W``, and buffers for ``E W`` and ``E W E'``. Each next ``E`` is formed
+    in the ``E W E'`` buffer, free once the update is added to ``W``, and
+    the old ``E`` becomes that buffer. ``Q`` is checked in place, not
+    copied.
+
+    The stop test ``|update| <= residual_tol |W|`` can only pass once it
+    passes on the running bound ``|W_0| + sum |update| >= |W|``, so the norm
+    of ``W`` and its finiteness check are taken only from then on; below
+    1e150 the bound also shows ``|W|`` finite. Iteration counts, errors and
+    bits are those of taking it on every doubling.
 
     Parameters
     ----------
@@ -71,6 +80,12 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=F
         float64 array, so a caller that formed the forcing for this solve
         alone does not hold it beside ``W``. Otherwise, and by default, ``Q``
         is left unchanged.
+    overwrite_a : bool
+        Let the loop take ``A_K`` itself as ``E``, and write its powers and
+        loop products over it, when ``A_K`` is a writable C-contiguous
+        float64 array, so a caller that formed the closed loop for this
+        solve alone does not hold it beside its copy. Otherwise, and by
+        default, ``A_K`` is copied and left unchanged.
 
     Returns
     -------
@@ -86,7 +101,7 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=F
     # Each product keeps the operand layouts of the plain expression
     # ``E @ W @ E.T`` (C-ordered E and W), whose rounding depends on them;
     # only the allocations are gone.
-    E = np.array(_checked_matrix(A_K, "A_K"), order="C")
+    E = _owned(_checked_matrix(A_K, "A_K"), overwrite_a)
     n, nc = E.shape
     if n != nc:
         raise ValueError(f"A_K must be square, got {E.shape}")
@@ -96,20 +111,26 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=F
 
     # W = (Q' + Q) / 2 in a C-ordered array, the bits of 0.5 * (Q + Q.T)
     # for either layout of Q, with the EW buffer as scratch.
-    W = Qm if overwrite_q and Qm.flags.c_contiguous and Qm.flags.writeable else np.array(Qm, order="C")
+    W = _owned(Qm, overwrite_q)
     del Qm
     EW = np.empty((n, n))
     _sym_into(W, EW)
     update = np.empty((n, n))
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
+        w_bound = fro_norm(W)  # |W_0| + the update norms so far: |W| cannot exceed it
         for it in range(1, cfg.max_iter + 1):
             E.dot(W, out=EW).dot(E.T, out=update)
             update_norm = fro_norm(update)
             trace.append(update_norm)
             W += update
             _sym_into(W, EW)
-            w_norm = fro_norm(W)
+            w_bound += update_norm
+            # While the update exceeds twice the stop test's threshold on the
+            # bound (room for the rounding of both norms), the test fails on
+            # |W|, finite below 1e150: 0.0 stands in for it.
+            skip = update_norm > 2.0 * cfg.residual_tol * w_bound and w_bound < 1e150
+            w_norm = 0.0 if skip else fro_norm(W)
             # A non-finite entry of W makes w_norm non-finite at once; one of
             # E makes the next update, and so its norm, non-finite.
             if not (math.isfinite(update_norm) and math.isfinite(w_norm)):
@@ -127,19 +148,32 @@ def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=F
     )
 
 
+def _owned(M: np.ndarray, overwrite: bool) -> np.ndarray:
+    """``M`` itself when it may be overwritten and is a writable C-contiguous
+    array, else a C-ordered copy of it."""
+    if overwrite and M.flags.c_contiguous and M.flags.writeable:
+        return M
+    return np.array(M, order="C")
+
+
 @dataclass
 class ClosedLoopGramian(GramianSolution):
-    """The closed-loop Gramian with the backward-family blocks built from it.
+    """The closed-loop Gramian with the closed loop and the backward-family blocks.
 
+    ``A_K = A + B K`` is the closed loop, the bits of ``solve_dare``'s: it
+    advances ``V1 = [I; P; K]``, and ``Vbar2 A_K'`` are the state and
+    costate rows of the backward family ``V2``.
     ``Vbar2 = [W; P W - I]`` is one ``(2n, n)`` array and ``W`` is a view of
     its top half, so no second copy of ``W`` exists. ``u_gain = K W A_K' +
     Rw^{-1} B'`` is the input row of the backward family. ``norm_W`` and
     ``norm_PW_I`` are the Frobenius norms ``fro_norm`` gives of ``W`` and of
     ``P W - I``, the two blocks a trajectory solve's boundary verdict scales
-    by. All of these depend only on the system, so ``analyze`` and every
-    trajectory solve read them instead of forming them again.
+    by. All of these depend only on the system, so ``analyze``, the residual
+    checks, the bases and every trajectory solve read them instead of
+    forming them again.
     """
 
+    A_K: np.ndarray
     Vbar2: np.ndarray
     u_gain: np.ndarray
     norm_W: float
@@ -157,6 +191,11 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     forcing ``B Rw^{-1} B'`` serves the Smith solve alone, which forms
     ``W`` over it; one that overflows float64 raises ``ConvergenceFailure``.
 
+    The closed loop ``A_K = A + B K`` is formed twice, as ``solve_dare``
+    forms it, so with its bits: once for the Smith solve, which takes it in
+    place, and once after ``W`` is copied out of the solve's result, to be
+    kept. No copy of it is held beside the solve's.
+
     ``W`` is copied into the top half of ``Vbar2 = [W; P W - I]`` and the
     returned ``W`` is a view of it; the bottom half is ``P W`` formed in
     place with one subtracted on its diagonal only, the same bits as
@@ -170,16 +209,18 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
         forcing = _finite_product(
             sys.B @ Rw_inv_Bt, "the Gramian forcing B Rw^{-1} B'", "the plant data (B, D)"
         )
-    sol = solve_dlyap_stable(ric.A_K, forcing, cfg, overwrite_q=True)
-    n = sol.W.shape[0]
+    sol = solve_dlyap_stable(sys.A + sys.B @ ric.K, forcing, cfg, overwrite_q=True, overwrite_a=True)
+    n, iterations = sol.W.shape[0], sol.iterations
     Vbar2 = np.empty((2 * n, n))
     W = Vbar2[:n]
     W[:] = sol.W
+    del sol, forcing  # one array, as the solve formed W over the forcing
     np.dot(ric.P, W, out=Vbar2[n:])
     Vbar2[n:].reshape(-1)[:: n + 1] -= 1.0  # the diagonal of P W
-    u_gain = ric.K @ W @ ric.A_K.T + Rw_inv_Bt
+    A_K = sys.A + sys.B @ ric.K
+    u_gain = ric.K @ W @ A_K.T + Rw_inv_Bt
     return ClosedLoopGramian(
-        W=W, iterations=sol.iterations, Vbar2=Vbar2, u_gain=u_gain,
+        W=W, iterations=iterations, A_K=A_K, Vbar2=Vbar2, u_gain=u_gain,
         norm_W=fro_norm(W), norm_PW_I=fro_norm(Vbar2[n:]),
     )
 

@@ -96,7 +96,7 @@ def test_criterion_3_block_structure_theorem():
     # costate-unreachable block equals -A_u'
     np.testing.assert_allclose(V2t[n + n_c : 2 * n, n_c:], -st.A_u.T, atol=1e-8)
     # top-left block equals W_c (A_c + B_c K_c)'
-    np.testing.assert_allclose(V2t[:n_c, :n_c], W_c @ ric_c.A_K.T, atol=1e-8)
+    np.testing.assert_allclose(V2t[:n_c, :n_c], W_c @ (st.A_c + st.B_c @ ric_c.K).T, atol=1e-8)
     # every structural zero block vanishes
     assert np.max(np.abs(V2t[:n_c, n_c:])) <= 1e-8
     assert np.max(np.abs(V2t[n_c:n, :])) <= 1e-8
@@ -167,7 +167,7 @@ def test_criterion_5_zero_row_rank_drop():
         except HamlqError:
             continue
         # only systems whose restricted closed loop is nonsingular count
-        if np.linalg.svd(ric_c.A_K, compute_uv=False)[-1] <= 1e-6:
+        if np.linalg.svd(st.A_c + st.B_c @ ric_c.K, compute_uv=False)[-1] <= 1e-6:
             continue
         done += 1
         V2 = assemble_v2(ric, gram)
@@ -177,7 +177,7 @@ def test_criterion_5_zero_row_rank_drop():
 def test_criterion_6_algebraic_identity_suites(random_suite):
     assert len(random_suite) >= 100
     for sysq, ric, gram in random_suite:
-        r1 = residuals_v1(sysq, ric)
+        r1 = residuals_v1(sysq, ric, gram)
         r2 = residuals_v2(sysq, ric, gram)
         assert r1.max_rel <= 1e-10
         assert r2.max_rel <= 1e-10

@@ -68,7 +68,7 @@ def run_draw(rng, sysq):
     bundle = call("analyze", analyze, sysq)
     if bundle is None:
         return failed
-    call("residuals_v1", residuals_v1, sysq, bundle.riccati)
+    call("residuals_v1", residuals_v1, sysq, bundle.riccati, bundle.gramian)
     call("residuals_v2", residuals_v2, sysq, bundle.riccati, bundle.gramian)
     for k_f in HORIZONS:
         for xf in (None, rng.standard_normal(sysq.n)):

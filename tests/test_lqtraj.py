@@ -266,7 +266,7 @@ def test_fixed_endpoint_reduced_solve_matches_full_boundary_lstsq():
         k_f = int(rng.integers(n, n + 5))
         x0, xf = rng.standard_normal(n), rng.standard_normal(n)
         ours = solve_nonrecursive(TrajectoryProblem(sys, x0, k_f, xf=xf), ric, gram)
-        phi = np.linalg.matrix_power(ric.A_K, k_f)
+        phi = np.linalg.matrix_power(gram.A_K, k_f)
         M = np.block([[np.eye(n), gram.W @ phi.T], [phi, gram.W]])
         z = np.linalg.lstsq(M, np.concatenate([x0, xf]), rcond=None)[0]
         got = np.concatenate([ours.alpha, ours.beta])
@@ -278,7 +278,7 @@ def assembled_boundary_solve(prob, ric, gram, cfg=DEFAULT_TOL):
     ``S`` and ``r`` sliced from ``M`` and ``rhs``, and consistency judged on
     ``|M z - rhs|``. Raises ``BoundaryInconsistent`` where that test fails."""
     n, P, W = prob.sys.n, ric.P, gram.W
-    phi = np.linalg.matrix_power(ric.A_K, prob.k_f)
+    phi = np.linalg.matrix_power(gram.A_K, prob.k_f)
     PW_I = P @ W
     PW_I.reshape(-1)[:: n + 1] -= 1.0
     M = np.empty((2 * n, 2 * n))
@@ -463,7 +463,7 @@ def power_list_propagate(prob, ric, gram, alpha, beta):
     terms summed into it.
     """
     sys, k_f, n = prob.sys, prob.k_f, prob.sys.n
-    P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
+    P, K, A_K, W = ric.P, ric.K, gram.A_K, gram.W
     pows = [np.eye(n)]
     for _ in range(k_f):
         pows.append(pows[-1] @ A_K)
@@ -562,7 +562,7 @@ def test_outputs_are_plain_sums_bitwise(golden_sys, n):
     rng = np.random.default_rng(49 + (n or 0))
     sys = golden_sys if n is None else random_stabilizable(rng, n, 3, 4, singular_D=n == 3)
     ric, gram = solve_all(sys)
-    P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
+    P, K, A_K, W = ric.P, ric.K, gram.A_K, gram.W
     PW_I = P @ W - np.eye(sys.n)
     u_gain = K @ W @ A_K.T + solve_linear(ric.Rw, sys.B.T)
     solved = 0

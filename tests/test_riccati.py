@@ -26,6 +26,11 @@ def dare_residual(sys, sol):
     return np.max(np.abs(lhs - cross - P))
 
 
+def closed_loop(sys, sol):
+    """``A + B K``, the closed loop of a Riccati solution."""
+    return sys.A + sys.B @ sol.K
+
+
 def test_trivial_no_cost_on_state():
     # C = 0 makes P = 0 the stabilizing solution and K = 0 the gain
     sys = SystemQuadruple(
@@ -38,7 +43,7 @@ def test_trivial_no_cost_on_state():
     np.testing.assert_allclose(sol.P, np.zeros((2, 2)), atol=1e-12)
     np.testing.assert_allclose(sol.K, np.zeros((2, 2)), atol=1e-12)
     np.testing.assert_allclose(sol.Rw, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(sol.A_K, sys.A, atol=1e-12)
+    np.testing.assert_allclose(closed_loop(sys, sol), sys.A, atol=1e-12)
 
 
 def test_scalar_cross_term_root():
@@ -53,7 +58,7 @@ def test_scalar_cross_term_root():
     sol = solve_dare(sys)
     assert abs(sol.P[0, 0]) <= 1e-12
     assert abs(sol.K[0, 0] + 1.0) <= 1e-12
-    assert abs(sol.A_K[0, 0] + 0.5) <= 1e-12
+    assert abs(closed_loop(sys, sol)[0, 0] + 0.5) <= 1e-12
 
 
 def test_scalar_decoupled_root():
@@ -69,7 +74,6 @@ def test_scalar_decoupled_root():
     assert abs(sol.P[0, 0] - ROOT) <= 1e-12
     assert abs(sol.K[0, 0] + 0.5 * ROOT / (1.0 + ROOT)) <= 1e-12
     assert abs(sol.Rw[0, 0] - (1.0 + ROOT)) <= 1e-12
-    assert abs(sol.A_K[0, 0] - (0.5 + sol.K[0, 0])) <= 1e-12
 
 
 def test_solution_invariants_random():
@@ -89,7 +93,7 @@ def test_solution_invariants_random():
         assert np.max(np.abs(gain_res)) <= 1e-10 * p_scale
         assert np.max(np.abs(sol.P - sol.P.T)) <= 1e-12 * p_scale
         assert is_psd(sol.P)
-        assert stability_certificate(sol.A_K)
+        assert stability_certificate(closed_loop(sys, sol))
 
 
 def test_not_stabilizable_raises():
@@ -141,7 +145,7 @@ def test_unstable_a_bootstraps_with_one_certificate(n, monkeypatch):
         assert steps <= 5
         P_ref = scipy_dare(sys)
         assert np.linalg.norm(sol.P - P_ref) <= 1e-9 * np.linalg.norm(P_ref)
-        assert stability_certificate(sol.A_K)
+        assert stability_certificate(closed_loop(sys, sol))
 
 
 @pytest.mark.parametrize("factor", [1e-4, 1e-2, 1.0])
@@ -153,9 +157,10 @@ def test_delta_inside_working_range(factor, monkeypatch):
     solve = newton_counter(monkeypatch)
     rng = np.random.default_rng(77)
     for n in (4, 4, 10, 10, 20, 20):
-        sol, steps = solve(unstable_modes(rng, n))
+        sys = unstable_modes(rng, n)
+        sol, steps = solve(sys)
         assert steps <= 5
-        assert stability_certificate(sol.A_K)
+        assert stability_certificate(closed_loop(sys, sol))
 
 
 def test_bootstrap_breakdown_is_typed(monkeypatch):
@@ -220,7 +225,7 @@ def test_unstable_singular_dd_gets_certified_gain(monkeypatch):
         assert np.linalg.matrix_rank(sys.D.T @ sys.D) < sys.D.shape[1]
         sol, steps = solve(sys)
         assert steps <= 5
-        assert stability_certificate(sol.A_K)
+        assert stability_certificate(closed_loop(sys, sol))
         P_ref = scipy_dare(sys)
         assert np.linalg.norm(sol.P - P_ref) <= 1e-9 * np.linalg.norm(P_ref)
 
@@ -398,15 +403,16 @@ def test_overflowing_state_weight_of_unstable_plant_raises_one_typed_error():
 
 
 def test_newton_peak_memory():
-    # P, A_K and the Smith solve's four arrays, the forcing among them as the
-    # W it is written over: 6.18 n x n matrices. Holding C'C through every
-    # Newton step and a second copy of A_K' inside the Smith solve put the
-    # peak at 12.0, a fifth Smith buffer at 8.19, and the forcing held next
-    # to the Smith solve's W at 7.19.
+    # P and the Smith solve's four arrays, the forcing among them as the W
+    # it is written over and A_K' as the E it is written over: 5.18 n x n
+    # matrices. Holding C'C through every Newton step and a second copy of
+    # A_K' inside the Smith solve put the peak at 12.0, a fifth Smith buffer
+    # at 8.19, the forcing held next to the Smith solve's W at 7.19, and A_K
+    # held next to the Smith solve's copy of A_K' at 6.19.
     n = 100
     sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
     peak = traced_peak(lambda: solve_dare(sys))
-    assert peak < 6.5 * n * n * 8, peak / (n * n * 8)
+    assert peak < 5.3 * n * n * 8, peak / (n * n * 8)
 
 
 def doubling_reference(A, B, C, D, cfg=DEFAULT_TOL):

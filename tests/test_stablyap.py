@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,6 +180,37 @@ def test_smith_peak_memory_with_the_forcing_overwritten():
         assert peak < 3.2 * n * n * 8, (n, peak / (n * n * 8))
 
 
+def test_smith_peak_memory_with_the_closed_loop_and_forcing_overwritten():
+    # E is the caller's A_K and W its forcing, so the solve's own arrays are
+    # the two loop buffers, 2.02-2.08 n x n matrices
+    for n in (50, 100):
+        rng = np.random.default_rng(63)
+        A_K = stable_matrix(rng, n, radius=0.9)
+        G = rng.standard_normal((n, n + 1))
+        Q = G @ G.T
+        peak = traced_peak(lambda: solve_dlyap_stable(A_K, Q, overwrite_q=True, overwrite_a=True))
+        assert peak < 2.2 * n * n * 8, (n, peak / (n * n * 8))
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+def test_overwriting_the_closed_loop_gives_the_same_bits(layout):
+    # A writable C-ordered A_K is taken as E and written over by the loop;
+    # any other is copied and left unchanged
+    rng = np.random.default_rng(67)
+    for n in (1, 3, 20):
+        A_K = np.asarray(stable_matrix(rng, n, radius=0.9), order="F" if layout == "F" else "C")
+        G = rng.standard_normal((n, n))
+        Q = G @ G.T
+        plain = solve_dlyap_stable(A_K, Q)
+        loop = A_K.copy(order="K")
+        loop.flags.writeable = layout != "read-only"
+        over = solve_dlyap_stable(loop, Q, overwrite_a=True)
+        assert same_bits(over.W, plain.W) and over.iterations == plain.iterations > 1
+        in_place = loop.flags.writeable and loop.flags.c_contiguous
+        assert in_place == (layout != "read-only" and (layout == "C" or n == 1))
+        assert same_bits(loop, A_K) != in_place, n
+
+
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_overwriting_the_forcing_gives_the_same_bits(layout):
     # an F-ordered forcing is not overwritten: W is always C-ordered
@@ -265,10 +297,10 @@ def test_gramian_block_structure_dual_route():
 
 @pytest.mark.parametrize("which", ["golden", "n12", "singular_dd_n30"])
 def test_closed_loop_gramian_backward_blocks_bitwise(which, golden_sys):
-    # Vbar2 = [W; P W - I] and u_gain = K W A_K' + Rw^{-1} B' are the plain
-    # expressions to the last bit and sign of zero, W is the Smith solution
-    # and a view of Vbar2's top half, not a second copy, and the two block
-    # norms the boundary verdict reads are fro_norm's.
+    # A_K = A + B K, Vbar2 = [W; P W - I] and u_gain = K W A_K' + Rw^{-1} B'
+    # are the plain expressions to the last bit and sign of zero, W is the
+    # Smith solution and a view of Vbar2's top half, not a second copy, and
+    # the two block norms the boundary verdict reads are fro_norm's.
     rng = np.random.default_rng(63)
     sys = {
         "golden": lambda: golden_sys,
@@ -278,16 +310,37 @@ def test_closed_loop_gramian_backward_blocks_bitwise(which, golden_sys):
     ric = solve_dare(sys)
     gram = closed_loop_gramian(sys, ric)
     n = sys.n
-    P, K, A_K, W = ric.P, ric.K, ric.A_K, gram.W
+    P, K, A_K, W = ric.P, ric.K, gram.A_K, gram.W
     Rw_inv_Bt = solve_linear(ric.Rw, sys.B.T)
     smith = solve_dlyap_stable(A_K, sys.B @ Rw_inv_Bt)
 
+    assert same_bits(A_K, sys.A + sys.B @ K)
     assert same_bits(W, smith.W) and gram.iterations == smith.iterations
     assert np.shares_memory(gram.W, gram.Vbar2)
     assert W.flags.c_contiguous
     assert same_bits(gram.Vbar2, np.vstack([W, P @ W - np.eye(n)]))
     assert same_bits(gram.u_gain, K @ W @ A_K.T + Rw_inv_Bt)
     assert gram.norm_W == fro_norm(W) and gram.norm_PW_I == fro_norm(gram.Vbar2[n:])
+
+
+def test_gramian_peak_memory():
+    # The Riccati solution held, as analyze holds it, then the Smith solve's
+    # four arrays, the forcing among them as W and the closed loop formed
+    # for it as E, then Vbar2 and the kept A_K: 5.05 n x n matrices. With
+    # the Riccati solution's own A_K held next to the Smith solve's copy of
+    # it, 6.05.
+    n = 100
+    sys = random_stabilizable(np.random.default_rng(61), n, 3, 3)
+    closed_loop_gramian(sys, solve_dare(sys))
+    tracemalloc.start()
+    try:
+        ric = solve_dare(sys)
+        tracemalloc.reset_peak()
+        closed_loop_gramian(sys, ric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.2 * n * n * 8, peak / (n * n * 8)
 
 
 def test_restricted_gain_stabilizes_reachable_part(golden_sys):
@@ -312,10 +365,32 @@ def smith_reference(A_K, Q, cfg=DEFAULT_TOL):
         update_norm = float(np.linalg.norm(update, "fro"))
         W = W + update
         W = 0.5 * (W + W.T)
-        if update_norm <= cfg.residual_tol * float(np.linalg.norm(W, "fro")):
+        w_norm = float(np.linalg.norm(W, "fro"))
+        if not (np.isfinite(update_norm) and np.isfinite(w_norm)):
+            raise NotStable(f"overflowed after {it} doublings")
+        if update_norm <= cfg.residual_tol * w_norm:
             return W, it
         E = E @ E
     raise AssertionError("reference Smith loop did not converge")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e149, 2e153, 6e153])
+def test_smith_overflow_is_raised_at_the_doubling_of_the_reference(scale):
+    # The norm of W is skipped while a running bound shows the stop test
+    # failing. Near float64's limit, where the norm of W overflows before
+    # any entry does, that must neither delay nor hide the overflow error.
+    cases = (np.diag([0.9, 0.5]), np.diag([0.99, 0.3]), 0.3 * np.random.default_rng(0).standard_normal((5, 5)))
+    for A_K in cases:
+        Q = scale * np.eye(A_K.shape[0])
+        try:
+            W_ref, it_ref = smith_reference(A_K, Q)
+        except NotStable as exc:
+            with pytest.raises(NotStable, match=f"after {str(exc).split()[-2]} doublings"):
+                solve_dlyap_stable(A_K, Q)
+            continue
+        sol = solve_dlyap_stable(A_K, Q)
+        assert sol.iterations == it_ref and np.array_equal(sol.W, W_ref)
 
 
 @st.composite

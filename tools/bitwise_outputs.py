@@ -9,7 +9,10 @@ compare two captures for bitwise equality or against the optimal cost.
 ``capture`` imports ``hamlq`` from ``SRC_DIR`` and runs, for each seed
 (default 1-10), every ``analyze-mix`` item and every ``traj-many`` set-up and
 trajectory, built by this checkout's ``perfbench/workloads.py``. It records
-``P``, ``K``, ``Rw``, ``A_K``, ``W``, ``u_gain``, the iteration counts, the
+``P``, ``K``, ``Rw``, ``W``, ``u_gain``, the closed loop ``A_K`` (as
+``A_K``, read from whichever of the Riccati solution and the Gramian holds
+it, so that captures of trees from before and after it moved to the Gramian
+compare), the iteration counts, the
 ``StaircaseForm`` (``T``, ``n_c`` and the six blocks ``A_c``, ``A_cu``,
 ``A_u``, ``B_c``, ``C_c``, ``C_u``), both residual triples and the three
 bases (each from its public function after ``analyze`` returns:
@@ -22,7 +25,8 @@ Gramian data of each trajectory system; ``x``, ``p``, ``u``, ``J``,
 error raised; and the exit code and stdout bytes of the benchmark's four
 ``cli_items`` (``golden --report``, ``analyze --full``, and ``trajectory
 --kf 5000`` as CSV and as JSON), run in-process on files written to a
-temporary directory. Whatever the seeds, it also records the Riccati data of
+temporary directory. Whatever the seeds, it also records the Riccati data
+(``P``, ``K``, ``Rw`` and the iteration count) of
 the Riccati sweep as ``("dare", seed, index)`` records: ``SWEEP_COUNT``
 unstable plants per seed of ``SWEEPS`` (seed 7: n 2..12, spectral radius of
 ``A`` 1.05..1.6; seed 8: n 2..20, radius 1.05..3.0), with m 1..3, p 1..4,
@@ -87,7 +91,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 BAND = 1e-8  # a free-end J within BAND * (1 + J*) of J* counts as optimal
 AGREE = 1e-8  # a solved sweep system whose P is this close to SciPy's counts as solved
-RIC_FIELDS = ("P", "K", "Rw", "A_K", "iterations")
+RIC_FIELDS = ("P", "K", "Rw", "iterations")
 SHOWN = 5  # differing records printed per field name; the last line counts them all
 SWEEP_COUNT = 300  # systems per sweep seed
 SWEEPS = {7: (12, 1.05, 1.6), 8: (20, 1.05, 3.0)}  # seed: (n_max, spectral radius range)
@@ -116,7 +120,8 @@ def _ric_record(ric) -> dict:
 
 
 def _setup_record(ric, gram) -> dict:
-    return {**_ric_record(ric), "gram.W": gram.W, "gram.u_gain": gram.u_gain,
+    A_K = gram.A_K if hasattr(gram, "A_K") else ric.A_K
+    return {**_ric_record(ric), "A_K": A_K, "gram.W": gram.W, "gram.u_gain": gram.u_gain,
             "gram.iterations": gram.iterations}
 
 
@@ -146,7 +151,7 @@ def capture(src: str, out: str, seeds) -> None:
             rec = _setup_record(ric, gram)
             derived = {
                 "staircase": asdict(hs.staircase(b.sys, b.report.tolerances)),
-                "residuals_v1": asdict(hs.residuals_v1(b.sys, ric)),
+                "residuals_v1": asdict(hs.residuals_v1(b.sys, ric, gram)),
                 "residuals_v2": asdict(hs.residuals_v2(b.sys, ric, gram)),
                 "bases": {"V1": hs.assemble_v1(ric), "V2": hs.assemble_v2(ric, gram),
                           "Vbar2": hs.assemble_vbar2(ric, gram)},

@@ -186,7 +186,7 @@ def main(argv) -> None:
     def analyze_and_read(sysq):
         bundle = hamsubspace.analyze(sysq)
         ric, gram = bundle.riccati, bundle.gramian
-        hamsubspace.residuals_v1(sysq, ric), hamsubspace.residuals_v2(sysq, ric, gram)
+        hamsubspace.residuals_v1(sysq, ric, gram), hamsubspace.residuals_v2(sysq, ric, gram)
         bases = (hamsubspace.assemble_v1(ric), hamsubspace.assemble_v2(ric, gram),
                  hamsubspace.assemble_vbar2(ric, gram))
         return bundle, bases
