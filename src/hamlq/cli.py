@@ -20,9 +20,10 @@ allocated).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -126,52 +127,23 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _trajectory_csv(sysq, traj, costs: np.ndarray) -> str:
+def _trajectory_csv(sysq, x: list, p: list, u: list, costs: list, J: float) -> str:
     """One row per step 0..k_f, then the total; the terminal step has no
-    input and no stage cost, so its cells are empty. Each number is its
-    ``repr``, as ``csv.writer`` writes a float, so the text is ``csv``'s."""
-    n, m, k_f = sysq.n, sysq.m, costs.shape[0]
-    header = ["k", *(f"x{i}" for i in range(1, n + 1)), *(f"p{i}" for i in range(1, n + 1))]
-    header += [*(f"u{i}" for i in range(1, m + 1)), "stage_cost"]
-    steps = np.hstack([traj.x[:k_f], traj.p[:k_f], traj.u, costs[:, None]]).tolist()
-    lines = [",".join(header)]
-    lines += [f"{k}," + ",".join(map(repr, row)) for k, row in enumerate(steps)]
-    lines.append(f"{k_f}," + ",".join(map(repr, traj.x[k_f].tolist() + traj.p[k_f].tolist())) + "," * (m + 1))
-    lines.append("total" + "," * (2 * n + m + 1) + repr(traj.J))
-    return "\n".join(lines) + "\n"
-
-
-def _json_float(v: float) -> str:
-    """``v`` as ``json.dumps`` writes it: its ``repr``, or ``Infinity``,
-    ``-Infinity`` or ``NaN``."""
-    if math.isfinite(v):
-        return repr(v)
-    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-
-
-def _json_list(values: list, level: int) -> str:
-    """``json.dumps(values, indent=2)`` for a list of floats, or of lists of
-    them, that opens ``level`` indents deep."""
-    if not values:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(values[0], list):
-        items = [_json_list(v, level + 1) for v in values]
-    else:
-        items = map(_json_float, values)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
-
-
-def _trajectory_json(k_f: int, traj, costs: np.ndarray) -> str:
-    """The trajectory document as ``json.dumps(doc, indent=2)`` writes it,
-    with one newline after it, written list by list without ``json``'s
-    general encoder, in about three quarters of its time."""
-    fields = [("k_f", str(k_f))]
-    fields += [(name, _json_list(a.tolist(), 1)) for name, a in
-               (("x", traj.x), ("p", traj.p), ("u", traj.u), ("stage_costs", costs))]
-    fields.append(("J", _json_float(traj.J)))
-    fields += [(name, _json_list(a.tolist(), 1)) for name, a in (("alpha", traj.alpha), ("beta", traj.beta))]
-    return "{\n" + ",\n".join(f'  "{name}": {text}' for name, text in fields) + "\n}\n"
+    input and no stage cost, so its cells are empty."""
+    n, m = sysq.n, sysq.m
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["k"]
+        + [f"x{i}" for i in range(1, n + 1)]
+        + [f"p{i}" for i in range(1, n + 1)]
+        + [f"u{i}" for i in range(1, m + 1)]
+        + ["stage_cost"]
+    )
+    steps = zip(x, p, u + [[""] * m], costs + [""])
+    writer.writerows([k, *xk, *pk, *uk, ck] for k, (xk, pk, uk, ck) in enumerate(steps))
+    writer.writerow(["total"] + [""] * (2 * n + m) + [J])
+    return buf.getvalue()
 
 
 def cmd_trajectory(args) -> int:
@@ -184,13 +156,24 @@ def cmd_trajectory(args) -> int:
     gram = closed_loop_gramian(sysq, ric, cfg)
     traj = solve_nonrecursive(prob, ric, gram, cfg)
 
-    # Both formats write a float as its repr, the shortest text that reads
-    # back to the same float, so both print the same digits.
-    costs = stage_costs(traj, sysq)
+    # csv writes a float with str(), the same shortest round-trip text that
+    # json.dumps writes, so both formats print the same digits.
+    x, p, u = traj.x.tolist(), traj.p.tolist(), traj.u.tolist()
+    costs = stage_costs(traj, sysq).tolist()
     if args.format == "json":
-        out = _trajectory_json(prob.k_f, traj, costs)
+        doc = {
+            "k_f": prob.k_f,
+            "x": x,
+            "p": p,
+            "u": u,
+            "stage_costs": costs,
+            "J": traj.J,
+            "alpha": traj.alpha.tolist(),
+            "beta": traj.beta.tolist(),
+        }
+        out = json.dumps(doc, indent=2) + "\n"
     else:
-        out = _trajectory_csv(sysq, traj, costs)
+        out = _trajectory_csv(sysq, x, p, u, costs, traj.J)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

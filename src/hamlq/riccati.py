@@ -282,7 +282,7 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
             # transposed operands, which would buffer-copy them.
             A_Kt = (A + B @ K).T.copy()
             try:
-                P_new = solve_dlyap_stable(A_Kt, forcing, cfg, overwrite_q=True, overwrite_a=True).W
+                P_new = solve_dlyap_stable(A_Kt, forcing, cfg, overwrite=True).W
             except NotStable as exc:
                 raise NotStabilizable(
                     "Newton iterate lost closed-loop stability; system violates "

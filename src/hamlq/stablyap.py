@@ -40,9 +40,7 @@ class GramianSolution:
     iterations: int
 
 
-def solve_dlyap_stable(
-    A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite_q=False, overwrite_a=False
-) -> GramianSolution:
+def solve_dlyap_stable(A_K, Q, cfg: ToleranceConfig = DEFAULT_TOL, overwrite=False) -> GramianSolution:
     """Solve the discrete Lyapunov equation ``A_K W A_K' + Q = W``.
 
     Uses the Smith doubling recurrence
@@ -59,12 +57,6 @@ def solve_dlyap_stable(
     the old ``E`` becomes that buffer. ``Q`` is checked in place, not
     copied.
 
-    The stop test ``|update| <= residual_tol |W|`` can only pass once it
-    passes on the running bound ``|W_0| + sum |update| >= |W|``, so the norm
-    of ``W`` and its finiteness check are taken only from then on; below
-    1e150 the bound also shows ``|W|`` finite. Iteration counts, errors and
-    bits are those of taking it on every doubling.
-
     Parameters
     ----------
     A_K : (n, n) array_like
@@ -75,17 +67,14 @@ def solve_dlyap_stable(
     cfg : ToleranceConfig
         ``residual_tol`` controls the stopping test (update norm relative to
         the current iterate); ``max_iter`` bounds the number of doublings.
-    overwrite_q : bool
-        Let ``W`` be formed over ``Q`` when ``Q`` is a writable C-contiguous
-        float64 array, so a caller that formed the forcing for this solve
-        alone does not hold it beside ``W``. Otherwise, and by default, ``Q``
-        is left unchanged.
-    overwrite_a : bool
-        Let the loop take ``A_K`` itself as ``E``, and write its powers and
-        loop products over it, when ``A_K`` is a writable C-contiguous
-        float64 array, so a caller that formed the closed loop for this
-        solve alone does not hold it beside its copy. Otherwise, and by
-        default, ``A_K`` is copied and left unchanged.
+    overwrite : bool
+        Let the solve take its inputs in place, so a caller that formed the
+        closed loop and the forcing for this solve alone does not hold them
+        beside its arrays: ``A_K`` becomes ``E``, its powers and the loop's
+        products written over it, and ``W`` is formed over ``Q``. Each is
+        taken only when it is a writable C-contiguous float64 array, and
+        ``Q`` only when it shares no memory with ``A_K``; any other is
+        copied. Otherwise, and by default, both are left unchanged.
 
     Returns
     -------
@@ -101,7 +90,7 @@ def solve_dlyap_stable(
     # Each product keeps the operand layouts of the plain expression
     # ``E @ W @ E.T`` (C-ordered E and W), whose rounding depends on them;
     # only the allocations are gone.
-    E = _owned(_checked_matrix(A_K, "A_K"), overwrite_a)
+    E = _owned(_checked_matrix(A_K, "A_K"), overwrite)
     n, nc = E.shape
     if n != nc:
         raise ValueError(f"A_K must be square, got {E.shape}")
@@ -111,26 +100,20 @@ def solve_dlyap_stable(
 
     # W = (Q' + Q) / 2 in a C-ordered array, the bits of 0.5 * (Q + Q.T)
     # for either layout of Q, with the EW buffer as scratch.
-    W = _owned(Qm, overwrite_q)
+    W = _owned(Qm, overwrite and not np.may_share_memory(Qm, E))
     del Qm
     EW = np.empty((n, n))
     _sym_into(W, EW)
     update = np.empty((n, n))
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        w_bound = fro_norm(W)  # |W_0| + the update norms so far: |W| cannot exceed it
         for it in range(1, cfg.max_iter + 1):
             E.dot(W, out=EW).dot(E.T, out=update)
             update_norm = fro_norm(update)
             trace.append(update_norm)
             W += update
             _sym_into(W, EW)
-            w_bound += update_norm
-            # While the update exceeds twice the stop test's threshold on the
-            # bound (room for the rounding of both norms), the test fails on
-            # |W|, finite below 1e150: 0.0 stands in for it.
-            skip = update_norm > 2.0 * cfg.residual_tol * w_bound and w_bound < 1e150
-            w_norm = 0.0 if skip else fro_norm(W)
+            w_norm = fro_norm(W)
             # A non-finite entry of W makes w_norm non-finite at once; one of
             # E makes the next update, and so its norm, non-finite.
             if not (math.isfinite(update_norm) and math.isfinite(w_norm)):
@@ -209,7 +192,7 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
         forcing = _finite_product(
             sys.B @ Rw_inv_Bt, "the Gramian forcing B Rw^{-1} B'", "the plant data (B, D)"
         )
-    sol = solve_dlyap_stable(sys.A + sys.B @ ric.K, forcing, cfg, overwrite_q=True, overwrite_a=True)
+    sol = solve_dlyap_stable(sys.A + sys.B @ ric.K, forcing, cfg, overwrite=True)
     n, iterations = sol.W.shape[0], sol.iterations
     Vbar2 = np.empty((2 * n, n))
     W = Vbar2[:n]

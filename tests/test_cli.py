@@ -1,6 +1,4 @@
-import csv
 import dataclasses
-import io
 import json
 import os
 import subprocess
@@ -22,11 +20,9 @@ from conftest import CHECKERS, big_b_plant, count_calls, krylov_overflow_plant
 from hamlq import hamsubspace
 from hamlq.golden import golden_system
 from hamlq.hamsubspace import DimensionReport, analyze, assemble_v2, assemble_vbar2
-from hamlq.lqtraj import Trajectory, TrajectoryProblem, solve_nonrecursive, stage_costs
+from hamlq.lqtraj import TrajectoryProblem
 from hamlq.matcore import DEFAULT_TOL
 from hamlq.reachdecomp import SystemQuadruple
-from hamlq.riccati import solve_dare
-from hamlq.stablyap import closed_loop_gramian
 from oracle import kkt_oracle
 
 
@@ -211,46 +207,6 @@ def test_trajectory_json_to_file(golden_file, tmp_path):
     sys = golden_system()
     ref = kkt_oracle(TrajectoryProblem(sys, np.array([1.0, 0, 0, 0]), 5))
     assert abs(doc["J"] - ref.J) <= 1e-8 * (1 + abs(ref.J))
-
-
-def reference_trajectory_json(k_f, traj, costs):
-    """The JSON trajectory document as ``json.dumps`` writes it."""
-    doc = {"k_f": k_f, "x": traj.x.tolist(), "p": traj.p.tolist(), "u": traj.u.tolist(),
-           "stage_costs": costs.tolist(), "J": traj.J, "alpha": traj.alpha.tolist(), "beta": traj.beta.tolist()}
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def reference_trajectory_csv(n, m, traj, costs):
-    """The CSV trajectory as ``csv.writer`` writes it."""
-    x, p, u, c = traj.x.tolist(), traj.p.tolist(), traj.u.tolist(), costs.tolist()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", *(f"x{i}" for i in range(1, n + 1)), *(f"p{i}" for i in range(1, n + 1)),
-                     *(f"u{i}" for i in range(1, m + 1)), "stage_cost"])
-    steps = zip(x, p, u + [[""] * m], c + [""])
-    writer.writerows([k, *xk, *pk, *uk, ck] for k, (xk, pk, uk, ck) in enumerate(steps))
-    writer.writerow(["total"] + [""] * (2 * n + m) + [traj.J])
-    return buf.getvalue()
-
-
-def test_trajectory_writers_match_json_and_csv_modules():
-    # Both outputs are written number by number with repr, and must be the
-    # bytes of json.dumps(indent=2) and csv.writer: on a solved trajectory,
-    # and on one with signed zeros and non-finite entries, which JSON spells
-    # Infinity, -Infinity and NaN and CSV inf, -inf and nan.
-    sysq = golden_system()
-    ric = solve_dare(sysq)
-    traj = solve_nonrecursive(TrajectoryProblem(sysq, np.array([1.0, -2.0, 0.5, 0.0]), 40), ric,
-                              closed_loop_gramian(sysq, ric))
-    odd = Trajectory(
-        x=np.array([[np.inf, -0.0], [np.nan, 1e-300]]), p=np.array([[-np.inf, 2.0], [3.0, 4.5e17]]),
-        u=np.array([[-5.5]]), J=float("inf"), alpha=np.array([1.0, np.nan]), beta=np.zeros(2),
-    )
-    for traj, costs, n, m in ((traj, stage_costs(traj, sysq), 4, 2), (odd, np.array([np.nan]), 2, 1)):
-        k_f = costs.shape[0]
-        assert cli._trajectory_json(k_f, traj, costs) == reference_trajectory_json(k_f, traj, costs)
-        plant = SystemQuadruple(np.eye(n), np.ones((n, m)), np.ones((1, n)), np.ones((1, m)))
-        assert cli._trajectory_csv(plant, traj, costs) == reference_trajectory_csv(n, m, traj, costs)
 
 
 @pytest.mark.parametrize(

@@ -167,15 +167,16 @@ def test_smith_peak_memory(transposed):
 
 
 def test_smith_peak_memory_with_the_forcing_overwritten():
-    # W is formed over the caller's forcing, so the solve's own arrays are
-    # E and the two loop buffers, 3.02-3.08 n x n matrices
+    # W is formed over the caller's forcing and the transposed A_K is
+    # copied, so the solve's own arrays are E and the two loop buffers,
+    # 3.02-3.08 n x n matrices
     for n in (50, 100):
         rng = np.random.default_rng(63)
         A_K = stable_matrix(rng, n, radius=0.9)
         G = rng.standard_normal((n, n + 1))
         Q = G @ G.T
         W = []
-        peak = traced_peak(lambda: W.append(solve_dlyap_stable(A_K.T, Q, overwrite_q=True).W))
+        peak = traced_peak(lambda: W.append(solve_dlyap_stable(A_K.T, Q, overwrite=True).W))
         assert W[0] is Q
         assert peak < 3.2 * n * n * 8, (n, peak / (n * n * 8))
 
@@ -188,7 +189,7 @@ def test_smith_peak_memory_with_the_closed_loop_and_forcing_overwritten():
         A_K = stable_matrix(rng, n, radius=0.9)
         G = rng.standard_normal((n, n + 1))
         Q = G @ G.T
-        peak = traced_peak(lambda: solve_dlyap_stable(A_K, Q, overwrite_q=True, overwrite_a=True))
+        peak = traced_peak(lambda: solve_dlyap_stable(A_K, Q, overwrite=True))
         assert peak < 2.2 * n * n * 8, (n, peak / (n * n * 8))
 
 
@@ -204,7 +205,7 @@ def test_overwriting_the_closed_loop_gives_the_same_bits(layout):
         plain = solve_dlyap_stable(A_K, Q)
         loop = A_K.copy(order="K")
         loop.flags.writeable = layout != "read-only"
-        over = solve_dlyap_stable(loop, Q, overwrite_a=True)
+        over = solve_dlyap_stable(loop, Q.copy(), overwrite=True)
         assert same_bits(over.W, plain.W) and over.iterations == plain.iterations > 1
         in_place = loop.flags.writeable and loop.flags.c_contiguous
         assert in_place == (layout != "read-only" and (layout == "C" or n == 1))
@@ -221,7 +222,7 @@ def test_overwriting_the_forcing_gives_the_same_bits(layout):
         Q = np.asarray(G @ G.T + rng.standard_normal((n, n)), order=layout)  # not symmetric
         plain = solve_dlyap_stable(A_K, Q)
         forcing = Q.copy(order="K")
-        over = solve_dlyap_stable(A_K, forcing, overwrite_q=True)
+        over = solve_dlyap_stable(A_K, forcing, overwrite=True)
         assert (over.W is forcing) == forcing.flags.c_contiguous
         assert over.W.flags.c_contiguous
         assert same_bits(over.W, plain.W) and over.iterations == plain.iterations
@@ -244,10 +245,22 @@ def test_read_only_forcing_is_copied_not_overwritten():
     plain = solve_dlyap_stable(A_K, Q)
     before = Q.copy()
     Q.flags.writeable = False
-    over = solve_dlyap_stable(A_K, Q, overwrite_q=True)
+    over = solve_dlyap_stable(A_K, Q, overwrite=True)
     assert over.W is not Q and over.W.flags.c_contiguous
     assert same_bits(over.W, plain.W) and over.iterations == plain.iterations
     assert same_bits(Q, before)
+
+
+def test_forcing_in_the_closed_loops_memory_is_copied():
+    # the closed loop is taken as E, so a forcing that is the same array
+    # cannot also be W
+    rng = np.random.default_rng(68)
+    M = stable_matrix(rng, 4, radius=0.9)
+    plain = solve_dlyap_stable(M, M)
+    both = M.copy()
+    over = solve_dlyap_stable(both, both, overwrite=True)
+    assert over.W is not both
+    assert same_bits(over.W, plain.W) and over.iterations == plain.iterations
 
 
 def test_golden_gramian_matches_reference_block(golden_sys):
@@ -365,32 +378,10 @@ def smith_reference(A_K, Q, cfg=DEFAULT_TOL):
         update_norm = float(np.linalg.norm(update, "fro"))
         W = W + update
         W = 0.5 * (W + W.T)
-        w_norm = float(np.linalg.norm(W, "fro"))
-        if not (np.isfinite(update_norm) and np.isfinite(w_norm)):
-            raise NotStable(f"overflowed after {it} doublings")
-        if update_norm <= cfg.residual_tol * w_norm:
+        if update_norm <= cfg.residual_tol * float(np.linalg.norm(W, "fro")):
             return W, it
         E = E @ E
     raise AssertionError("reference Smith loop did not converge")
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e149, 2e153, 6e153])
-def test_smith_overflow_is_raised_at_the_doubling_of_the_reference(scale):
-    # The norm of W is skipped while a running bound shows the stop test
-    # failing. Near float64's limit, where the norm of W overflows before
-    # any entry does, that must neither delay nor hide the overflow error.
-    cases = (np.diag([0.9, 0.5]), np.diag([0.99, 0.3]), 0.3 * np.random.default_rng(0).standard_normal((5, 5)))
-    for A_K in cases:
-        Q = scale * np.eye(A_K.shape[0])
-        try:
-            W_ref, it_ref = smith_reference(A_K, Q)
-        except NotStable as exc:
-            with pytest.raises(NotStable, match=f"after {str(exc).split()[-2]} doublings"):
-                solve_dlyap_stable(A_K, Q)
-            continue
-        sol = solve_dlyap_stable(A_K, Q)
-        assert sol.iterations == it_ref and np.array_equal(sol.W, W_ref)
 
 
 @st.composite

@@ -72,6 +72,7 @@ Other records are not judged: plain ``compare`` checks those. Both modes
 unpickle their arguments, so give them only files ``capture`` wrote.
 """
 
+import inspect
 import math
 import os
 import pickle
@@ -139,6 +140,9 @@ def capture(src: str, out: str, seeds) -> None:
 
     if Path(hamlq.__file__).resolve().parent != src_dir / "hamlq":
         sys.exit(f"error: imported hamlq from {hamlq.__file__}, not {src_dir}")
+    # residuals_v1 reads the closed loop from the Gramian where the Gramian
+    # holds it, and from the Riccati solution in older trees
+    v1_takes_gram = len(inspect.signature(hs.residuals_v1).parameters) > 2
     records = {}
     for seed in seeds:
         for item in workloads.build("analyze-mix", seed):
@@ -151,7 +155,7 @@ def capture(src: str, out: str, seeds) -> None:
             rec = _setup_record(ric, gram)
             derived = {
                 "staircase": asdict(hs.staircase(b.sys, b.report.tolerances)),
-                "residuals_v1": asdict(hs.residuals_v1(b.sys, ric, gram)),
+                "residuals_v1": asdict(hs.residuals_v1(b.sys, ric, *([gram] if v1_takes_gram else []))),
                 "residuals_v2": asdict(hs.residuals_v2(b.sys, ric, gram)),
                 "bases": {"V1": hs.assemble_v1(ric), "V2": hs.assemble_v2(ric, gram),
                           "Vbar2": hs.assemble_vbar2(ric, gram)},
