@@ -243,7 +243,8 @@ def solve_nonrecursive(
     BoundaryInconsistent
         The boundary residual exceeds tolerance (endpoint not attainable
         from ``x0`` in ``k_f`` steps, or the problem is degenerate), or it
-        or its scale is not finite.
+        or its scale is not finite, or the propagation, the outputs or the
+        cost overflow float64.
     """
     sysq, k_f = prob.sys, prob.k_f
     n = sysq.n
@@ -287,19 +288,29 @@ def solve_nonrecursive(
             )
     del M12, M21, M22  # frees M12 and a free end's P phi; phi and gram hold the rest
 
-    fwd, bwd = _propagate(squares, phi, alpha, beta, k_f)
-    del squares, phi
-    u = fwd[:-1].dot(K.T)
-    u += bwd[1:].dot(gram.u_gain.T)
-    x = bwd.dot(W.T)
-    x += fwd
-    del fwd
-    p = x.dot(P.T)
-    p -= bwd
-    del bwd  # free before the cost adds its own arrays
-    if prob.free_terminal:
-        p[k_f] = end_row  # the row the transversality check measured
+    # Finite end blocks do not bound the rows between them, nor the outputs
+    # and cost formed from them; an overflow there is raised by numpy and
+    # turned into the typed error, so it never reaches the caller as a
+    # warning and an infinite J.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fwd, bwd = _propagate(squares, phi, alpha, beta, k_f)
+            del squares, phi
+            u = fwd[:-1].dot(K.T)
+            u += bwd[1:].dot(gram.u_gain.T)
+            x = bwd.dot(W.T)
+            x += fwd
+            del fwd
+            p = x.dot(P.T)
+            p -= bwd
+            del bwd  # free before the cost adds its own arrays
+            if prob.free_terminal:
+                p[k_f] = end_row  # the row the transversality check measured
 
-    traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
-    traj.J = cost(traj, sysq)
+            traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
+            traj.J = cost(traj, sysq)
+    except FloatingPointError as exc:
+        raise BoundaryInconsistent(
+            f"{exc} in the trajectory's propagation, outputs or cost: the problem overflows float64"
+        ) from None
     return traj

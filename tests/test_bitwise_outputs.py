@@ -43,20 +43,21 @@ def dare_record():
         spec.loader.exec_module(tool)
     for index, system in enumerate(tool.sweep(7)):
         try:
-            return ("dare", 7, index), tool._ric_record(solve_dare(SystemQuadruple(*system)))
+            return ("dare", 7, index), tool._record(ric=solve_dare(SystemQuadruple(*system)))
         except HamlqError:
             continue
     raise AssertionError("no seed-7 sweep system solves")
 
 
-def oracle_compare(tmp_path, rec_a, rec_b):
+def run_compare(tmp_path, rec_a, rec_b, *flags):
+    """``compare [FLAGS]`` of two captures holding ``rec_a`` and ``rec_b``."""
     paths = []
     for name, records in (("a.pkl", rec_a), ("b.pkl", rec_b)):
         path = tmp_path / name
         path.write_bytes(pickle.dumps(records))
         paths.append(str(path))
     return subprocess.run(
-        [sys.executable, str(TOOL), "compare", "--oracle", *paths],
+        [sys.executable, str(TOOL), "compare", *flags, *paths],
         capture_output=True, text=True, check=False,
     )
 
@@ -66,7 +67,7 @@ def test_oracle_compare_fails_when_a_free_end_J_leaves_the_band(tmp_path, free_r
     key, rec, j_star = free_record
     assert abs(rec["J"] - j_star) <= 1e-12 * (1.0 + j_star)
     moved = dict(rec, J=rec["J"] + shift * (1.0 + j_star))
-    res = oracle_compare(tmp_path, {key: rec}, {key: moved})
+    res = run_compare(tmp_path, {key: rec}, {key: moved}, "--oracle")
     assert res.returncode == code, res.stdout + res.stderr
     flip = f"flip {' '.join(map(str, key))} inside -> outside"
     assert (flip in res.stdout) == bool(code)
@@ -78,7 +79,7 @@ def test_oracle_compare_fails_when_a_riccati_sweep_solve_is_lost(tmp_path, dare_
     key, rec = dare_record
     raised = ("raised", "SingularWeight", "innovation weight D'D + B'PB is singular to working tolerance")
     a, b = (rec, raised) if solved_in == "A" else (raised, rec)
-    res = oracle_compare(tmp_path, {key: a}, {key: b})
+    res = run_compare(tmp_path, {key: a}, {key: b}, "--oracle")
     assert res.returncode == code, res.stdout + res.stderr
     verdicts = "solved -> SingularWeight" if solved_in == "A" else "SingularWeight -> solved"
     assert f"flip {' '.join(map(str, key))} {verdicts}" in res.stdout
@@ -99,13 +100,7 @@ def test_compare_ends_with_one_line_per_field_name(tmp_path, free_record):
     scale = 1.0 + np.max(np.abs(rec["p"]))
     for i in range(SHOWN + 3):
         b[("traj", 1, f"t{i}")] = dict(rec, p=rec["p"] + (i + 1) * 1e-9 * scale)
-    paths = []
-    for name, records in (("a.pkl", a), ("b.pkl", b)):
-        (tmp_path / name).write_bytes(pickle.dumps(records))
-        paths.append(str(tmp_path / name))
-    res = subprocess.run(
-        [sys.executable, str(TOOL), "compare", *paths], capture_output=True, text=True, check=False,
-    )
+    res = run_compare(tmp_path, a, b)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
     # each field name's first SHOWN differing records are listed, not all
@@ -114,3 +109,16 @@ def test_compare_ends_with_one_line_per_field_name(tmp_path, free_record):
         f"p: {SHOWN + 3} differ, largest {(SHOWN + 3) * 1e-9:.1e}; ric.K: 1 differ, largest 5.0e-01; "
         "x, u, J, alpha, beta, ric.P, gram.*, raised: 0"
     )
+
+
+@pytest.mark.parametrize("one_sided", ["A", "B"])
+def test_compare_reports_a_field_present_on_one_side_only(tmp_path, one_sided):
+    # a change that adds a field to a result type, or removes one from it
+    rec = {"report.n": 4, "report.rank_v2": 3, "report.zero_rows_Au": [2]}
+    fewer = {k: v for k, v in rec.items() if k != "report.zero_rows_Au"}
+    a, b = (rec, fewer) if one_sided == "A" else (fewer, rec)
+    key = ("analyze", 1, "golden")
+    res = run_compare(tmp_path, {key: a}, {key: b})
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert f"differs ('analyze', 1, 'golden') report.zero_rows_Au only in {one_sided}" in res.stdout
+    assert "3 fields compared, 1 differ" in res.stdout

@@ -52,8 +52,8 @@ def test_analyze_golden(golden_file, capsys):
     assert doc["rank_vbar2"] == 4
     assert doc["zero_rows_Au"] == [2]
     assert doc["rank_deficiency_v2"] == 1
-    assert doc["residuals"]["v1"]["dynamics"] >= 0.0
-    assert doc["residuals"]["v2"]["stationarity"] >= 0.0
+    residuals = [v for which in ("v1", "v2") for v in doc["residuals"][which].values()]
+    assert len(residuals) == 6 and all(0.0 <= v < 1e-10 for v in residuals), residuals
     assert doc["iterations"]["riccati"] >= 1
     assert "matrices" not in doc
 
@@ -272,6 +272,17 @@ def test_trajectory_overflow_prints_one_error_line(drift_file):
     code, lines = run_fresh("trajectory", drift_file, "--x0=1e308,1e308", "--kf", "4")
     assert code == 5
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@pytest.mark.parametrize("args", [
+    ["--x0=4.47e153,4.47e153,0,0", "--kf", "2", "--xf", "0,0,0,0", "--format", "json"],
+    ["--x0=5.01e153,5.01e153,0,0", "--kf", "1"],
+])
+def test_trajectory_overflowing_cost_prints_one_error_line(golden_file, args):
+    # a finite, consistent boundary system whose cost overflows: exit 5, not J = inf
+    code, lines = run_fresh("trajectory", golden_file, *args)
+    assert code == 5
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflows" in lines[0], lines
 
 
 def test_analyze_overflowing_cost_prints_one_error_line(tmp_path):

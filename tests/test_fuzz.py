@@ -52,7 +52,7 @@ def fuzz_plant(rng):
 def run_draw(rng, sysq):
     """The failed calls of one draw as ``(name, what)``: an untyped exception
     (a warning raised as an error among them) or a trajectory with a
-    non-finite entry. A typed error ends no more than its own call."""
+    non-finite entry or cost. A typed error ends no more than its own call."""
     failed = []
 
     def call(name, fn, *args):
@@ -75,7 +75,7 @@ def run_draw(rng, sysq):
             prob = TrajectoryProblem(sys=sysq, x0=rng.standard_normal(sysq.n), k_f=k_f, xf=xf)
             name = f"solve_nonrecursive(k_f={k_f}, {'free' if xf is None else 'fixed'} end)"
             traj = call(name, solve_nonrecursive, prob, bundle.riccati, bundle.gramian)
-            if traj is not None and not all(np.isfinite(v).all() for v in (traj.x, traj.p, traj.u)):
+            if traj is not None and not all(np.isfinite(v).all() for v in (traj.x, traj.p, traj.u, traj.J)):
                 failed.append((name, "a non-finite trajectory"))
     return failed
 

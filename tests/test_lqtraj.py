@@ -428,6 +428,15 @@ def test_boundary_verdict_fails_outside_float_range(golden_sys):
     assert 1e300 < traj.J < np.inf
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, k_f, xf", [(4.47e153, 2, np.zeros(4)), (5.01e153, 1, None)])
+def test_overflow_after_the_boundary_verdict_raises_the_typed_error(golden_sys, scale, k_f, xf):
+    # The boundary system is finite and consistent; the cost then overflows.
+    prob = TrajectoryProblem(golden_sys, scale * np.array([1.0, 1.0, 0.0, 0.0]), k_f, xf=xf)
+    with pytest.raises(BoundaryInconsistent, match="overflows float64"):
+        solve_nonrecursive(prob, *solve_all(golden_sys))
+
+
 def test_cost_helpers():
     sys = SystemQuadruple(
         A=np.zeros((2, 2)),

@@ -9,39 +9,37 @@ compare two captures for bitwise equality or against the optimal cost.
 ``capture`` imports ``hamlq`` from ``SRC_DIR`` and runs, for each seed
 (default 1-10), every ``analyze-mix`` item and every ``traj-many`` set-up and
 trajectory, built by this checkout's ``perfbench/workloads.py``. It records
-``P``, ``K``, ``Rw``, ``W``, ``u_gain``, the closed loop ``A_K`` (as
-``A_K``, read from whichever of the Riccati solution and the Gramian holds
-it, so that captures of trees from before and after it moved to the Gramian
-compare), the iteration counts, the
-``StaircaseForm`` (``T``, ``n_c`` and the six blocks ``A_c``, ``A_cu``,
-``A_u``, ``B_c``, ``C_c``, ``C_u``), both residual triples and the three
-bases (each from its public function after ``analyze`` returns:
-``staircase`` of the plant with the analysis's tolerances,
-``residuals_v1``/``residuals_v2``, then ``assemble_v1``/``assemble_v2``/
-``assemble_vbar2``) and every
-``DimensionReport`` field of each analysis; the same Riccati and
-Gramian data of each trajectory system; ``x``, ``p``, ``u``, ``J``,
-``alpha`` and ``beta`` of each trajectory; the type and message of every
-error raised; and the exit code and stdout bytes of the benchmark's four
-``cli_items`` (``golden --report``, ``analyze --full``, and ``trajectory
---kf 5000`` as CSV and as JSON), run in-process on files written to a
-temporary directory. Whatever the seeds, it also records the Riccati data
-(``P``, ``K``, ``Rw`` and the iteration count) of
-the Riccati sweep as ``("dare", seed, index)`` records: ``SWEEP_COUNT``
-unstable plants per seed of ``SWEEPS`` (seed 7: n 2..12, spectral radius of
-``A`` 1.05..1.6; seed 8: n 2..20, radius 1.05..3.0), with m 1..3, p 1..4,
-standard normal ``B``, ``C``, ``D`` and the last column of ``D`` zeroed with
-probability 0.3. Each sweep solve turns warnings into errors, so a warning
-is recorded as the error it raised. Run ``capture`` once per tree, each in
-its own process, with the same BLAS build and thread count (it pins one
-thread, as the benchmark does).
+each result object whole, every dataclass field ``k`` of a part named
+``name`` as ``name.k``, so a field a change adds to a result type or removes
+from it shows in the next capture without an edit here. An analysis records
+its Riccati solution ``ric``, its Gramian ``gram`` and its ``report``, and
+what the public functions form after ``analyze`` returns: the ``staircase``
+of the plant with the analysis's tolerances, ``residuals_v1`` and
+``residuals_v2``, and the ``bases`` ``V1``, ``V2`` and ``Vbar2``. A
+trajectory system records ``ric`` and ``gram``, a trajectory every field of
+its ``Trajectory`` unprefixed (``x``, ``p``, ``u``, ``J``, ``alpha``,
+``beta``). Every error raised is recorded as its type and message, and each
+of the benchmark's four ``cli_items`` (``golden --report``, ``analyze
+--full``, and ``trajectory --kf 5000`` as CSV and as JSON), run in-process
+on files written to a temporary directory, as its exit code and stdout
+bytes. Whatever the seeds, it also records ``ric`` of the Riccati sweep as
+``("dare", seed, index)`` records: ``SWEEP_COUNT`` unstable plants per seed
+of ``SWEEPS`` (seed 7: n 2..12, spectral radius of ``A`` 1.05..1.6; seed 8:
+n 2..20, radius 1.05..3.0), with m 1..3, p 1..4, standard normal ``B``,
+``C``, ``D`` and the last column of ``D`` zeroed with probability 0.3. Each
+sweep solve turns warnings into errors, so a warning is recorded as the
+error it raised. Run ``capture`` once per tree, each in its own process,
+with the same BLAS build and thread count (it pins one thread, as the
+benchmark does).
 
-``compare`` requires the same records, ``np.array_equal`` arrays, equal
-scalars and identical errors, and exits non-zero if one differs. It prints
-the first ``SHOWN`` differing records of each field name (an error, on
-either side, is the field ``raised``); for two real arrays or scalars of one
-shape it also prints how far they moved, ``max|a-b| / (1 + max|a|)`` with
-``a`` from the first file. The summary names the largest such move and
+``compare`` requires the same records with the same fields,
+``np.array_equal`` arrays, equal scalars and identical errors, and exits
+non-zero if one differs. A field that one capture's record has and the
+other's lacks differs, and is printed as ``only in A`` or ``only in B``. It
+prints the first ``SHOWN`` differing records of each field name (an error,
+on either side, is the field ``raised``); for two real arrays or scalars of
+one shape it also prints how far they moved, ``max|a-b| / (1 + max|a|)``
+with ``a`` from the first file. The summary names the largest such move and
 counts arrays that are equal but differ in their bytes (zeros of opposite
 sign). The last line gives, for each field name, how many records differ
 and the largest move, then the names that never differ, for example
@@ -72,7 +70,6 @@ Other records are not judged: plain ``compare`` checks those. Both modes
 unpickle their arguments, so give them only files ``capture`` wrote.
 """
 
-import inspect
 import math
 import os
 import pickle
@@ -92,7 +89,6 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 BAND = 1e-8  # a free-end J within BAND * (1 + J*) of J* counts as optimal
 AGREE = 1e-8  # a solved sweep system whose P is this close to SciPy's counts as solved
-RIC_FIELDS = ("P", "K", "Rw", "iterations")
 SHOWN = 5  # differing records printed per field name; the last line counts them all
 SWEEP_COUNT = 300  # systems per sweep seed
 SWEEPS = {7: (12, 1.05, 1.6), 8: (20, 1.05, 3.0)}  # seed: (n_max, spectral radius range)
@@ -116,14 +112,13 @@ def sweep(seed: int):
         yield A, B, C, D
 
 
-def _ric_record(ric) -> dict:
-    return {f"ric.{k}": getattr(ric, k) for k in RIC_FIELDS}
-
-
-def _setup_record(ric, gram) -> dict:
-    A_K = gram.A_K if hasattr(gram, "A_K") else ric.A_K
-    return {**_ric_record(ric), "A_K": A_K, "gram.W": gram.W, "gram.u_gain": gram.u_gain,
-            "gram.iterations": gram.iterations}
+def _record(**parts) -> dict:
+    """One record: every field ``k`` of each named part, a dataclass or a dict, as ``name.k``."""
+    return {
+        f"{name}.{k}": v
+        for name, part in parts.items()
+        for k, v in (part if isinstance(part, dict) else asdict(part)).items()
+    }
 
 
 def _error(exc) -> tuple:
@@ -140,9 +135,6 @@ def capture(src: str, out: str, seeds) -> None:
 
     if Path(hamlq.__file__).resolve().parent != src_dir / "hamlq":
         sys.exit(f"error: imported hamlq from {hamlq.__file__}, not {src_dir}")
-    # residuals_v1 reads the closed loop from the Gramian where the Gramian
-    # holds it, and from the Riccati solution in older trees
-    v1_takes_gram = len(inspect.signature(hs.residuals_v1).parameters) > 2
     records = {}
     for seed in seeds:
         for item in workloads.build("analyze-mix", seed):
@@ -152,23 +144,21 @@ def capture(src: str, out: str, seeds) -> None:
                 records[("analyze", seed, item.id)] = _error(exc)
                 continue
             ric, gram = b.riccati, b.gramian
-            rec = _setup_record(ric, gram)
-            derived = {
-                "staircase": asdict(hs.staircase(b.sys, b.report.tolerances)),
-                "residuals_v1": asdict(hs.residuals_v1(b.sys, ric, *([gram] if v1_takes_gram else []))),
-                "residuals_v2": asdict(hs.residuals_v2(b.sys, ric, gram)),
-                "bases": {"V1": hs.assemble_v1(ric), "V2": hs.assemble_v2(ric, gram),
-                          "Vbar2": hs.assemble_vbar2(ric, gram)},
-            }
-            for name, fields in derived.items():
-                rec.update({f"{name}.{k}": v for k, v in fields.items()})
-            rec.update({f"report.{k}": v for k, v in asdict(b.report).items() if k != "tolerances"})
-            records[("analyze", seed, item.id)] = rec
+            records[("analyze", seed, item.id)] = _record(
+                ric=ric,
+                gram=gram,
+                staircase=hs.staircase(b.sys, b.report.tolerances),
+                residuals_v1=hs.residuals_v1(b.sys, ric, gram),
+                residuals_v2=hs.residuals_v2(b.sys, ric, gram),
+                bases={"V1": hs.assemble_v1(ric), "V2": hs.assemble_v2(ric, gram),
+                       "Vbar2": hs.assemble_vbar2(ric, gram)},
+                report=b.report,
+            )
         items = workloads.build("traj-many", seed)
         solved = workloads.solve_systems({it.sys_key: it.sys for it in items})
         for key, setup in solved.items():
             records[("setup", seed, key)] = (
-                _error(setup) if isinstance(setup, HamlqError) else _setup_record(*setup)
+                _error(setup) if isinstance(setup, HamlqError) else _record(ric=setup[0], gram=setup[1])
             )
         for item in items:
             try:
@@ -176,9 +166,7 @@ def capture(src: str, out: str, seeds) -> None:
             except HamlqError as exc:
                 records[("traj", seed, item.id)] = _error(exc)
                 continue
-            records[("traj", seed, item.id)] = {
-                "x": t.x, "p": t.p, "u": t.u, "J": t.J, "alpha": t.alpha, "beta": t.beta,
-            }
+            records[("traj", seed, item.id)] = asdict(t)
         with tempfile.TemporaryDirectory() as workdir:
             for item in workloads.cli_items(seed, Path(workdir)):
                 res = workloads.cli_inprocess(item.argv)
@@ -188,7 +176,7 @@ def capture(src: str, out: str, seeds) -> None:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    rec = _ric_record(hamlq.solve_dare(hamlq.SystemQuadruple(A, B, C, D)))
+                    rec = _record(ric=hamlq.solve_dare(hamlq.SystemQuadruple(A, B, C, D)))
             except (HamlqError, Warning) as exc:
                 rec = _error(exc)
             records[("dare", seed, index)] = rec
@@ -258,21 +246,28 @@ def compare(path_a: str, path_b: str) -> int:
         rb = b[key]
         if isinstance(ra, tuple) or isinstance(rb, tuple):  # an error on either side
             ra, rb = {"raised": ra}, {"raised": rb}
-        for name, va in ra.items():
+        for name in dict.fromkeys([*ra, *rb]):  # A's fields, then those only in B
             compared += 1
             stats = fields.setdefault(name, [0, None])
-            if not _same(va, rb[name]):
+            if name not in ra or name not in rb:
                 differing += 1
                 stats[0] += 1
-                moved = _moved(va, rb[name])
+                if stats[0] <= SHOWN:
+                    print("differs", key, name, "only in", "A" if name in ra else "B")
+                continue
+            va, vb = ra[name], rb[name]
+            if not _same(va, vb):
+                differing += 1
+                stats[0] += 1
+                moved = _moved(va, vb)
                 if moved is not None:
                     stats[1] = max(moved, stats[1] or 0.0)
                     if moved > largest[0]:
                         largest = (moved, (key, name))
                 if stats[0] <= SHOWN:
-                    detail = [f"moved {moved:.3e}"] if moved is not None else [va, rb[name]] if name == "raised" else []
+                    detail = [f"moved {moved:.3e}"] if moved is not None else [va, vb] if name == "raised" else []
                     print("differs", key, name, *detail)
-            elif isinstance(va, np.ndarray) and va.tobytes() != rb[name].tobytes():
+            elif isinstance(va, np.ndarray) and va.tobytes() != vb.tobytes():
                 signed_zeros += 1
     kinds = {}
     for kind, *_ in a:
