@@ -30,8 +30,11 @@ from ``closed_loop_gramian``'s result.
 
 A solve is about 25 products of small operands: the squares, ``A_K^{k_f}``,
 the boundary blocks and verdict, the far rows of the modes, the outputs and
-the stage costs. At the sizes of many short solves (n <= 20, k_f <= 200)
-their per-call dispatch, not their arithmetic, sets most of a solve's cost.
+the cost rows ``y = x C' + u D'``, whose flattened entries one BLAS dot
+squares and sums into ``J``. The whole solve runs in one ``np.errstate``.
+At the sizes of many short solves (n <= 20, k_f <= 200) the per-call
+dispatch of these products, not their arithmetic, sets most of a solve's
+cost.
 """
 
 from __future__ import annotations
@@ -130,13 +133,24 @@ class Trajectory:
 
 def stage_costs(traj: Trajectory, sys: SystemQuadruple) -> np.ndarray:
     """Per-step costs ``|C x_k + D u_k|^2`` for k = 0..k_f-1."""
-    y = traj.x[:-1].dot(sys.C.T) + traj.u.dot(sys.D.T)
+    y = traj.x[:-1].dot(sys.C.T)
+    y += traj.u.dot(sys.D.T)
     return np.multiply(y, y, out=y).sum(axis=1)
 
 
 def cost(traj: Trajectory, sys: SystemQuadruple) -> float:
-    """Recompute the objective from scratch."""
-    return float(stage_costs(traj, sys).sum())
+    """Recompute the objective from scratch: ``J = y . y`` over the rows
+    ``y_k = C x_k + D u_k``, flattened.
+
+    One BLAS dot sums the ``k_f p`` squares in its own order, so ``J`` may
+    differ from ``stage_costs(traj, sys).sum()`` in its last digits: both
+    sum nonnegative terms, so the two lie within ``2 k_f p eps J`` of each
+    other.
+    """
+    y = traj.x[:-1].dot(sys.C.T)
+    y += traj.u.dot(sys.D.T)
+    y = y.ravel()
+    return float(y.dot(y))
 
 
 def _squares(A_K: np.ndarray, k_f: int):
@@ -149,7 +163,7 @@ def _squares(A_K: np.ndarray, k_f: int):
     significant bit, each on the right.
     """
     squares = [A_K]
-    while 2 ** len(squares) <= k_f:
+    for _ in range(k_f.bit_length() - 1):
         squares.append(squares[-1].dot(squares[-1]))
     if k_f == 3:
         return squares, squares[1].dot(A_K)
@@ -228,13 +242,27 @@ def solve_nonrecursive(
     ``gram.u_gain`` come from ``gram``, which must be
     ``closed_loop_gramian``'s result for ``ric``.
 
+    At a free end no zero vector is formed: ``r = -M21 x0`` is formed in
+    place, as ``0.0 - M21 x0`` (the bits of a zero vector less it, zero
+    signs included), and the bottom residual is ``|M21 alpha + M22 beta|``.
+    ``r`` is dropped once ``lstsq`` returns.
+
     The outputs are ``u``, then ``x = W bwd + fwd`` from the two mode
     sequences, then ``p = P x - bwd``; at a free end ``p[k_f]`` is then
     replaced by the bottom block row ``M21 alpha + M22 beta`` that the
     consistency check measured, so the returned costate meets ``p_{k_f} = 0``
     as closely as the solve did. Each sequence is freed once it is last
     read, so the working set is about three ``(k_f + 1) x n`` arrays plus
-    ``u``.
+    ``u``. ``J`` is ``cost``'s single dot over the flattened rows ``C x_k +
+    D u_k``; it lies within ``2 k_f p eps J`` of ``stage_costs(...).sum()``,
+    which adds the same squares in another order.
+
+    The whole solve runs in one ``np.errstate(over="raise",
+    invalid="raise")``: an overflow anywhere is raised by numpy and reported
+    as ``BoundaryInconsistent``, whose message says whether it came from
+    the boundary system ("... which is not finite ...") or from the
+    propagation, outputs or cost. The verdict's own check catches a
+    residual or scale that its Python float arithmetic makes non-finite.
 
     Raises
     ------
@@ -243,8 +271,8 @@ def solve_nonrecursive(
     BoundaryInconsistent
         The boundary residual exceeds tolerance (endpoint not attainable
         from ``x0`` in ``k_f`` steps, or the problem is degenerate), or it
-        or its scale is not finite, or the propagation, the outputs or the
-        cost overflow float64.
+        or its scale is not finite, or the boundary system, the propagation,
+        the outputs or the cost overflow float64.
     """
     sysq, k_f = prob.sys, prob.k_f
     n = sysq.n
@@ -254,46 +282,55 @@ def solve_nonrecursive(
             f"prob has {n} states, ric {P.shape[0]} and gram {W.shape[0]}: not solved for prob.sys"
         )
 
-    # An overflow here ends in the not-finite verdict below, not in a warning:
-    # an overflowing square makes the last square, and so phi, non-finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares, phi = _squares(gram.A_K, k_f)
-        # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
-        # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
-        x0, M12 = prob.x0, W.dot(phi.T)
-        if prob.free_terminal:
-            M21, M22, norm_M22, end = P.dot(phi), gram.Vbar2[n:], gram.norm_PW_I, np.zeros(n)
-        else:
-            M21, M22, norm_M22, end = phi, W, gram.norm_W, prob.xf
-        beta = np.linalg.lstsq(M22 - M21.dot(M12), end - M21.dot(x0), rcond=cfg.rank_tol_factor * n)[0]
-        M12_beta = M12.dot(beta)
-        alpha = x0 - M12_beta
-        # the full system's residual and scale, one block row at a time; at a
-        # free end the bottom row's left side is the costate p_{k_f}
-        end_row = M21.dot(alpha) + M22.dot(beta)
-        top, bottom = _vec_norm(alpha + M12_beta - x0), _vec_norm(end_row - end)
-        norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), norm_M22)
-        norm_z = math.hypot(_vec_norm(alpha), _vec_norm(beta))
-        residual = math.hypot(top, bottom)
-        scale = 1.0 + math.hypot(_vec_norm(x0), _vec_norm(end)) + norm_M * norm_z
-        if not (math.isfinite(residual) and math.isfinite(scale)):
-            raise BoundaryInconsistent(
-                f"boundary system residual {residual:.3e} or its scale {scale:.3e} "
-                "is not finite: the problem overflows float64"
-            )
-        if residual > cfg.residual_tol * scale:
-            raise BoundaryInconsistent(
-                f"boundary system residual {residual:.3e} exceeds tolerance: "
-                "endpoint not attainable from x0 in k_f steps, or the problem is degenerate"
-            )
-    del M12, M21, M22  # frees M12 and a free end's P phi; phi and gram hold the rest
-
-    # Finite end blocks do not bound the rows between them, nor the outputs
-    # and cost formed from them; an overflow there is raised by numpy and
-    # turned into the typed error, so it never reaches the caller as a
-    # warning and an infinite J.
+    # Finite data can still overflow float64 anywhere in the solve. numpy
+    # raises each overflow, and the one error context turns it into the
+    # typed error, so it never reaches the caller as a warning, a failed
+    # least-squares solve on non-finite blocks, or an infinite J.
+    where = "the boundary system, which is not finite"
     try:
         with np.errstate(over="raise", invalid="raise"):
+            squares, phi = _squares(gram.A_K, k_f)
+            x0, M12 = prob.x0, W.dot(phi.T)
+            # end = None is the free end's zero vector, never formed
+            if prob.free_terminal:
+                M21, M22, norm_M22, end = P.dot(phi), gram.Vbar2[n:], gram.norm_PW_I, None
+            else:
+                M21, M22, norm_M22, end = phi, W, gram.norm_W, prob.xf
+            # r = end - M21 x0 in place; 0.0 - v has the bits, zero signs
+            # included, of a zero vector less v
+            r = M21.dot(x0)
+            np.subtract(0.0 if end is None else end, r, out=r)
+            # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
+            # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
+            beta = np.linalg.lstsq(M22 - M21.dot(M12), r, rcond=cfg.rank_tol_factor * n)[0]
+            del r
+            M12_beta = M12.dot(beta)
+            alpha = x0 - M12_beta
+            # the full system's residual and scale, one block row at a time; at a
+            # free end the bottom row's left side is the costate p_{k_f}
+            end_row = M21.dot(alpha) + M22.dot(beta)
+            top = _vec_norm(alpha + M12_beta - x0)
+            bottom = _vec_norm(end_row if end is None else end_row - end)
+            norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), norm_M22)
+            norm_z = math.hypot(_vec_norm(alpha), _vec_norm(beta))
+            residual = math.hypot(top, bottom)
+            norm_end = 0.0 if end is None else _vec_norm(end)
+            scale = 1.0 + math.hypot(_vec_norm(x0), norm_end) + norm_M * norm_z
+            if not (math.isfinite(residual) and math.isfinite(scale)):
+                raise BoundaryInconsistent(
+                    f"boundary system residual {residual:.3e} or its scale {scale:.3e} "
+                    "is not finite: the problem overflows float64"
+                )
+            if residual > cfg.residual_tol * scale:
+                raise BoundaryInconsistent(
+                    f"boundary system residual {residual:.3e} exceeds tolerance: "
+                    "endpoint not attainable from x0 in k_f steps, or the problem is degenerate"
+                )
+            del M12, M21, M22  # frees M12 and a free end's P phi; phi and gram hold the rest
+
+            # Finite end blocks do not bound the rows between them, nor the
+            # outputs and cost formed from them.
+            where = "the trajectory's propagation, outputs or cost"
             fwd, bwd = _propagate(squares, phi, alpha, beta, k_f)
             del squares, phi
             u = fwd[:-1].dot(K.T)
@@ -304,13 +341,11 @@ def solve_nonrecursive(
             p = x.dot(P.T)
             p -= bwd
             del bwd  # free before the cost adds its own arrays
-            if prob.free_terminal:
+            if end is None:
                 p[k_f] = end_row  # the row the transversality check measured
 
             traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
             traj.J = cost(traj, sysq)
     except FloatingPointError as exc:
-        raise BoundaryInconsistent(
-            f"{exc} in the trajectory's propagation, outputs or cost: the problem overflows float64"
-        ) from None
+        raise BoundaryInconsistent(f"{exc} in {where}: the problem overflows float64") from None
     return traj

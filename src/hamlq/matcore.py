@@ -126,9 +126,28 @@ def fro_norm(X: np.ndarray) -> float:
     handling. ``order="K"`` keeps that summation order for transposed and
     strided operands; a C-order ravel of a transposed matrix would sum in
     another order and round differently.
+
+    Only where that plain sum overflows are the entries first divided by a
+    power of two near ``max|X|``, so a finite norm keeps its bits and an
+    entry above about 1.3e154 no longer reads as an infinite norm. An
+    infinite or NaN entry still gives a non-finite norm, and a norm beyond
+    float64 range is ``inf``. numpy reports the plain sum's overflow as the
+    caller's ``np.errstate`` says: under ``over="ignore"`` the rescaled
+    norm is returned, and under ``over="raise"`` the overflow is raised.
     """
     v = X.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    norm = math.sqrt(v.dot(v))
+    if norm == math.inf:
+        big = max(v.max(), -v.min())
+        if big == math.inf:
+            return norm
+        e = math.frexp(big)[1]
+        v = v * math.ldexp(1.0, -e)
+        try:
+            norm = math.ldexp(math.sqrt(v.dot(v)), e)
+        except OverflowError:
+            pass  # beyond float64 range: norm stays inf
+    return norm
 
 
 def _sym_into(M: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -154,15 +173,19 @@ def residual_norms(products, minus: np.ndarray | None = None) -> tuple[float, fl
     relative value free of the cancellation a scale from the solution misses.
     """
     acc, norms = None, []
-    for factors in products:
-        term = functools.reduce(np.matmul, factors)
-        norms.append(fro_norm(term))
-        acc = term.copy() if acc is None else np.add(acc, term, out=acc)
-        del term
-    if minus is not None:
-        norms.append(fro_norm(minus))
-        acc -= minus
-    raw = fro_norm(acc)
+    # a product or sum that overflows float64 makes its norm, and so the
+    # result, non-finite without a numpy warning; fro_norm scales a finite
+    # array whose plain sum of squares alone overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for factors in products:
+            term = functools.reduce(np.matmul, factors)
+            norms.append(fro_norm(term))
+            acc = term.copy() if acc is None else np.add(acc, term, out=acc)
+            del term
+        if minus is not None:
+            norms.append(fro_norm(minus))
+            acc -= minus
+        raw = fro_norm(acc)
     return raw, raw / (1.0 + max(norms))
 
 

@@ -294,15 +294,15 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
             Rw = _sym_into(R + BtP @ B, np.empty_like(R))
             Rw = _finite_product(Rw, "the innovation weight D'D + B'PB", data)
             L = _finite_product(BtP @ A + S.T, "B'PA + S'", data)
+            dp, p_scale = fro_norm(P_new - P), 1.0 + fro_norm(P_new)
         try:
             K = -solve_linear(Rw, L, cfg)
         except SingularMatrix as exc:
             raise SingularWeight(
                 "innovation weight D'D + B'PB is singular to working tolerance"
             ) from exc
-        dp = fro_norm(P_new - P)
         P = P_new
-        if _settled(dp, prev_dp, 1.0 + fro_norm(P)):
+        if _settled(dp, prev_dp, p_scale):
             break  # the residual check below decides
         prev_dp = dp
     else:

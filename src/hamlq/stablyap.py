@@ -202,9 +202,11 @@ def closed_loop_gramian(sys, ric, cfg: ToleranceConfig = DEFAULT_TOL) -> ClosedL
     Vbar2[n:].reshape(-1)[:: n + 1] -= 1.0  # the diagonal of P W
     A_K = sys.A + sys.B @ ric.K
     u_gain = ric.K @ W @ A_K.T + Rw_inv_Bt
+    with np.errstate(over="ignore", invalid="ignore"):  # fro_norm scales a sum that overflows
+        norm_W, norm_PW_I = fro_norm(W), fro_norm(Vbar2[n:])
     return ClosedLoopGramian(
         W=W, iterations=iterations, A_K=A_K, Vbar2=Vbar2, u_gain=u_gain,
-        norm_W=fro_norm(W), norm_PW_I=fro_norm(Vbar2[n:]),
+        norm_W=norm_W, norm_PW_I=norm_PW_I,
     )
 
 

@@ -8,15 +8,30 @@ Every draw runs ``analyze``; one that returns also runs both residual
 checks and free- and fixed-end trajectory solves at k_f = 1, 5 and 40.
 Warnings are errors, so a leaked numpy warning fails the draw as an
 untyped error would.
+
+A hypothesis property test draws plants the same way, with the sizes, each
+matrix's scaling and ``A``'s radius as hypothesis choices, and calls the
+layers one by one: ``solve_dare``, ``closed_loop_gramian``, the same
+trajectory solves, and ``cli.main`` on the plant written to a file.
 """
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hamlq import cli
 from hamlq.errors import HamlqError
 from hamlq.hamsubspace import analyze, residuals_v1, residuals_v2
-from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive
+from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive, stage_costs
+from hamlq.matcore import EPS
 from hamlq.reachdecomp import SystemQuadruple
+from hamlq.riccati import solve_dare
+from hamlq.stablyap import closed_loop_gramian
 
 DRAWS = 1000
 HORIZONS = (1, 5, 40)
@@ -36,15 +51,23 @@ def fuzz_matrix(rng, shape):
     return M
 
 
+def spectral_radius(A):
+    return float(np.max(np.abs(np.linalg.eigvals(A))))
+
+
+def with_radius(A, rho, radius):
+    """``A``, of spectral radius ``rho > 0``, rescaled to ``radius``, or ``A``
+    itself where the rescale would leave float64 range: a radius far below
+    an entry's size."""
+    scale = radius / rho
+    return A * scale if float(np.abs(A).max()) * scale < 1e300 else A
+
+
 def fuzz_plant(rng):
     n, m, p = (int(k) for k in rng.integers(1, (7, 4, 4)))
     A = fuzz_matrix(rng, (n, n))
-    if rng.uniform() < 0.5:
-        rho = float(np.max(np.abs(np.linalg.eigvals(A))))
-        scale = rng.uniform(0.1, 1.5) / rho if rho else 0.0
-        # a radius far below an entry's size would rescale A out of float64 range
-        if scale and float(np.abs(A).max()) * scale < 1e300:
-            A = A * scale
+    if rng.uniform() < 0.5 and (rho := spectral_radius(A)):
+        A = with_radius(A, rho, rng.uniform(0.1, 1.5))
     B, C, D = fuzz_matrix(rng, (n, m)), fuzz_matrix(rng, (p, n)), fuzz_matrix(rng, (p, m))
     return SystemQuadruple(A=A, B=B, C=C, D=D)
 
@@ -88,3 +111,91 @@ def test_every_fuzzed_call_returns_or_raises_a_typed_error():
         sysq = fuzz_plant(rng)
         failures += [(draw, sysq.A.shape[0], name, what) for name, what in run_draw(rng, sysq)]
     assert not failures, failures[:5]
+
+
+@st.composite
+def plants(draw):
+    """A plant drawn as ``fuzz_plant`` draws one, with an rng seeded by
+    hypothesis for the normal entries and the sizes, each matrix's scaling
+    and ``A``'s radius (or none) drawn by hypothesis."""
+    n, m, p = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def matrix(shape):
+        M = rng.standard_normal(shape)
+        kind = draw(st.sampled_from(["normal", "far", "zero", "round", "near"]))
+        if kind == "far":
+            M *= 10.0 ** draw(st.floats(-300, 300))
+        elif kind == "zero":
+            M[:] = 0.0
+        elif kind == "round":
+            M = np.round(M)
+        elif kind == "near":
+            M *= 10.0 ** draw(st.floats(-20, 20))
+        return M
+
+    A = matrix((n, n))
+    radius = draw(st.none() | st.floats(0.1, 1.5))
+    if radius is not None and (rho := spectral_radius(A)):
+        A = with_radius(A, rho, radius)
+    sysq = SystemQuadruple(A=A, B=matrix((n, m)), C=matrix((p, n)), D=matrix((p, m)))
+    return sysq, rng
+
+
+def typed(fn, *args):
+    """``fn(*args)``, or None when it raises a ``HamlqError`` or ``ValueError``."""
+    try:
+        return fn(*args)
+    except (HamlqError, ValueError):
+        return None
+
+
+def all_finite(*arrays):
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def run_cli(argv):
+    """Exit code and stderr lines of in-process ``hamlq <argv>``."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines()
+
+
+# On a failure, hypothesis's pytest plugin imports libcst, which warns on
+# import; ignoring that one warning keeps the failure reported instead of
+# aborting the session.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(plants())
+def test_each_layer_returns_finite_results_or_raises_a_typed_error(tmp_path_factory, case):
+    # Warnings are errors (pyproject), so a leaked numpy warning fails here.
+    sysq, rng = case
+    ric = typed(solve_dare, sysq)
+    gram = None if ric is None else typed(closed_loop_gramian, sysq, ric)
+    if ric is not None:
+        assert all_finite(ric.P, ric.K, ric.Rw)
+    if gram is not None:
+        assert all_finite(gram.W, gram.A_K, gram.Vbar2, gram.u_gain, gram.norm_W, gram.norm_PW_I)
+        for k_f in HORIZONS:
+            for xf in (None, rng.standard_normal(sysq.n)):
+                prob = TrajectoryProblem(sys=sysq, x0=rng.standard_normal(sysq.n), k_f=k_f, xf=xf)
+                traj = typed(solve_nonrecursive, prob, ric, gram)
+                if traj is None:
+                    continue
+                assert all_finite(traj.x, traj.p, traj.u, traj.alpha, traj.beta, traj.J)
+                # J is one dot over the k_f p output entries; the stage sum
+                # adds the same squares in another order
+                stage_sum = float(stage_costs(traj, sysq).sum())
+                assert abs(traj.J - stage_sum) <= 2 * k_f * sysq.p * EPS * traj.J, (k_f, xf is None)
+
+    path = tmp_path_factory.mktemp("plant") / "plant.json"
+    path.write_text(json.dumps({name: getattr(sysq, name).tolist() for name in "ABCD"}))
+    x0 = ",".join(repr(float(v)) for v in rng.standard_normal(sysq.n))
+    for argv in (["analyze", str(path)], ["trajectory", str(path), f"--x0={x0}", "--kf", "5"]):
+        code, lines = run_cli(argv)
+        if code == 0:
+            assert lines == [], argv[0]
+        else:
+            assert code in cli._EXIT_CODES.values(), argv[0]
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv[0], lines)

@@ -1,17 +1,25 @@
 
+import math
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import full_column_rank_D, random_stabilizable, same_bits, stable_matrix, traced_peak
 from hamlq.errors import BoundaryInconsistent
 from hamlq.lqtraj import (
+    Trajectory,
     TrajectoryProblem,
+    _propagate,
     _squares,
+    _vec_norm,
     cost,
     solve_nonrecursive,
     stage_costs,
 )
-from hamlq.matcore import DEFAULT_TOL, solve_linear
+from hamlq.matcore import DEFAULT_TOL, EPS, fro_norm, solve_linear
 from hamlq.reachdecomp import SystemQuadruple
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
@@ -464,6 +472,116 @@ def test_cost_recompute_matches_reported(golden_sys):
         assert abs(cost(traj, golden_sys) - traj.J) <= 1e-12 * (1 + abs(traj.J))
 
 
+def reference_solve(prob, ric, gram, cfg=DEFAULT_TOL):
+    """The solve as it stood with a zero end vector at a free end, the
+    boundary phase under ``np.errstate(over="ignore")`` and the outputs under
+    a second ``np.errstate(over="raise")``, and ``J`` the sum of the stage
+    costs ``(y * y).sum(axis=1)``, ``y = x C' + u D'``. Returns the
+    trajectory and those stage costs."""
+    sysq, k_f, n = prob.sys, prob.k_f, prob.sys.n
+    P, K, W = ric.P, ric.K, gram.W
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares, phi = _squares(gram.A_K, k_f)
+        x0, M12 = prob.x0, W.dot(phi.T)
+        if prob.free_terminal:
+            M21, M22, norm_M22, end = P.dot(phi), gram.Vbar2[n:], gram.norm_PW_I, np.zeros(n)
+        else:
+            M21, M22, norm_M22, end = phi, W, gram.norm_W, prob.xf
+        beta = np.linalg.lstsq(M22 - M21.dot(M12), end - M21.dot(x0), rcond=cfg.rank_tol_factor * n)[0]
+        M12_beta = M12.dot(beta)
+        alpha = x0 - M12_beta
+        end_row = M21.dot(alpha) + M22.dot(beta)
+        top, bottom = _vec_norm(alpha + M12_beta - x0), _vec_norm(end_row - end)
+        norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), norm_M22)
+        norm_z = math.hypot(_vec_norm(alpha), _vec_norm(beta))
+        residual = math.hypot(top, bottom)
+        scale = 1.0 + math.hypot(_vec_norm(x0), _vec_norm(end)) + norm_M * norm_z
+        if not (math.isfinite(residual) and math.isfinite(scale)):
+            raise BoundaryInconsistent("is not finite")
+        if residual > cfg.residual_tol * scale:
+            raise BoundaryInconsistent(f"boundary system residual {residual:.3e} exceeds tolerance")
+    with np.errstate(over="raise", invalid="raise"):
+        fwd, bwd = _propagate(squares, phi, alpha, beta, k_f)
+        u = fwd[:-1].dot(K.T)
+        u += bwd[1:].dot(gram.u_gain.T)
+        x = bwd.dot(W.T)
+        x += fwd
+        p = x.dot(P.T)
+        p -= bwd
+        if prob.free_terminal:
+            p[k_f] = end_row
+        y = x[:-1].dot(sysq.C.T) + u.dot(sysq.D.T)
+        costs = np.multiply(y, y, out=y).sum(axis=1)
+    return Trajectory(x=x, p=p, u=u, J=float(costs.sum()), alpha=alpha, beta=beta), costs
+
+
+def assert_matches_reference(prob, ric, gram):
+    """``alpha``, ``beta``, ``x``, ``p``, ``u`` and the stage costs with the
+    reference's bits, zero signs included, the same verdict, and ``J``
+    within ``2 k_f p eps J`` of the reference's stage sum. Returns whether
+    the problem solved."""
+    try:
+        want, want_costs = reference_solve(prob, ric, gram)
+    except BoundaryInconsistent as exc:
+        with pytest.raises(BoundaryInconsistent, match=re.escape(str(exc))):
+            solve_nonrecursive(prob, ric, gram)
+        return False
+    traj = solve_nonrecursive(prob, ric, gram)
+    for name in ("alpha", "beta", "x", "p", "u"):
+        assert same_bits(getattr(traj, name), getattr(want, name)), name
+    assert same_bits(stage_costs(traj, prob.sys), want_costs)
+    assert abs(traj.J - want.J) <= 2 * prob.k_f * prob.sys.p * EPS * want.J
+    return True
+
+
+@pytest.fixture(scope="module")
+def traj_many_systems(request):
+    """The ``traj-many`` benchmark's ten systems, golden among them, by name."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    request.addfinalizer(lambda: sys.path.remove(bench))
+    import workloads
+
+    return {key: sysq for key, (sysq, _) in workloads.traj_systems().items()}
+
+
+def test_outputs_keep_the_reference_bits_and_J_its_bound(traj_many_systems):
+    # One error context, J as one dot and no zero end vector change no bit
+    # of the returned sequences, and J only within its rounding bound.
+    rng = np.random.default_rng(53)
+    solved = failed = 0
+    for key, sysq in traj_many_systems.items():
+        ric, gram = solve_all(sysq)
+        for k_f in (1, 2, 3, 63, 64, 65, 200):
+            x0 = rng.standard_normal(sysq.n)
+            x = x0.copy()
+            for _ in range(k_f):
+                x = sysq.A @ x + sysq.B @ rng.standard_normal(sysq.m)
+            for xf in (None, x):
+                if assert_matches_reference(TrajectoryProblem(sysq, x0, k_f, xf=xf), ric, gram):
+                    solved += 1
+                else:
+                    failed += 1
+    assert solved >= 100 and failed >= 1, (solved, failed)
+    # Free ends whose right side -P phi x0 is all zeros: x0 = +0 and -0 on
+    # golden, and x0 = (0, 1) on a plant whose second state is costless
+    # drift, so that P's second column and row are exact zeros.
+    decoupled = SystemQuadruple(
+        A=np.diag([0.5, 0.3]), B=np.array([[1.0], [0.0]]),
+        C=np.array([[1.0, 0.0], [0.0, 0.0]]), D=np.array([[0.0], [1.0]]),
+    )
+    ric, gram = solve_all(decoupled)
+    x0 = np.array([0.0, 1.0])
+    for k_f in (1, 3, 64):
+        assert not (ric.P @ np.linalg.matrix_power(gram.A_K, k_f) @ x0).any()
+        assert assert_matches_reference(TrajectoryProblem(decoupled, x0, k_f), ric, gram)
+    golden = traj_many_systems["golden"]
+    ric, gram = solve_all(golden)
+    for x0 in (np.zeros(4), -np.zeros(4)):
+        for k_f in (1, 5, 65):
+            assert assert_matches_reference(TrajectoryProblem(golden, x0, k_f), ric, gram)
+
+
 def power_list_propagate(prob, ric, gram, alpha, beta):
     """The propagation by a stored list of A_K powers that doubling replaced.
 
@@ -633,8 +751,9 @@ def test_dot_matches_matmul_bitwise():
     # The solver forms its products with ndarray.dot, which dispatches faster
     # than @, and relies on the two giving the same bits on every operand kind
     # it uses: squares, transposed views, row slices of a stacked sequence,
-    # vectors on either side, and rows written through out=. A BLAS build that
-    # rounds them differently fails here instead of moving the outputs.
+    # vectors on either side, rows written through out=, and a flattened
+    # product dotted with itself (the cost). A BLAS build that rounds them
+    # differently fails here instead of moving the outputs.
     rng = np.random.default_rng(52)
     for n in range(1, 41):
         squares = layouts(rng, n, n)
@@ -654,6 +773,8 @@ def test_dot_matches_matmul_bitwise():
                         assert same_bits(s.dot(b), want), (n, rows, cols)
                         out = np.empty((rows + 1, cols))
                         assert same_bits(s.dot(b, out=out[1:]), want), (n, rows, cols)
+                        y = want.ravel()
+                        assert same_bits(np.asarray(y.dot(y)), np.asarray(y @ y)), (n, rows, cols)
 
 
 def test_propagation_memory_is_linear_in_horizon():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,24 @@ def test_fro_norm_equals_numpy_norm_bitwise():
             assert fro_norm(V) == float(np.linalg.norm(V, "fro"))
         for v in (X.ravel(), X.ravel()[::3], X.T.ravel()[::-2]):
             assert fro_norm(v) == float(np.linalg.norm(v))
+
+
+def test_fro_norm_scales_only_a_sum_of_squares_that_overflows():
+    # A finite sum keeps the bits above. Where the plain sum of squares
+    # overflows, the entries are divided by a power of two first, which is
+    # exact, so the norm is the unscaled one times that power, bit for bit.
+    rng = np.random.default_rng(33)
+    X = rng.standard_normal((7, 5))
+    with np.errstate(over="ignore"):
+        for k in (520, 700, 1000):
+            for V in (X * 2.0**k, np.asfortranarray(X).T * 2.0**k):
+                assert fro_norm(V) == math.ldexp(fro_norm(V * 2.0**-k), k), k
+        assert fro_norm(np.array([1e300, np.inf])) == np.inf
+        assert np.isnan(fro_norm(np.array([1e300, np.inf, np.nan])))
+        assert np.isnan(fro_norm(np.array([1e300, np.nan])))
+        assert fro_norm(np.full(4, 1e308)) == np.inf  # 2e308, beyond float64 range
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        fro_norm(np.array([1e300]))
 
 
 def test_residual_norms_equals_the_plain_sum_and_writes_no_input():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,11 +9,13 @@ import scipy.linalg
 from conftest import count_calls, hidden_left_null_space, is_psd, random_stabilizable, same_bits, traced_peak
 from conftest import unstable_modes
 from hamlq import riccati
-from hamlq.errors import ConvergenceFailure, HamlqError, NotStabilizable, SingularWeight
+from hamlq.errors import BoundaryInconsistent, ConvergenceFailure, HamlqError, NotStabilizable, SingularWeight
+from hamlq.hamsubspace import residuals_v1, residuals_v2
+from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive
 from hamlq.matcore import DEFAULT_TOL
 from hamlq.reachdecomp import SystemQuadruple, staircase
 from hamlq.riccati import solve_dare
-from hamlq.stablyap import stability_certificate
+from hamlq.stablyap import closed_loop_gramian, stability_certificate
 
 ROOT = (1.0 + np.sqrt(65.0)) / 8.0
 
@@ -369,6 +372,36 @@ def test_overflowing_cost_products_raise_one_typed_error(golden_sys, c_scale, d_
     sys = SystemQuadruple(A=g.A, B=g.B, C=c_scale * g.C, D=d_scale * g.D)
     with pytest.raises(ConvergenceFailure, match=f"{product}.* overflows float64"):
         solve_dare(sys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_cost_scales_solve_to_the_scaled_solution(golden_sys):
+    # (C, D) x 10^k scales P by 10^(2k). From k = 76.25, where max|P| nears
+    # 1.1e154, to k = 153 fro_norm's plain sum of squares overflowed, the
+    # Smith iterate's norm read inf, and solve_dare raised NotStabilizable
+    # ("Newton iterate lost closed-loop stability") on this stabilizable plant.
+    g = golden_sys
+    P = solve_dare(g).P
+    for k in (76.25, 80, 100, 120, 150):
+        s = 10.0**k
+        sys = SystemQuadruple(g.A, g.B, s * g.C, s * g.D)
+        ric = solve_dare(sys)
+        assert np.max(np.abs(ric.P / 10.0 ** (2 * k) - P)) <= 1e-15 * np.max(np.abs(P)), k
+        if k == 100:
+            # Both checks run without a warning. V1's is at rounding level;
+            # V2's is not, as the Gramian W ~ 1e-200 is itself off: its
+            # norms underflow, so the Smith loop stops after one doubling.
+            gram = closed_loop_gramian(sys, ric)
+            v1, v2 = residuals_v1(sys, ric, gram), residuals_v2(sys, ric, gram)
+            assert all(math.isfinite(r) for r in (*dataclasses.astuple(v1), *dataclasses.astuple(v2)))
+            assert max(v1.dynamics_rel, v1.costate_rel, v1.stationarity_rel) < 1e-10
+            # The trajectory verdict's norms still overflow at this scale
+            # (ROADMAP item 16).
+            with pytest.raises(BoundaryInconsistent, match="overflows float64"):
+                solve_nonrecursive(TrajectoryProblem(sys, np.ones(4), 5), ric, gram)
+    s = 10.0**153
+    with pytest.raises(ConvergenceFailure, match="overflows float64"):
+        solve_dare(SystemQuadruple(g.A, g.B, s * g.C, s * g.D))
 
 
 def test_overflowing_innovation_weight_raises_one_typed_error(golden_sys):
