@@ -242,10 +242,8 @@ def solve_nonrecursive(
     ``gram.u_gain`` come from ``gram``, which must be
     ``closed_loop_gramian``'s result for ``ric``.
 
-    At a free end no zero vector is formed: ``r = -M21 x0`` is formed in
-    place, as ``0.0 - M21 x0`` (the bits of a zero vector less it, zero
-    signs included), and the bottom residual is ``|M21 alpha + M22 beta|``.
-    ``r`` is dropped once ``lstsq`` returns.
+    ``r`` is formed in place and dropped once ``lstsq`` returns, and a free
+    end's zero ``end`` once the verdict is read.
 
     The outputs are ``u``, then ``x = W bwd + fwd`` from the two mode
     sequences, then ``p = P x - bwd``; at a free end ``p[k_f]`` is then
@@ -262,7 +260,9 @@ def solve_nonrecursive(
     as ``BoundaryInconsistent``, whose message says whether it came from
     the boundary system ("... which is not finite ...") or from the
     propagation, outputs or cost. The verdict's own check catches a
-    residual or scale that its Python float arithmetic makes non-finite.
+    residual or scale that its Python float arithmetic makes non-finite, and
+    a last check a ``J`` that is not finite: numpy sees no overflow in a
+    multi-threaded BLAS worker thread, which a long dot may run in.
 
     Raises
     ------
@@ -291,15 +291,12 @@ def solve_nonrecursive(
         with np.errstate(over="raise", invalid="raise"):
             squares, phi = _squares(gram.A_K, k_f)
             x0, M12 = prob.x0, W.dot(phi.T)
-            # end = None is the free end's zero vector, never formed
             if prob.free_terminal:
-                M21, M22, norm_M22, end = P.dot(phi), gram.Vbar2[n:], gram.norm_PW_I, None
+                M21, M22, norm_M22, end = P.dot(phi), gram.Vbar2[n:], gram.norm_PW_I, np.zeros(n)
             else:
                 M21, M22, norm_M22, end = phi, W, gram.norm_W, prob.xf
-            # r = end - M21 x0 in place; 0.0 - v has the bits, zero signs
-            # included, of a zero vector less v
             r = M21.dot(x0)
-            np.subtract(0.0 if end is None else end, r, out=r)
+            np.subtract(end, r, out=r)
             # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
             # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
             beta = np.linalg.lstsq(M22 - M21.dot(M12), r, rcond=cfg.rank_tol_factor * n)[0]
@@ -310,12 +307,11 @@ def solve_nonrecursive(
             # free end the bottom row's left side is the costate p_{k_f}
             end_row = M21.dot(alpha) + M22.dot(beta)
             top = _vec_norm(alpha + M12_beta - x0)
-            bottom = _vec_norm(end_row if end is None else end_row - end)
+            bottom = _vec_norm(end_row - end)
             norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), norm_M22)
             norm_z = math.hypot(_vec_norm(alpha), _vec_norm(beta))
             residual = math.hypot(top, bottom)
-            norm_end = 0.0 if end is None else _vec_norm(end)
-            scale = 1.0 + math.hypot(_vec_norm(x0), norm_end) + norm_M * norm_z
+            scale = 1.0 + math.hypot(_vec_norm(x0), _vec_norm(end)) + norm_M * norm_z
             if not (math.isfinite(residual) and math.isfinite(scale)):
                 raise BoundaryInconsistent(
                     f"boundary system residual {residual:.3e} or its scale {scale:.3e} "
@@ -326,7 +322,8 @@ def solve_nonrecursive(
                     f"boundary system residual {residual:.3e} exceeds tolerance: "
                     "endpoint not attainable from x0 in k_f steps, or the problem is degenerate"
                 )
-            del M12, M21, M22  # frees M12 and a free end's P phi; phi and gram hold the rest
+            # frees M12, a free end's P phi and its zero end; phi, gram and prob hold the rest
+            del M12, M21, M22, end
 
             # Finite end blocks do not bound the rows between them, nor the
             # outputs and cost formed from them.
@@ -341,11 +338,15 @@ def solve_nonrecursive(
             p = x.dot(P.T)
             p -= bwd
             del bwd  # free before the cost adds its own arrays
-            if end is None:
+            if prob.free_terminal:
                 p[k_f] = end_row  # the row the transversality check measured
 
             traj = Trajectory(x=x, p=p, u=u, J=0.0, alpha=alpha, beta=beta)
             traj.J = cost(traj, sysq)
+            if not math.isfinite(traj.J):
+                # numpy sees no overflow in a multi-threaded BLAS worker
+                # thread, as a long dot may run in
+                raise FloatingPointError("overflow encountered in dot")
     except FloatingPointError as exc:
         raise BoundaryInconsistent(f"{exc} in {where}: the problem overflows float64") from None
     return traj

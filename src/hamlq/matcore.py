@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConvergenceFailure, SingularMatrix
 
 EPS = float(np.finfo(np.float64).eps)
+# the least norm whose plain sum of squares is a normal float64
+_SQRT_TINY = math.sqrt(float(np.finfo(np.float64).tiny))
 
 __all__ = [
     "EPS",
@@ -127,22 +129,25 @@ def fro_norm(X: np.ndarray) -> float:
     strided operands; a C-order ravel of a transposed matrix would sum in
     another order and round differently.
 
-    Only where that plain sum overflows are the entries first divided by a
-    power of two near ``max|X|``, so a finite norm keeps its bits and an
-    entry above about 1.3e154 no longer reads as an infinite norm. An
-    infinite or NaN entry still gives a non-finite norm, and a norm beyond
-    float64 range is ``inf``. numpy reports the plain sum's overflow as the
-    caller's ``np.errstate`` says: under ``over="ignore"`` the rescaled
-    norm is returned, and under ``over="raise"`` the overflow is raised.
+    Only where that plain sum overflows, or is below the least normal
+    float64 with a nonzero entry, are the entries first scaled by a power of
+    two near ``max|X|``. So a norm of at least ``_SQRT_TINY`` keeps its bits,
+    an entry above about 1.3e154 no longer reads as an infinite norm, and
+    entries below about 1.5e-154 no longer lose their squares to underflow.
+    An infinite or NaN entry still gives a non-finite norm, and a norm
+    beyond float64 range is ``inf``. numpy reports the plain sum's overflow
+    as the caller's ``np.errstate`` says: under ``over="ignore"`` the
+    rescaled norm is returned, and under ``over="raise"`` the overflow is
+    raised.
     """
     v = X.ravel(order="K")
     norm = math.sqrt(v.dot(v))
-    if norm == math.inf:
-        big = max(v.max(), -v.min())
-        if big == math.inf:
+    if norm == math.inf or norm < _SQRT_TINY:
+        big = max(v.max(initial=0.0), -v.min(initial=0.0))
+        if big == math.inf or big == 0.0:
             return norm
         e = math.frexp(big)[1]
-        v = v * math.ldexp(1.0, -e)
+        v = np.ldexp(v, -e)
         try:
             norm = math.ldexp(math.sqrt(v.dot(v)), e)
         except OverflowError:

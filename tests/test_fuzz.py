@@ -4,15 +4,17 @@ Each draw is a small plant (n <= 6, m, p <= 3) whose matrices are standard
 normal, then, each on its own, scaled by 10^U(-300, 300) with probability
 0.15, zeroed with 0.1, rounded with 0.05 or scaled by 10^U(-20, 20) with
 0.05. On half the draws ``A`` is rescaled to a spectral radius in 0.1-1.5.
-Every draw runs ``analyze``; one that returns also runs both residual
-checks and free- and fixed-end trajectory solves at k_f = 1, 5 and 40.
-Warnings are errors, so a leaked numpy warning fails the draw as an
-untyped error would.
+Every draw runs ``analyze``; one that returns has its Riccati solution and
+Gramian checked finite, runs both residual checks, and runs free- and
+fixed-end trajectory solves at k_f = 1, 5 and 40, each of which returns
+finite sequences and a ``J`` within ``2 k_f p eps J`` of its stage-cost sum
+or raises a typed error. Warnings are errors, so a leaked numpy warning
+fails the draw as an untyped error would.
 
-A hypothesis property test draws plants the same way, with the sizes, each
-matrix's scaling and ``A``'s radius as hypothesis choices, and calls the
-layers one by one: ``solve_dare``, ``closed_loop_gramian``, the same
-trajectory solves, and ``cli.main`` on the plant written to a file.
+A hypothesis property test draws the rng's seed, so its plants are drawn
+the same way, and runs the same draw with ``cli.main`` added: ``analyze``
+and ``trajectory`` on the plant written to a file, each exiting 0 with
+nothing on stderr or with a code of ``_EXIT_CODES`` and one error line.
 """
 
 import io
@@ -30,8 +32,6 @@ from hamlq.hamsubspace import analyze, residuals_v1, residuals_v2
 from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive, stage_costs
 from hamlq.matcore import EPS
 from hamlq.reachdecomp import SystemQuadruple
-from hamlq.riccati import solve_dare
-from hamlq.stablyap import closed_loop_gramian
 
 DRAWS = 1000
 HORIZONS = (1, 5, 40)
@@ -72,10 +72,24 @@ def fuzz_plant(rng):
     return SystemQuadruple(A=A, B=B, C=C, D=D)
 
 
-def run_draw(rng, sysq):
+def all_finite(*arrays):
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def run_cli(argv):
+    """Exit code and stderr lines of in-process ``hamlq <argv>``."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def run_draw(rng, sysq, workdir=None):
     """The failed calls of one draw as ``(name, what)``: an untyped exception
-    (a warning raised as an error among them) or a trajectory with a
-    non-finite entry or cost. A typed error ends no more than its own call."""
+    (a warning raised as an error among them), a non-finite result, a ``J``
+    off its stage-cost sum, or, when ``workdir`` is given, a CLI run with an
+    unknown exit code or other than one error line. A typed error ends no
+    more than its own call."""
     failed = []
 
     def call(name, fn, *args):
@@ -89,17 +103,42 @@ def run_draw(rng, sysq):
         return out
 
     bundle = call("analyze", analyze, sysq)
-    if bundle is None:
-        return failed
-    call("residuals_v1", residuals_v1, sysq, bundle.riccati, bundle.gramian)
-    call("residuals_v2", residuals_v2, sysq, bundle.riccati, bundle.gramian)
-    for k_f in HORIZONS:
-        for xf in (None, rng.standard_normal(sysq.n)):
-            prob = TrajectoryProblem(sys=sysq, x0=rng.standard_normal(sysq.n), k_f=k_f, xf=xf)
-            name = f"solve_nonrecursive(k_f={k_f}, {'free' if xf is None else 'fixed'} end)"
-            traj = call(name, solve_nonrecursive, prob, bundle.riccati, bundle.gramian)
-            if traj is not None and not all(np.isfinite(v).all() for v in (traj.x, traj.p, traj.u, traj.J)):
-                failed.append((name, "a non-finite trajectory"))
+    if bundle is not None:
+        ric, gram = bundle.riccati, bundle.gramian
+        if not all_finite(ric.P, ric.K, ric.Rw):
+            failed.append(("solve_dare", "a non-finite Riccati solution"))
+        if not all_finite(gram.W, gram.A_K, gram.Vbar2, gram.u_gain, gram.norm_W, gram.norm_PW_I):
+            failed.append(("closed_loop_gramian", "a non-finite Gramian record"))
+        call("residuals_v1", residuals_v1, sysq, ric, gram)
+        call("residuals_v2", residuals_v2, sysq, ric, gram)
+        for k_f in HORIZONS:
+            for xf in (None, rng.standard_normal(sysq.n)):
+                prob = TrajectoryProblem(sys=sysq, x0=rng.standard_normal(sysq.n), k_f=k_f, xf=xf)
+                name = f"solve_nonrecursive(k_f={k_f}, {'free' if xf is None else 'fixed'} end)"
+                traj = call(name, solve_nonrecursive, prob, ric, gram)
+                if traj is None:
+                    continue
+                if not all_finite(traj.x, traj.p, traj.u, traj.alpha, traj.beta, traj.J):
+                    failed.append((name, "a non-finite trajectory"))
+                    continue
+                # J is one dot over the k_f p output entries; the stage sum
+                # adds the same squares in another order
+                stage_sum = float(stage_costs(traj, sysq).sum())
+                if abs(traj.J - stage_sum) > 2 * k_f * sysq.p * EPS * traj.J:
+                    failed.append((name, f"J {traj.J!r} against the stage sum {stage_sum!r}"))
+
+    if workdir is not None:
+        path = workdir / "plant.json"
+        path.write_text(json.dumps({name: getattr(sysq, name).tolist() for name in "ABCD"}))
+        x0 = ",".join(repr(float(v)) for v in rng.standard_normal(sysq.n))
+        for argv in (["analyze", str(path)], ["trajectory", str(path), f"--x0={x0}", "--kf", "5"]):
+            code, lines = run_cli(argv)
+            if code == 0:
+                ok = lines == []
+            else:
+                ok = code in cli._EXIT_CODES.values() and len(lines) == 1 and lines[0].startswith("error: ")
+            if not ok:
+                failed.append((f"cli {argv[0]}", f"exit {code} with stderr {lines!r}"))
     return failed
 
 
@@ -113,89 +152,13 @@ def test_every_fuzzed_call_returns_or_raises_a_typed_error():
     assert not failures, failures[:5]
 
 
-@st.composite
-def plants(draw):
-    """A plant drawn as ``fuzz_plant`` draws one, with an rng seeded by
-    hypothesis for the normal entries and the sizes, each matrix's scaling
-    and ``A``'s radius (or none) drawn by hypothesis."""
-    n, m, p = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def matrix(shape):
-        M = rng.standard_normal(shape)
-        kind = draw(st.sampled_from(["normal", "far", "zero", "round", "near"]))
-        if kind == "far":
-            M *= 10.0 ** draw(st.floats(-300, 300))
-        elif kind == "zero":
-            M[:] = 0.0
-        elif kind == "round":
-            M = np.round(M)
-        elif kind == "near":
-            M *= 10.0 ** draw(st.floats(-20, 20))
-        return M
-
-    A = matrix((n, n))
-    radius = draw(st.none() | st.floats(0.1, 1.5))
-    if radius is not None and (rho := spectral_radius(A)):
-        A = with_radius(A, rho, radius)
-    sysq = SystemQuadruple(A=A, B=matrix((n, m)), C=matrix((p, n)), D=matrix((p, m)))
-    return sysq, rng
-
-
-def typed(fn, *args):
-    """``fn(*args)``, or None when it raises a ``HamlqError`` or ``ValueError``."""
-    try:
-        return fn(*args)
-    except (HamlqError, ValueError):
-        return None
-
-
-def all_finite(*arrays):
-    return all(np.isfinite(a).all() for a in arrays)
-
-
-def run_cli(argv):
-    """Exit code and stderr lines of in-process ``hamlq <argv>``."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue().splitlines()
-
-
 # On a failure, hypothesis's pytest plugin imports libcst, which warns on
 # import; ignoring that one warning keeps the failure reported instead of
-# aborting the session.
+# aborting the session. Every other warning is an error (pyproject).
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(plants())
-def test_each_layer_returns_finite_results_or_raises_a_typed_error(tmp_path_factory, case):
-    # Warnings are errors (pyproject), so a leaked numpy warning fails here.
-    sysq, rng = case
-    ric = typed(solve_dare, sysq)
-    gram = None if ric is None else typed(closed_loop_gramian, sysq, ric)
-    if ric is not None:
-        assert all_finite(ric.P, ric.K, ric.Rw)
-    if gram is not None:
-        assert all_finite(gram.W, gram.A_K, gram.Vbar2, gram.u_gain, gram.norm_W, gram.norm_PW_I)
-        for k_f in HORIZONS:
-            for xf in (None, rng.standard_normal(sysq.n)):
-                prob = TrajectoryProblem(sys=sysq, x0=rng.standard_normal(sysq.n), k_f=k_f, xf=xf)
-                traj = typed(solve_nonrecursive, prob, ric, gram)
-                if traj is None:
-                    continue
-                assert all_finite(traj.x, traj.p, traj.u, traj.alpha, traj.beta, traj.J)
-                # J is one dot over the k_f p output entries; the stage sum
-                # adds the same squares in another order
-                stage_sum = float(stage_costs(traj, sysq).sum())
-                assert abs(traj.J - stage_sum) <= 2 * k_f * sysq.p * EPS * traj.J, (k_f, xf is None)
-
-    path = tmp_path_factory.mktemp("plant") / "plant.json"
-    path.write_text(json.dumps({name: getattr(sysq, name).tolist() for name in "ABCD"}))
-    x0 = ",".join(repr(float(v)) for v in rng.standard_normal(sysq.n))
-    for argv in (["analyze", str(path)], ["trajectory", str(path), f"--x0={x0}", "--kf", "5"]):
-        code, lines = run_cli(argv)
-        if code == 0:
-            assert lines == [], argv[0]
-        else:
-            assert code in cli._EXIT_CODES.values(), argv[0]
-            assert len(lines) == 1 and lines[0].startswith("error: "), (argv[0], lines)
+@given(st.integers(0, 2**32 - 1))
+def test_each_layer_returns_finite_results_or_raises_a_typed_error(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    sysq = fuzz_plant(rng)
+    assert not run_draw(rng, sysq, tmp_path_factory.mktemp("plant"))

@@ -445,6 +445,18 @@ def test_overflow_after_the_boundary_verdict_raises_the_typed_error(golden_sys, 
         solve_nonrecursive(prob, *solve_all(golden_sys))
 
 
+def test_a_non_finite_cost_numpy_does_not_flag_raises_the_typed_error(golden_sys, monkeypatch):
+    # A dot that a multi-threaded BLAS splits across worker threads can
+    # overflow without numpy seeing it; the solve's last check still turns
+    # the infinite J into the typed error.
+    from hamlq import lqtraj
+
+    monkeypatch.setattr(lqtraj, "cost", lambda traj, sys: math.inf)
+    prob = TrajectoryProblem(golden_sys, np.ones(4), 5)
+    with pytest.raises(BoundaryInconsistent, match="in the trajectory's propagation, outputs or cost"):
+        solve_nonrecursive(prob, *solve_all(golden_sys))
+
+
 def test_cost_helpers():
     sys = SystemQuadruple(
         A=np.zeros((2, 2)),
@@ -473,8 +485,9 @@ def test_cost_recompute_matches_reported(golden_sys):
 
 
 def reference_solve(prob, ric, gram, cfg=DEFAULT_TOL):
-    """The solve as it stood with a zero end vector at a free end, the
-    boundary phase under ``np.errstate(over="ignore")`` and the outputs under
+    """The solve as it stood before its single error context and its one
+    dot for ``J``: a zero end vector at a free end, the boundary phase
+    under ``np.errstate(over="ignore")`` and the outputs under
     a second ``np.errstate(over="raise")``, and ``J`` the sum of the stage
     costs ``(y * y).sum(axis=1)``, ``y = x C' + u D'``. Returns the
     trajectory and those stage costs."""
@@ -546,7 +559,7 @@ def traj_many_systems(request):
 
 
 def test_outputs_keep_the_reference_bits_and_J_its_bound(traj_many_systems):
-    # One error context, J as one dot and no zero end vector change no bit
+    # One error context and J as one dot change no bit
     # of the returned sequences, and J only within its rounding bound.
     rng = np.random.default_rng(53)
     solved = failed = 0

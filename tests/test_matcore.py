@@ -256,6 +256,24 @@ def test_fro_norm_scales_only_a_sum_of_squares_that_overflows():
         fro_norm(np.array([1e300]))
 
 
+def test_fro_norm_scales_only_a_sum_of_squares_below_the_least_normal():
+    # A norm at or above the square root of the least normal float64 keeps
+    # its plain bits. Below it, with a nonzero entry, the entries are scaled
+    # up by a power of two first, so no square is lost to underflow.
+    rng = np.random.default_rng(34)
+    X = rng.standard_normal((7, 5))
+    for k in (520, 700, 1000):
+        for V in (X * 2.0**-k, np.asfortranarray(X).T * 2.0**-k):
+            assert fro_norm(V) == math.ldexp(fro_norm(V * 2.0**k), -k), k
+    tiny = float(np.finfo(np.float64).tiny)
+    assert fro_norm(np.array([5e-324])) == 5e-324  # the least subnormal
+    assert fro_norm(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=4 * EPS)
+    assert fro_norm(np.zeros((3, 2))) == 0.0
+    assert fro_norm(np.zeros(0)) == 0.0
+    V = np.array([math.sqrt(tiny), 0.0])
+    assert fro_norm(V) == math.sqrt(V.dot(V))  # the plain sum is normal
+
+
 def test_residual_norms_equals_the_plain_sum_and_writes_no_input():
     # terms are summed left to right, as the plain expression does, and a
     # term that is an input matrix (a single factor) is never accumulated into

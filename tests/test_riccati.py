@@ -376,25 +376,30 @@ def test_overflowing_cost_products_raise_one_typed_error(golden_sys, c_scale, d_
 
 @pytest.mark.filterwarnings("error")
 def test_large_cost_scales_solve_to_the_scaled_solution(golden_sys):
-    # (C, D) x 10^k scales P by 10^(2k). From k = 76.25, where max|P| nears
-    # 1.1e154, to k = 153 fro_norm's plain sum of squares overflowed, the
-    # Smith iterate's norm read inf, and solve_dare raised NotStabilizable
-    # ("Newton iterate lost closed-loop stability") on this stabilizable plant.
+    # (C, D) x 10^k scales P by 10^(2k) and the Gramian W by 10^(-2k). From
+    # k = 76.25, where max|P| nears 1.1e154, to k = 153 fro_norm's plain sum
+    # of squares overflowed, the Smith iterate's norm read inf, and
+    # solve_dare raised NotStabilizable ("Newton iterate lost closed-loop
+    # stability") on this stabilizable plant. The squares of W's entries
+    # underflow there as well; read as zero norms they stopped the Smith
+    # loop after one doubling.
     g = golden_sys
-    P = solve_dare(g).P
+    ric0 = solve_dare(g)
+    gram0 = closed_loop_gramian(g, ric0)
     for k in (76.25, 80, 100, 120, 150):
         s = 10.0**k
         sys = SystemQuadruple(g.A, g.B, s * g.C, s * g.D)
         ric = solve_dare(sys)
-        assert np.max(np.abs(ric.P / 10.0 ** (2 * k) - P)) <= 1e-15 * np.max(np.abs(P)), k
+        assert np.max(np.abs(ric.P / s / s - ric0.P)) <= 1e-15 * np.max(np.abs(ric0.P)), k
+        gram = closed_loop_gramian(sys, ric)
+        assert gram.iterations == gram0.iterations, k
+        assert np.max(np.abs(gram.W * s * s - gram0.W)) <= 1e-14 * np.max(np.abs(gram0.W)), k
         if k == 100:
-            # Both checks run without a warning. V1's is at rounding level;
-            # V2's is not, as the Gramian W ~ 1e-200 is itself off: its
-            # norms underflow, so the Smith loop stops after one doubling.
-            gram = closed_loop_gramian(sys, ric)
+            # Both checks run without a warning and read rounding level.
             v1, v2 = residuals_v1(sys, ric, gram), residuals_v2(sys, ric, gram)
             assert all(math.isfinite(r) for r in (*dataclasses.astuple(v1), *dataclasses.astuple(v2)))
             assert max(v1.dynamics_rel, v1.costate_rel, v1.stationarity_rel) < 1e-10
+            assert max(v2.dynamics_rel, v2.costate_rel, v2.stationarity_rel) < 1e-10
             # The trajectory verdict's norms still overflow at this scale
             # (ROADMAP item 16).
             with pytest.raises(BoundaryInconsistent, match="overflows float64"):
