@@ -216,8 +216,9 @@ def stability_certificate(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     Every matrix norm bounds the spectral radius, so ``rho(M)^(2^k) <=
     ||M^(2^k)||_F < 1`` proves ``rho(M) < 1`` without an eigensolver. The
     powers of a stable ``M`` decay to zero, so some ``k`` succeeds unless
-    they overflow first. Each step is one squaring. A non-finite norm or
-    ``cfg.max_iter`` squarings without success give False.
+    they overflow first. Each step is one squaring. A norm whose sum of
+    squares overflows, or ``cfg.max_iter`` squarings without success, give
+    False.
     """
     E = _checked_matrix(M, "M")  # a float64 array in place: it is only read
     if E.shape[0] != E.shape[1]:
@@ -226,10 +227,18 @@ def stability_certificate(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     # layout, as ``E @ E`` would.
     squares = (np.empty(E.shape), np.empty(E.shape))
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = fro_norm(E)
+        norm = _plain_norm(E)
         for k in range(cfg.max_iter):
             if norm < 1.0 or not math.isfinite(norm):
                 break
             E = E.dot(E, out=squares[k & 1])
-            norm = fro_norm(E)
+            norm = _plain_norm(E)
     return norm < 1.0
+
+
+def _plain_norm(E: np.ndarray) -> float:
+    """``fro_norm``'s plain sum without its rescale: the certificate asks only
+    whether the norm is below one, and a sum of squares that overflows
+    already says no, so no square is formed past it."""
+    v = E.ravel(order="K")
+    return math.sqrt(v.dot(v))
