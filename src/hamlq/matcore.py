@@ -20,6 +20,7 @@ from .errors import ConvergenceFailure, SingularMatrix
 EPS = float(np.finfo(np.float64).eps)
 # the least norm whose plain sum of squares is a normal float64
 _SQRT_TINY = math.sqrt(float(np.finfo(np.float64).tiny))
+_INF = math.inf
 
 __all__ = [
     "EPS",
@@ -142,17 +143,17 @@ def fro_norm(X: np.ndarray) -> float:
     """
     v = X.ravel(order="K")
     norm = math.sqrt(v.dot(v))
-    if norm == math.inf or norm < _SQRT_TINY:
-        big = max(v.max(initial=0.0), -v.min(initial=0.0))
-        if big == math.inf or big == 0.0:
-            return norm
-        e = math.frexp(big)[1]
-        v = np.ldexp(v, -e)
-        try:
-            norm = math.ldexp(math.sqrt(v.dot(v)), e)
-        except OverflowError:
-            pass  # beyond float64 range: norm stays inf
-    return norm
+    if _SQRT_TINY <= norm < _INF:
+        return norm
+    big = max(v.max(initial=0.0), -v.min(initial=0.0))
+    if not 0.0 < big < _INF:  # a NaN or infinite entry, or no nonzero one
+        return norm
+    e = math.frexp(big)[1]
+    v = np.ldexp(v, -e)
+    try:
+        return math.ldexp(math.sqrt(v.dot(v)), e)
+    except OverflowError:
+        return _INF  # beyond float64 range
 
 
 def _sym_into(M: np.ndarray, buf: np.ndarray) -> np.ndarray:
