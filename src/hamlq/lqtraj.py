@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryInconsistent
-from .matcore import DEFAULT_TOL, ToleranceConfig, _float_array, fro_norm
+from .matcore import DEFAULT_TOL, ToleranceConfig, _float_array, _vec_norm, fro_norm
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
 from .reachdecomp import SystemQuadruple
 from .riccati import RiccatiSolution
@@ -64,11 +64,6 @@ __all__ = [
 # float64 operands both make the same BLAS call on the same operand layouts,
 # so the bits are the same (``test_dot_matches_matmul_bitwise`` checks each
 # operand kind used here), but ``dot`` dispatches in about half the time.
-
-
-def _vec_norm(v: np.ndarray) -> float:
-    """2-norm of a contiguous vector, the sum ``fro_norm`` takes without its ravel."""
-    return math.sqrt(v.dot(v))
 
 
 def _state_vector(v, name: str, n: int) -> np.ndarray:

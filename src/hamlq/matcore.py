@@ -46,10 +46,11 @@ class ToleranceConfig:
         are treated as zero when counting rank. Defaults to the unit roundoff
         of binary64.
     abs_zero_tol : float
-        Threshold for treating pivots, rows and asymmetries as zero, relative
-        to the magnitude of the matrix at hand. One exception: ``solve_dare``
-        compares the squared Cholesky pivots of its final ``Rw`` with it
-        absolutely (ROADMAP item 4).
+        Threshold for treating pivots and rows as zero. Its four uses:
+        ``solve_linear``'s squared Cholesky pivots, relative to ``max|M|``;
+        ``solve_dare``'s on its final ``Rw``, absolutely (ROADMAP item 4);
+        the staircase's ``T = I`` rows and ``zero_row_indices``, a row's
+        largest entry relative to the matrix's.
     residual_tol : float
         Acceptance threshold for equation residuals (Riccati, Lyapunov,
         boundary systems), relative to the size of what the residual is
@@ -156,6 +157,11 @@ def fro_norm(X: np.ndarray) -> float:
         return _INF  # beyond float64 range
 
 
+def _vec_norm(v: np.ndarray) -> float:
+    """2-norm of a 1-D array: ``fro_norm``'s plain sum of squares, without its rescale."""
+    return math.sqrt(v.dot(v))
+
+
 def _sym_into(M: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """``(M' + M) / 2`` written over ``M`` and returned, with ``buf`` as scratch.
 
@@ -218,8 +224,8 @@ def solve_linear(M, rhs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     scale = float(np.abs(M).max()) if M.size else 0.0
     try:
         min_pivot = float(np.linalg.cholesky(M).diagonal().min()) ** 2 if scale else 0.0
-    except np.linalg.LinAlgError:  # not positive definite
-        min_pivot = 0.0
+    except np.linalg.LinAlgError:  # not positive definite: singular at every scale,
+        min_pivot = -_INF  # also where abs_zero_tol * scale underflows to zero
     if scale == 0.0 or min_pivot < cfg.abs_zero_tol * scale:
         raise SingularMatrix(
             f"matrix is singular to working tolerance (min pivot "

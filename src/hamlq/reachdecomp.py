@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, _svd_rank, as_matrix, range_basis
+from .matcore import DEFAULT_TOL, ToleranceConfig, _checked_matrix, _svd_rank, as_matrix, range_basis
 
 __all__ = [
     "SystemQuadruple",
@@ -167,13 +167,13 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     together by powers of two only to stay in float64 range. The ``n x n``
     factor ``R'`` has the Krylov matrix's singular values, which give
     ``n_c`` (cutoff taken at the Krylov shape ``max(n, n m)``), and its left
-    singular vectors ``U``. As ``K K' = R'R``, row ``i`` of ``R'`` has the
-    2-norm of row ``i`` of ``K``:
+    singular vectors ``U``. As ``K K' = R'R``, row ``i`` of ``R'`` is zero
+    exactly where row ``i`` of ``K`` is:
 
     * if the reachable subspace is already spanned by the leading ``n_c``
-      coordinate axes (no row of ``R'`` below them has a 2-norm above
-      ``cfg.abs_zero_tol`` times the largest), ``T`` is the identity, so
-      systems in staircase form keep their coordinates and blocks;
+      coordinate axes (every row of ``R'`` below them is in
+      ``zero_row_indices(R', cfg)``), ``T`` is the identity, so systems in
+      staircase form keep their coordinates and blocks;
     * otherwise ``T = U``, whose leading ``n_c`` columns span that subspace.
 
     ``n_c`` may be 0 (nothing reachable) or ``n`` (fully reachable); the
@@ -184,15 +184,9 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     A, B, C = sys.A, sys.B, sys.C
     n, m = sys.n, sys.m
     Rt = _krylov_factor(A, B).T
-    s, n_c = _svd_rank(Rt, cfg, False, (n, n * m))
-    keep = n_c == n  # the coordinates: T = I
-    if not keep:
-        # scaled by a power of two near sigma_max, which bounds every entry,
-        # so no square overflows
-        norms = np.linalg.norm(np.ldexp(Rt, -math.frexp(float(s[0]))[1]), axis=1)
-        keep = float(norms[n_c:].max()) <= cfg.abs_zero_tol * float(norms.max())
-
-    if keep:
+    n_c = _svd_rank(Rt, cfg, False, (n, n * m))[1]
+    # n_c == n leaves no row to test, so the rows are not scanned
+    if n_c == n or set(range(n_c + 1, n + 1)) <= set(zero_row_indices(Rt, cfg)):
         T = np.eye(n)
         At, Bt, Ct = A.copy(), B.copy(), C.copy()
     else:
@@ -219,9 +213,9 @@ def zero_row_indices(M, cfg: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     max|M|``, so scaling ``M`` keeps its zero rows; every row of the zero
     matrix is zero.
     """
-    M = as_matrix(M, "M")
+    M = _checked_matrix(M, "M")  # a float64 array in place: it is only read
     if M.size == 0:
         return []
-    tol = cfg.abs_zero_tol * float(np.max(np.abs(M)))
-    row_norms = np.max(np.abs(M), axis=1)
+    row_norms = np.abs(M).max(axis=1)
+    tol = cfg.abs_zero_tol * float(row_norms.max())
     return [int(i) + 1 for i in np.nonzero(row_norms <= tol)[0]]

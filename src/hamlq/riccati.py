@@ -34,6 +34,10 @@ plus the Newton steps. Stability is certified by ``stability_certificate``:
 some power ``A_K^(2^k)``, formed by repeated squaring, has Frobenius norm
 below one, which bounds the spectral radius below one. No eigenvalue is
 ever computed.
+
+Each of ``solve_dare`` and ``_doubling_gain`` runs its whole body under one
+numpy error context that ignores overflow; a named finiteness check or a
+stability certificate finds each overflow and raises it once, typed.
 """
 
 from __future__ import annotations
@@ -128,8 +132,9 @@ def _doubling_gain(A, B, C, S, R, cfg: ToleranceConfig):
     unit circle makes ``H_k`` grow without bound, which ends in a non-finite
     iterate or an exhausted ``cfg.max_iter``. A non-finite iterate, a
     singular ``W`` or ``R_d + B'HB`` and an exhausted budget raise
-    ``NotStabilizable``, with no numpy warning; a non-finite gain is left to
-    the caller's certificate.
+    ``NotStabilizable``, an ``R_d`` that rounding leaves indefinite (cost data
+    too small to solve with) ``SingularWeight``; a non-finite gain is left
+    to the caller's certificate.
 
     Each step holds ``A_k``, ``G_k``, ``H_k``, one scratch array and the
     ``n x 2n`` solve result; ``A_0`` is dropped after the first step, ``W``
@@ -149,17 +154,22 @@ def _doubling_gain(A, B, C, S, R, cfg: ToleranceConfig):
         reg = DELTA * (c * s)
         H *= c
         R_reg = c * R + reg * np.eye(m)
-        Y = np.linalg.solve(np.linalg.cholesky(R_reg), np.concatenate((B.T, c * S.T), axis=1))
+        try:
+            Y = np.linalg.solve(np.linalg.cholesky(R_reg), np.concatenate((B.T, c * S.T), axis=1))
+        except np.linalg.LinAlgError as exc:  # rounding has made R_d indefinite
+            raise SingularWeight(
+                "the regularized weight D'D + DELTA s I is not positive definite: "
+                "the cost data (C, D) are too small to solve with"
+            ) from exc
         Bs, Ss = Y[:, :n], Y[:, n:]
         Ak = A - Bs.T @ Ss
         G = Bs.T @ Bs
         H -= Ss.T @ Ss
         H.reshape(-1)[:: n + 1] += reg
         del Y, Bs, Ss
-    buf = np.empty((n, n))  # each symmetrization's transpose, then H_{k+1} - H_k
-    prev_dh = np.inf
-    for it in range(1, cfg.max_iter + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+        buf = np.empty((n, n))  # each symmetrization's transpose, then H_{k+1} - H_k
+        prev_dh = np.inf
+        for it in range(1, cfg.max_iter + 1):
             # W = I + G H on the product's diagonal; adding 0.0 first turns
             # its -0.0 entries into +0.0, as the identity's zeros do
             Wk = G @ H
@@ -180,17 +190,16 @@ def _doubling_gain(A, B, C, S, R, cfg: ToleranceConfig):
             del H
             G_next = _sym_into(G + Ak @ X[:, n:] @ Ak.T, buf)
             del X
-        # A non-finite entry of H makes both norms non-finite at once; one of
-        # A_k or G breaks the next step's solve or makes its norms non-finite.
-        if not (math.isfinite(dh) and math.isfinite(h_scale)):
-            raise NotStabilizable(
-                f"structured doubling diverged after {it} steps: an iterate left "
-                "float64 range, so the plant is not stabilizable or its data are "
-                "too large to solve with"
-            )
-        Ak, G, H = A_next, G_next, H_next
-        if _settled(dh, prev_dh, h_scale):
-            with np.errstate(over="ignore", invalid="ignore"):
+            # A non-finite entry of H makes both norms non-finite at once; one of
+            # A_k or G breaks the next step's solve or makes its norms non-finite.
+            if not (math.isfinite(dh) and math.isfinite(h_scale)):
+                raise NotStabilizable(
+                    f"structured doubling diverged after {it} steps: an iterate left "
+                    "float64 range, so the plant is not stabilizable or its data are "
+                    "too large to solve with"
+                )
+            Ak, G, H = A_next, G_next, H_next
+            if _settled(dh, prev_dh, h_scale):
                 BtH = B.T @ H
                 try:
                     K = -np.linalg.solve(R_reg + BtH @ B, BtH @ A + c * S.T)
@@ -199,8 +208,8 @@ def _doubling_gain(A, B, C, S, R, cfg: ToleranceConfig):
                         f"structured doubling settled after {it} steps on a singular "
                         "or non-finite R + B'HB; no stabilizing feedback was found"
                     ) from exc
-            return K, it
-        prev_dh = dh
+                return K, it
+            prev_dh = dh
     raise NotStabilizable(
         f"structured doubling did not settle within {cfg.max_iter} steps; "
         "no stabilizing feedback was found"
@@ -227,7 +236,8 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
     NotStabilizable
         No stabilizing feedback could be certified.
     SingularWeight
-        ``D'D + B'PB`` is singular at the solution.
+        ``D'D + B'PB`` is singular at the solution, or the bootstrap's
+        regularized weight is too small to factor.
     ConvergenceFailure
         Iteration budget exhausted, residual above tolerance, or ``C'D``,
         ``D'D``, ``C'C`` (formed only when ``A`` is not certified stable), a
@@ -236,45 +246,39 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = A.shape[0]
-    # Finite cost data can still overflow in these products; the overflow is
-    # reported once, as a typed error, not as numpy warnings first.
+    # Finite data can still overflow float64 in any product below. numpy is
+    # silenced once, here, and each overflow is found by a named finiteness
+    # check or certificate and reported once, as a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
         S = _finite_product(C.T @ D, "C'D")
         R = _finite_product(D.T @ D, "D'D")
 
-    # Phase 1: find any certified stabilizing gain. K = 0 works whenever A
-    # is already stable (and keeps the Newton weights maximal, since policy
-    # costs only decrease from there). Otherwise take the gain of the
-    # regularized real-cost equation, found by structured doubling. A gain
-    # too large for float64 is no certified gain either.
-    boot_iters = 0
-    if stability_certificate(A, cfg):
-        K = np.zeros((B.shape[1], n))
-    else:
-        K, boot_iters = _doubling_gain(A, B, C, S, R, cfg)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Phase 1: find any certified stabilizing gain. K = 0 works whenever A
+        # is already stable (and keeps the Newton weights maximal, since policy
+        # costs only decrease from there). Otherwise take the gain of the
+        # regularized real-cost equation, found by structured doubling. A gain
+        # too large for float64 is no certified gain either.
+        boot_iters = 0
+        if stability_certificate(A, cfg):
+            K = np.zeros((B.shape[1], n))
+        else:
+            K, boot_iters = _doubling_gain(A, B, C, S, R, cfg)
             A_K = A + B @ K
-        if not (np.isfinite(A_K).all() and stability_certificate(A_K, cfg)):
-            raise NotStabilizable(
-                f"doubling gain failed the stability certificate after "
-                f"{boot_iters} steps; no stabilizing feedback was found"
-            )
-        del A_K
+            if not (np.isfinite(A_K).all() and stability_certificate(A_K, cfg)):
+                raise NotStabilizable(
+                    f"doubling gain failed the stability certificate after "
+                    f"{boot_iters} steps; no stabilizing feedback was found"
+                )
+            del A_K
 
-    # Phase 2: Newton (policy iteration) refinement. Each step solves the
-    # closed-loop cost equation P = A_K' P A_K + (C + D K)'(C + D K), which
-    # keeps the right-hand side positive semidefinite by construction and
-    # converges quadratically from a stabilizing gain. P = 0 only serves the
-    # first step's change and is made after the bootstrap, not held through it.
-    P = np.zeros((n, n))
-    newton_iters = 0
-    prev_dp = np.inf
-    for it in range(1, cfg.max_iter + 1):
-        newton_iters = it
-        # The forcing, B'PB and B'PA + S' can overflow on finite data; each
-        # overflow is reported once, as a typed error, not as numpy warnings
-        # first.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Phase 2: Newton (policy iteration) refinement. Each step solves the
+        # closed-loop cost equation P = A_K' P A_K + (C + D K)'(C + D K), which
+        # keeps the right-hand side positive semidefinite by construction and
+        # converges quadratically from a stabilizing gain. P = 0 only serves the
+        # first step's change and is made after the bootstrap, not held through it.
+        P = np.zeros((n, n))
+        prev_dp = np.inf
+        for it in range(1, cfg.max_iter + 1):
             CK = C + D @ K
             forcing = _finite_product(CK.T @ CK, "the Newton forcing (C + D K)'(C + D K)")
             # A_K' C-ordered: the closed loop and the forcing serve this
@@ -295,38 +299,38 @@ def solve_dare(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Ricc
             Rw = _finite_product(Rw, "the innovation weight D'D + B'PB", data)
             L = _finite_product(BtP @ A + S.T, "B'PA + S'", data)
             dp, p_scale = fro_norm(P_new - P), 1.0 + fro_norm(P_new)
-        try:
-            K = -solve_linear(Rw, L, cfg)
-        except SingularMatrix as exc:
+            try:
+                K = -solve_linear(Rw, L, cfg)
+            except SingularMatrix as exc:
+                raise SingularWeight(
+                    "innovation weight D'D + B'PB is singular to working tolerance"
+                ) from exc
+            P = P_new
+            if _settled(dp, prev_dp, p_scale):
+                break  # the residual check below decides
+            prev_dp = dp
+        else:
+            raise ConvergenceFailure(
+                f"Newton refinement did not settle within {cfg.max_iter} iterations"
+            )
+
+        # P, Rw, L and K are the last iterate's; P needs no symmetrizing, as the
+        # Smith solution is exactly symmetric. The solve for K has already
+        # factored Rw, so its Cholesky factorization exists.
+        if float(np.min(np.diag(np.linalg.cholesky(Rw))) ** 2) <= cfg.abs_zero_tol:
             raise SingularWeight(
-                "innovation weight D'D + B'PB is singular to working tolerance"
-            ) from exc
-        P = P_new
-        if _settled(dp, prev_dp, p_scale):
-            break  # the residual check below decides
-        prev_dp = dp
-    else:
-        raise ConvergenceFailure(
-            f"Newton refinement did not settle within {cfg.max_iter} iterations"
-        )
+                "innovation weight D'D + B'PB has a pivot at or below the zero tolerance"
+            )
 
-    # P, Rw, L and K are the last iterate's; P needs no symmetrizing, as the
-    # Smith solution is exactly symmetric. The solve for K has already
-    # factored Rw, so its Cholesky factorization exists.
-    if float(np.min(np.diag(np.linalg.cholesky(Rw))) ** 2) <= cfg.abs_zero_tol:
-        raise SingularWeight(
-            "innovation weight D'D + B'PB has a pivot at or below the zero tolerance"
-        )
-
-    # The residual is judged against the largest term it is summed from, not
-    # against P alone: with a square invertible D the solution is P = 0
-    # while C'C and L'K grow with the cost, and their rounding is the floor.
-    residual, rel = residual_norms(((A.T, P, A), (C.T, C), (L.T, K)), P)
-    if rel > cfg.residual_tol:
-        raise ConvergenceFailure(
-            f"Riccati residual {residual:.3e} ({rel:.3e} relative) exceeds tolerance "
-            "after convergence"
-        )
-    if not stability_certificate(A + B @ K, cfg):
-        raise NotStabilizable("final closed loop failed the stability certificate")
-    return RiccatiSolution(P=P, K=K, Rw=Rw, iterations=boot_iters + newton_iters)
+        # The residual is judged against the largest term it is summed from, not
+        # against P alone: with a square invertible D the solution is P = 0
+        # while C'C and L'K grow with the cost, and their rounding is the floor.
+        residual, rel = residual_norms(((A.T, P, A), (C.T, C), (L.T, K)), P)
+        if rel > cfg.residual_tol:
+            raise ConvergenceFailure(
+                f"Riccati residual {residual:.3e} ({rel:.3e} relative) exceeds tolerance "
+                "after convergence"
+            )
+        if not stability_certificate(A + B @ K, cfg):
+            raise NotStabilizable("final closed loop failed the stability certificate")
+    return RiccatiSolution(P=P, K=K, Rw=Rw, iterations=boot_iters + it)

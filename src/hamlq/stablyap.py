@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotStable
 from .matcore import DEFAULT_TOL, ToleranceConfig, _checked_matrix, _finite_product, _sym_into
-from .matcore import fro_norm, solve_linear
+from .matcore import _vec_norm, fro_norm, solve_linear
 
 __all__ = [
     "GramianSolution",
@@ -226,19 +226,12 @@ def stability_certificate(M, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     # Squarings alternate between two buffers; the first reads M in its own
     # layout, as ``E @ E`` would.
     squares = (np.empty(E.shape), np.empty(E.shape))
+    # the plain sum of squares: one that overflows already says "not below one"
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = _plain_norm(E)
+        norm = _vec_norm(E.ravel(order="K"))
         for k in range(cfg.max_iter):
             if norm < 1.0 or not math.isfinite(norm):
                 break
             E = E.dot(E, out=squares[k & 1])
-            norm = _plain_norm(E)
+            norm = _vec_norm(E.ravel(order="K"))
     return norm < 1.0
-
-
-def _plain_norm(E: np.ndarray) -> float:
-    """``fro_norm``'s plain sum without its rescale: the certificate asks only
-    whether the norm is below one, and a sum of squares that overflows
-    already says no, so no square is formed past it."""
-    v = E.ravel(order="K")
-    return math.sqrt(v.dot(v))

@@ -150,6 +150,16 @@ def test_analyze_singular_weight(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_analyze_tiny_cost_singular_weight_exits_3(tmp_path, capsys):
+    # the Riccati solve's pivot test once raised numpy's LinAlgError here,
+    # which exited 2, as bad input
+    path = write_system(
+        tmp_path, "tiny.json", A=[[0.42]], B=[[-0.554, 0.846]], C=[[1e-160]], D=[[0.0, 0.0]]
+    )
+    assert cli.main(["analyze", path]) == 3
+    assert "singular" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "error, code",
     [

@@ -11,6 +11,10 @@ finite sequences and a ``J`` within ``2 k_f p eps J`` of its stage-cost sum
 or raises a typed error. Warnings are errors, so a leaked numpy warning
 fails the draw as an untyped error would.
 
+The draws of ``default_rng(11)`` that once raised an untyped error are
+replayed from their rng states; ``tools/fuzz_sweep.py`` runs the seeded
+sweep they came from.
+
 A hypothesis property test draws the rng's seed, so its plants are drawn
 the same way, and runs the same draw with ``cli.main`` added: ``analyze``
 and ``trajectory`` on the plant written to a file, each exiting 0 with
@@ -27,14 +31,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamlq import cli
-from hamlq.errors import HamlqError
+from hamlq.errors import HamlqError, SingularWeight
 from hamlq.hamsubspace import analyze, residuals_v1, residuals_v2
 from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive, stage_costs
 from hamlq.matcore import EPS
 from hamlq.reachdecomp import SystemQuadruple
+from hamlq.riccati import solve_dare
+from hamlq.stablyap import stability_certificate
 
 DRAWS = 1000
 HORIZONS = (1, 5, 40)
+# The PCG64 state (state, has_uint32, uinteger) of default_rng(11) before
+# each draw of `tools/fuzz_sweep.py 11 100000` that once raised numpy's
+# LinAlgError from analyze: cost data near 1e-160, where a failed Cholesky
+# factorization of a weight passed a zero tolerance that underflowed, or
+# the bootstrap's regularized weight failed to factor (draw 49747).
+UNTYPED_ONCE = {
+    24682: (15785203412107625796344112751198234245, 0, 786857325),
+    29567: (89900094255953662598056291805691928319, 1, 432540048),
+    35930: (147861481615302133835221807617143872088, 0, 3429522704),
+    36509: (67007105542888052712632462376206453901, 1, 2065156),
+    36596: (46980968576135939365174139611027120099, 0, 3144454521),
+    49747: (272030400654337765216101850790677267763, 1, 2757587042),
+    54549: (254567448642818239660132931241157823127, 1, 3091877315),
+    56309: (264989012062305916892089623943500276499, 1, 548962238),
+    58416: (102505023167232430706836651679129801981, 0, 2125618503),
+    66997: (47708705402472518835780786554410264191, 1, 5926632),
+    68574: (119357332054353472971978346710927451830, 0, 2285554839),
+    75657: (332568418970600133656200550265187788593, 1, 3438011666),
+    88377: (147875779805264992083448304844642288024, 1, 2275720499),
+}
 
 
 def fuzz_matrix(rng, shape):
@@ -70,6 +96,15 @@ def fuzz_plant(rng):
         A = with_radius(A, rho, rng.uniform(0.1, 1.5))
     B, C, D = fuzz_matrix(rng, (n, m)), fuzz_matrix(rng, (p, n)), fuzz_matrix(rng, (p, m))
     return SystemQuadruple(A=A, B=B, C=C, D=D)
+
+
+def rng_at(draw):
+    """``default_rng(11)`` as it stands before ``draw`` of ``UNTYPED_ONCE``."""
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    state["state"]["state"], state["has_uint32"], state["uinteger"] = UNTYPED_ONCE[draw]
+    rng.bit_generator.state = state
+    return rng
 
 
 def all_finite(*arrays):
@@ -150,6 +185,23 @@ def test_every_fuzzed_call_returns_or_raises_a_typed_error():
         sysq = fuzz_plant(rng)
         failures += [(draw, sysq.A.shape[0], name, what) for name, what in run_draw(rng, sysq)]
     assert not failures, failures[:5]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("draw", sorted(UNTYPED_ONCE))
+def test_draws_that_raised_an_untyped_error_raise_only_typed_errors(draw):
+    rng = rng_at(draw)
+    assert not run_draw(rng, fuzz_plant(rng))
+
+
+@pytest.mark.filterwarnings("error")
+def test_bootstrap_weight_too_small_to_factor_raises_singular_weight():
+    sysq = fuzz_plant(rng_at(49747))
+    # B near 1e-19, C and D near 1e-161, and an unstable A: the bootstrap path
+    assert np.abs(sysq.B).max() < 1e-18 and max(np.abs(sysq.C).max(), np.abs(sysq.D).max()) < 1e-160
+    assert not stability_certificate(sysq.A)
+    with pytest.raises(SingularWeight, match="too small to solve with"):
+        solve_dare(sysq)
 
 
 # On a failure, hypothesis's pytest plugin imports libcst, which warns on

@@ -14,12 +14,11 @@ from hamlq.lqtraj import (
     TrajectoryProblem,
     _propagate,
     _squares,
-    _vec_norm,
     cost,
     solve_nonrecursive,
     stage_costs,
 )
-from hamlq.matcore import DEFAULT_TOL, EPS, fro_norm, solve_linear
+from hamlq.matcore import DEFAULT_TOL, EPS, _vec_norm, fro_norm, solve_linear
 from hamlq.reachdecomp import SystemQuadruple
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian

@@ -113,6 +113,10 @@ def test_solve_linear_singular():
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
     with pytest.raises(SingularMatrix):
         solve_linear(np.zeros((2, 2)), np.eye(2))
+    # indefinite, where abs_zero_tol * max|M| underflows to zero: a failed
+    # Cholesky factorization is singular at every scale
+    with pytest.raises(SingularMatrix):
+        solve_linear(1e-320 * np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
 
 def test_solve_linear_backward_error():

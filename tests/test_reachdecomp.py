@@ -116,10 +116,12 @@ def test_zero_row_indices_is_relative(scale):
     assert zero_row_indices(scale * np.array([[1.0, 0.0], [0.0, 1e-13]])) == [2]
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-13])
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-13, 2.0**-600, 2.0**600])
 def test_staircase_identity_test_is_relative(scale):
     # Rotated input must not keep T = I because A and B are small: with an
     # absolute threshold the unreachable block of T'AT is 0.53 max|A| at 1e-13.
+    # The rows' largest entries decide, with no square that could under- or
+    # overflow at the ends of float64 range.
     s = staircase_embedded(np.random.default_rng(6), 3, 2, rotate=True)
     small = SystemQuadruple(A=scale * s.A, B=scale * s.B, C=s.C, D=s.D)
     st = staircase(small)

@@ -432,6 +432,17 @@ def test_subnormal_cost_scale_raises_a_typed_error(c):
 
 
 @pytest.mark.filterwarnings("error")
+def test_tiny_cost_of_a_stable_plant_raises_singular_weight():
+    # p < m, so D'D + B'PB is singular; its largest entry is 8.7e-321 and
+    # abs_zero_tol times it underflows to zero, so a failed Cholesky
+    # factorization of it once passed the pivot test and the final pivot
+    # test raised numpy's LinAlgError
+    sys = SystemQuadruple(A=[[0.42]], B=[[-0.554, 0.846]], C=[[1e-160]], D=[[0.0, 0.0]])
+    with pytest.raises(SingularWeight):
+        solve_dare(sys)
+
+
+@pytest.mark.filterwarnings("error")
 def test_overflowing_state_weight_of_unstable_plant_raises_one_typed_error():
     # C'D and D'D are finite, but the bootstrap's C'C overflows float64
     sys = unstable_modes(np.random.default_rng(62), 4)
