@@ -40,12 +40,7 @@ from .lqtraj import (
     stage_costs,
 )
 from .matcore import DEFAULT_TOL, ToleranceConfig
-from .reachdecomp import (
-    StaircaseForm,
-    SystemQuadruple,
-    staircase,
-    zero_row_indices,
-)
+from .reachdecomp import StaircaseForm, SystemQuadruple, staircase
 from .riccati import RiccatiSolution, solve_dare
 from .stablyap import (
     ClosedLoopGramian,
@@ -71,7 +66,6 @@ __all__ = [
     "SystemQuadruple",
     "StaircaseForm",
     "staircase",
-    "zero_row_indices",
     "ClosedLoopGramian",
     "GramianSolution",
     "solve_dlyap_stable",

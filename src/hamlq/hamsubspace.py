@@ -36,7 +36,7 @@ import numpy as np
 
 from .matcore import DEFAULT_TOL, ToleranceConfig, rank, residual_norms
 from .matcore import solve_linear  # noqa: F401  (the benchmark tracer wraps this name)
-from .reachdecomp import SystemQuadruple, staircase, zero_row_indices
+from .reachdecomp import SystemQuadruple, staircase, _zero_row_indices
 from .riccati import RiccatiSolution, solve_dare
 from .stablyap import ClosedLoopGramian, closed_loop_gramian
 
@@ -231,7 +231,7 @@ def analyze(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Analysi
     may set it.
     """
     st = staircase(sys, cfg)
-    n_c, zero_rows_Au = st.n_c, zero_row_indices(st.A_u, cfg)
+    n_c, zero_rows_Au = st.n_c, _zero_row_indices(st.A_u, cfg)
     del st
     # V1 and Vbar2 have rank n by construction, and ker V2 = ker [A B]' (see
     # DimensionReport), so the only rank decision is on plant data and does

@@ -13,9 +13,11 @@ mode propagated by ``A_K'`` from the far end:
 
 so a solve reduces to one boundary system in ``(a, b)``, solved from its
 blocks: ``a`` is eliminated through the identity block, which leaves one
-n-by-n system in ``b``. The squares ``A_K^{2^i}``, ``2^i <= k_f``, are
-formed once per solve; ``A_K^{k_f}`` in the boundary blocks is built from
-them with ``np.linalg.matrix_power``'s products. The mode sequences
+n-by-n system in ``b``. The top block row then holds by construction, so
+the verdict judges the bottom row alone, against the whole system's scale.
+The squares ``A_K^{2^i}``, ``2^i <= k_f``, are formed once per solve;
+``A_K^{k_f}`` in the boundary blocks is built from them with
+``np.linalg.matrix_power``'s products. The mode sequences
 ``A_K^k a`` and ``(A_K')^{k_f-k} b`` are then filled by doubling, each round
 multiplying the rows already known by the next square: about ``log2 k_f``
 stacked products and ``O(k_f n)`` memory, the size of the output. Both are
@@ -221,8 +223,10 @@ def solve_nonrecursive(
     ``S`` is solved by minimum-norm least squares because it can be singular
     when optimal controls are nonunique, so ``beta`` is the minimum-norm
     solution; ``(alpha, beta)`` need not be the minimum-norm solution of
-    the full system. Consistency is judged on the full system's residual,
-    summed over its two block rows, against ``cfg.residual_tol`` times
+    the full system. The top block row holds by construction of ``alpha``,
+    up to the rounding of one subtraction, so consistency is judged on the
+    bottom row alone: its residual ``|M21 alpha + M22 beta - end|`` against
+    ``cfg.residual_tol`` times the full system's scale
     ``1 + |[x0; end]| + |M|_F |[alpha; beta]|``, with
     ``|M|_F^2 = n + |M12|^2 + |M21|^2 + |M22|^2``.
 
@@ -237,8 +241,7 @@ def solve_nonrecursive(
     ``gram.u_gain`` come from ``gram``, which must be
     ``closed_loop_gramian``'s result for ``ric``.
 
-    ``r`` is formed in place and dropped once ``lstsq`` returns, and a free
-    end's zero ``end`` once the verdict is read.
+    A free end's zero ``end`` is dropped once the verdict is read.
 
     The outputs are ``u``, then ``x = W bwd + fwd`` from the two mode
     sequences, then ``p = P x - bwd``; at a free end ``p[k_f]`` is then
@@ -290,22 +293,19 @@ def solve_nonrecursive(
                 M21, M22, norm_M22, end = P.dot(phi), gram.Vbar2[n:], gram.norm_PW_I, np.zeros(n)
             else:
                 M21, M22, norm_M22, end = phi, W, gram.norm_W, prob.xf
-            r = M21.dot(x0)
-            np.subtract(end, r, out=r)
             # Singular values of S at or below ``cfg.rank_tol_factor * n`` times the
             # largest count as zero, numpy's own cutoff at ``DEFAULT_TOL``.
-            beta = np.linalg.lstsq(M22 - M21.dot(M12), r, rcond=cfg.rank_tol_factor * n)[0]
-            del r
-            M12_beta = M12.dot(beta)
-            alpha = x0 - M12_beta
-            # the full system's residual and scale, one block row at a time; at a
-            # free end the bottom row's left side is the costate p_{k_f}
+            beta = np.linalg.lstsq(
+                M22 - M21.dot(M12), end - M21.dot(x0), rcond=cfg.rank_tol_factor * n
+            )[0]
+            alpha = x0 - M12.dot(beta)
+            # the top row holds by construction of alpha; the bottom row is judged
+            # against the full system's scale, and at a free end its left side is
+            # the costate p_{k_f}
             end_row = M21.dot(alpha) + M22.dot(beta)
-            top = _vec_norm(alpha + M12_beta - x0)
-            bottom = _vec_norm(end_row - end)
+            residual = _vec_norm(end_row - end)
             norm_M = math.hypot(math.sqrt(n), fro_norm(M12), fro_norm(M21), norm_M22)
             norm_z = math.hypot(_vec_norm(alpha), _vec_norm(beta))
-            residual = math.hypot(top, bottom)
             scale = 1.0 + math.hypot(_vec_norm(x0), _vec_norm(end)) + norm_M * norm_z
             if not (math.isfinite(residual) and math.isfinite(scale)):
                 raise BoundaryInconsistent(

@@ -49,14 +49,16 @@ class ToleranceConfig:
         Threshold for treating pivots and rows as zero. Its four uses:
         ``solve_linear``'s squared Cholesky pivots, relative to ``max|M|``;
         ``solve_dare``'s on its final ``Rw``, absolutely (ROADMAP item 4);
-        the staircase's ``T = I`` rows and ``zero_row_indices``, a row's
-        largest entry relative to the matrix's.
+        the staircase's ``T = I`` rows and ``analyze``'s zero rows of
+        ``A_u``, a row's largest entry relative to the matrix's.
     residual_tol : float
         Acceptance threshold for equation residuals (Riccati, Lyapunov,
         boundary systems), relative to the size of what the residual is
         formed from: one plus the largest of the Riccati equation's terms,
         the Smith iterate, or one plus ``|rhs| + |M|_F |z|`` for a boundary
-        system ``M z = rhs``.
+        system ``M z = rhs``. A trajectory's boundary system meets its top
+        block row by construction, so its bottom row alone is judged,
+        against that full-system scale.
     max_iter : int
         Iteration budget for the doubling and Newton loops.
     """

@@ -23,7 +23,6 @@ __all__ = [
     "SystemQuadruple",
     "StaircaseForm",
     "staircase",
-    "zero_row_indices",
 ]
 
 
@@ -172,7 +171,7 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
 
     * if the reachable subspace is already spanned by the leading ``n_c``
       coordinate axes (every row of ``R'`` below them is in
-      ``zero_row_indices(R', cfg)``), ``T`` is the identity, so systems in
+      ``_zero_row_indices(R', cfg)``), ``T`` is the identity, so systems in
       staircase form keep their coordinates and blocks;
     * otherwise ``T = U``, whose leading ``n_c`` columns span that subspace.
 
@@ -186,7 +185,7 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     Rt = _krylov_factor(A, B).T
     n_c = _svd_rank(Rt, cfg, False, (n, n * m))[1]
     # n_c == n leaves no row to test, so the rows are not scanned
-    if n_c == n or set(range(n_c + 1, n + 1)) <= set(zero_row_indices(Rt, cfg)):
+    if n_c == n or set(range(n_c + 1, n + 1)) <= set(_zero_row_indices(Rt, cfg)):
         T = np.eye(n)
         At, Bt, Ct = A.copy(), B.copy(), C.copy()
     else:
@@ -206,7 +205,7 @@ def staircase(sys: SystemQuadruple, cfg: ToleranceConfig = DEFAULT_TOL) -> Stair
     )
 
 
-def zero_row_indices(M, cfg: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+def _zero_row_indices(M, cfg: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """1-based indices of the rows of ``M`` that are zero relative to ``max|M|``.
 
     A row is zero when its infinity norm is at most ``cfg.abs_zero_tol *

@@ -20,8 +20,9 @@ weights ``(I, I, 0)`` give: the structure-preserving doubling algorithm
 (Chu, Fan & Lin 2005) reaches its stabilizing solution quadratically
 whenever ``(A, B)`` is stabilizable, a singular ``D'D`` included. Unlike
 the unit-weight gain, this one sits ``O(DELTA)`` from the real one, so
-Newton needs 2-5 steps instead of 7-12. The gain is certified once. Value iteration on the unregularized equation from ``P = 0`` is not
-used: with a square invertible ``D`` the reduced state weight
+Newton needs 2-5 steps instead of 7-12. The gain is certified once.
+Value iteration on the unregularized equation from ``P = 0`` is not used:
+with a square invertible ``D`` the reduced state weight
 ``C'(I - D(D'D)^{-1}D')C`` vanishes, ``P = 0`` is itself a
 (non-stabilizing) solution, and the iteration sits on it until rounding,
 amplified by the unstable modes, pushes it off. ``DELTA s I`` keeps the

@@ -22,7 +22,8 @@ from hamlq.hamsubspace import (
 )
 from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive
 from hamlq.matcore import rank
-from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
+from hamlq.reachdecomp import SystemQuadruple, staircase
+from hamlq.reachdecomp import _zero_row_indices as zero_row_indices
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
 from oracle import kkt_oracle

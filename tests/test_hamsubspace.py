@@ -1,7 +1,9 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,8 @@ from hamlq.hamsubspace import (
     residuals_v2,
 )
 from hamlq.matcore import ToleranceConfig, fro_norm, rank, solve_linear
-from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
+from hamlq.reachdecomp import SystemQuadruple, staircase
+from hamlq.reachdecomp import _zero_row_indices as zero_row_indices
 from hamlq.lqtraj import TrajectoryProblem, solve_nonrecursive
 from hamlq.riccati import solve_dare
 from hamlq.stablyap import closed_loop_gramian
@@ -545,3 +548,52 @@ def test_analyze_holds_the_solvers_own_p(which, golden_sys):
         for name in ("x", "p", "u"):
             assert same_bits(getattr(got, name), getattr(want, name)), name
         assert same_bits(np.float64(got.J), np.float64(want.J))
+
+
+def pencil(sys):
+    """The extended symplectic pencil ``E z_{k+1} = F z_k`` of the optimality
+    conditions in ``z_k = (x_k, p_k, u_k)`` (Pappas, Laub & Sandell 1980)."""
+    n, m = sys.n, sys.m
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    E = np.zeros((2 * n + m, 2 * n + m))
+    E[:n, :n] = np.eye(n)
+    E[n : 2 * n, n : 2 * n] = A.T
+    E[2 * n :, n : 2 * n] = -B.T
+    F = np.block([
+        [A, np.zeros((n, n)), B],
+        [-C.T @ C, np.eye(n), -C.T @ D],
+        [D.T @ C, np.zeros((m, n)), D.T @ D],
+    ])
+    return E, F
+
+
+def test_bases_are_deflating_subspaces_of_the_hamiltonian_pencil(monkeypatch):
+    # The singular Hamiltonian pencil, formed here and nowhere in the
+    # package, witnesses the bases: V1 spans its stable deflating subspace
+    # (A_K's eigenvalues), V2 satisfies the backward relation, and its
+    # 2n + m eigenvalues split into n stable, n - z0 finite unstable and
+    # m + z0 infinite, z0 being A_K's zero eigenvalues. The systems are the
+    # traj-many benchmark's, golden among them.
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+    import workloads
+
+    z0_want = {"golden": 2, "singular-dd": 1, "regular": 0}
+    for key, (sys, _) in workloads.traj_systems().items():
+        n, m = sys.n, sys.m
+        ric, gram = solve_all(sys)
+        V1, V2, A_K = assemble_v1(ric), assemble_v2(ric, gram), gram.A_K
+        E, F = pencil(sys)
+        norm_F = fro_norm(F)
+        assert fro_norm(F @ V1 - E @ V1 @ A_K) <= 1e-13 * norm_F * fro_norm(V1), key
+        assert fro_norm(F @ V2 @ A_K.T - E @ V2) <= 1e-13 * norm_F * fro_norm(V2), key
+
+        _, _, alpha, beta, _, Z = scipy.linalg.ordqz(F, E, sort="iuc")
+        Q1 = np.linalg.qr(V1)[0]
+        Z1 = Z[:, :n]
+        assert np.linalg.norm(Q1 - Z1 @ (Z1.T @ Q1), 2) <= 1e-10, key  # sine of the largest angle
+
+        z0 = int(np.sum(np.abs(np.linalg.eigvals(A_K)) <= 1e-10))
+        assert z0 == z0_want[key.rsplit("-", 1)[0]], key
+        infinite = np.abs(beta) <= 1e-10 * np.abs(alpha)
+        inside = ~infinite & (np.abs(alpha) < np.abs(beta))
+        assert (inside.sum(), infinite.sum(), (~inside & ~infinite).sum()) == (n, m + z0, n - z0), key

@@ -5,7 +5,8 @@ import pytest
 from conftest import krylov, random_orthogonal, random_stabilizable, stable_matrix, staircase_embedded
 from conftest import traced_peak
 from hamlq.matcore import EPS, rank
-from hamlq.reachdecomp import SystemQuadruple, staircase, zero_row_indices
+from hamlq.reachdecomp import SystemQuadruple, staircase
+from hamlq.reachdecomp import _zero_row_indices as zero_row_indices
 
 
 def test_quadruple_validation_names_offending_field():
